@@ -10,9 +10,9 @@ c_a = <delta, conj(s_a)> / ||s_a||^2.  The projection vanishes identically
 unless the winding number r divides k.
 
 Two derivative routes are implemented and cross-checked: the analytic
-pairing (function/half-density/transport/fiber terms, with two convention
-signs calibrated once against ground truth) and the geometric
-finite-difference oracle built on the contact transport of `leaf.flow_state`.
+pairing (function/half-density/transport/fiber terms, with the two
+convention signs CONVENTION_SIGNS) and the geometric finite-difference
+oracle built on the contact transport of `leaf.flow_state`.
 Pullback values are Gram ratios of the orthogonalized derivatives and are
 independent of the global bundle measure scale.
 """
@@ -43,6 +43,9 @@ from .leaf import HalfWeight, LeafTangent, flow_state, gamma_flow, hamiltonian_n
 
 __all__ = [
     "TRANSVERSE_SCALE",
+    "CONVENTION_SIGNS",
+    "C_OMEGA",
+    "C_G",
     "SPHERE_DIAMETER",
     "COEFF_FLOOR",
     "BpuState",
@@ -50,7 +53,6 @@ __all__ = [
     "ProfileTable",
     "delta_pair",
     "bpu_map",
-    "d_delta_pair",
     "d_bpu",
     "fd_d_bpu",
     "zk_orthogonalize",
@@ -66,6 +68,14 @@ __all__ = [
 # profile is the standard Gaussian exp(-|w|^2).  On this model it is
 # sqrt(pi) times the area-1 FS norm (the C^2-horizontal norm).
 TRANSVERSE_SCALE = SQRT_PI
+
+# Signs (sigma_theta, sigma_p) of the fiber and normal terms of the analytic
+# derivative pairing, and the constants of the pullback limits
+# Im/k^2 -> C_OMEGA * Omega and Re/k^2 -> C_G * G.  These are fixed facts of
+# the model; `calibration` re-measures them against ground truth.
+CONVENTION_SIGNS = (-1, +1)
+C_OMEGA = -0.5
+C_G = +0.5
 
 # Maximal base distance in the area-1 metric (pole to pole).
 SPHERE_DIAMETER = SQRT_PI / 2.0
@@ -105,8 +115,8 @@ class BpuState:
         """Membership in the open set where the projectivized map is defined."""
         return bool(np.max(np.abs(self.coefficients)) > COEFF_FLOOR)
 
-    def evaluate(self, points) -> NDArray[np.complex128]:
-        return monomial_values(self.sec_basis, points) @ self.coefficients
+    def evaluate(self, points) -> complex | NDArray[np.complex128]:
+        return hardy.eval_section(self.sec_basis, self.vector, points)
 
 
 @dataclass(frozen=True)
@@ -185,12 +195,6 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int,
 # Analytic derivative
 # ---------------------------------------------------------------------------
 
-def _default_signs() -> tuple[int, int]:
-    from .calibration import calibrated_signs
-    cal = calibrated_signs()
-    return cal.sigma_theta, cal.sigma_p
-
-
 def _upsilon_at_lift(lift: PlanckianLift, w: LeafTangent) -> NDArray[np.complex128]:
     """Horizontal lift, at each lift node, of the Hamiltonian field of f."""
     loop = lift.base
@@ -199,73 +203,17 @@ def _upsilon_at_lift(lift: PlanckianLift, w: LeafTangent) -> NDArray[np.complex1
     return lift.phases[:, None] * np.tile(ups_base, (lift.winding, 1))
 
 
-def d_delta_pair(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, section,
-                 gamma: np.ndarray | None = None,
-                 signs: tuple[int, int] | None = None) -> complex:
-    """Derivative of the delta pairing along the tangent (f, ell).
-
-    `section` provides .value(points), .fiber_derivative(points) (the
-    derivative along the circle generator) and .directional_derivative
-    (points, vectors).  The four amplitude terms are the half-density
-    velocity S_ell, the transport term S_lambda * Gamma(L, f), the fiber
-    term sigma_theta * f * S_lambda * d_theta, and the normal term
-    sigma_p * S_lambda * d_upsilon; the two signs are global conventions
-    fixed once against the finite-difference oracle.
-    """
-    if signs is None:
-        signs = _default_signs()
-    sigma_theta, sigma_p = signs
-    loop = lift.base
-    if gamma is None:
-        gamma = gamma_flow(loop, w.f)
-    weights = lift.speed * (TWO_PI / loop.n)
-    r = lift.winding
-
-    amp_density = np.tile(w.s_ell + hw.s_lambda * gamma, r)
-    s_lam = np.tile(hw.s_lambda, r)
-    f_vals = np.tile(w.f, r)
-
-    vals = np.asarray(section.value(lift.points))
-    fib = np.asarray(section.fiber_derivative(lift.points))
-    direc = np.asarray(section.directional_derivative(lift.points, _upsilon_at_lift(lift, w)))
-
-    integrand = (amp_density * vals
-                 + sigma_theta * f_vals * s_lam * fib
-                 + sigma_p * s_lam * direc)
-    return complex(np.sum(weights * integrand))
-
-
-class _ConjugateMonomial:
-    """Test functional conj(s_a) with its exact derivatives."""
-
-    def __init__(self, sec_basis: SectionBasis, index: int):
-        self.b = sec_basis
-        self.a = index
-
-    def value(self, points):
-        return np.conj(monomial_values(self.b, points)[:, self.a])
-
-    def fiber_derivative(self, points):
-        return np.conj(1j * self.b.k * monomial_values(self.b, points)[:, self.a])
-
-    def directional_derivative(self, points, vectors):
-        return np.conj(monomial_derivatives(self.b, points, vectors)[:, self.a])
-
-
-def conjugate_monomial(sec_basis: SectionBasis, index: int) -> _ConjugateMonomial:
-    return _ConjugateMonomial(sec_basis, index)
-
-
 def d_bpu(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, k: int,
           rescale: bool = True,
           sec_basis: SectionBasis | None = None,
           gamma: np.ndarray | None = None,
-          signs: tuple[int, int] | None = None) -> SectionVector:
+          signs: tuple[int, int] = CONVENTION_SIGNS) -> SectionVector:
     """Coefficients of the projected derivative along (f, ell) at level k.
 
     With `rescale` the half-density leg is amplified to (f, k*ell) by
     linearity, the scaling under which the pullback expansions carry their
-    k^2 leading term.  Returns the zero vector with a warning when the
+    k^2 leading term.  `signs` are (sigma_theta, sigma_p), the signs of the
+    fiber and normal terms.  Returns the zero vector with a warning when the
     winding does not divide k.
     """
     b = sec_basis if sec_basis is not None else hardy_basis(k)
@@ -273,8 +221,6 @@ def d_bpu(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, k: int,
         warnings.warn(f"level {k} is not divisible by the winding {lift.winding}; "
                       "the projection is identically zero", stacklevel=2)
         return SectionVector(k, np.zeros(k + 1, dtype=np.complex128))
-    if signs is None:
-        signs = _default_signs()
     sigma_theta, sigma_p = signs
     loop = lift.base
     if gamma is None:
@@ -361,8 +307,7 @@ def f_integrand(w: LeafTangent, wp: LeafTangent, hw: HalfWeight) -> complex:
 def fs_pullback(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, wp: LeafTangent,
                 k: int,
                 sec_basis: SectionBasis | None = None,
-                gammas: tuple[np.ndarray, np.ndarray] | None = None,
-                signs: tuple[int, int] | None = None) -> PullbackResult:
+                gammas: tuple[np.ndarray, np.ndarray] | None = None) -> PullbackResult:
     """Level-k pullback pairing of two leaf tangents.
 
     Builds u, the rescaled derivatives, their orthogonal parts Z, Z', and
@@ -376,7 +321,7 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, wp: LeafTan
         raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
     g_w = gammas[0] if gammas is not None else None
     g_wp = gammas[1] if gammas is not None else None
-    du = d_bpu(lift, hw, w, k, rescale=True, sec_basis=b, gamma=g_w, signs=signs)
+    du = d_bpu(lift, hw, w, k, rescale=True, sec_basis=b, gamma=g_w)
     z = zk_orthogonalize(u, du)
     diagonal = wp is w or (np.array_equal(w.f, wp.f) and np.array_equal(w.s_ell, wp.s_ell))
     if diagonal:
@@ -384,7 +329,7 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, wp: LeafTan
         # the identity holds exactly rather than to complex-multiply rounding.
         raw = complex(hardy.norm_sq(b, z.coefficients) / u.norm_sq)
     else:
-        dup = d_bpu(lift, hw, wp, k, rescale=True, sec_basis=b, gamma=g_wp, signs=signs)
+        dup = d_bpu(lift, hw, wp, k, rescale=True, sec_basis=b, gamma=g_wp)
         zp = zk_orthogonalize(u, dup)
         raw = hardy.inner(b, z.coefficients, zp.coefficients) / u.norm_sq
     return PullbackResult(k=k, omega_value=float(raw.imag), g_value=float(raw.real),
@@ -392,11 +337,10 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, wp: LeafTan
 
 
 def pullback_sweep(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, wp: LeafTangent,
-                   ks: Sequence[int],
-                   signs: tuple[int, int] | None = None) -> list[PullbackResult]:
+                   ks: Sequence[int]) -> list[PullbackResult]:
     """fs_pullback over a level sweep, computing each transport term once."""
     gammas = (gamma_flow(lift.base, w.f), gamma_flow(lift.base, wp.f))
-    return [fs_pullback(lift, hw, w, wp, k, gammas=gammas, signs=signs) for k in ks]
+    return [fs_pullback(lift, hw, w, wp, k, gammas=gammas) for k in ks]
 
 
 def norm_sweep(lift: PlanckianLift, hw: HalfWeight, ks: Sequence[int]) -> list[dict]:

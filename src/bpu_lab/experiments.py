@@ -2,9 +2,9 @@
 
 Each experiment kind consumes a single JSON configuration document,
 produces a CSV data table (columns k, l, r, value_re, value_im), a JSON
-manifest carrying the configuration hash, the calibrated convention
-constants, the fits and the PASS/FAIL verdicts, and reports an overall
-verdict.  Given identical configurations the emitted bytes are identical.
+manifest carrying the configuration hash, the pinned convention constants
+and their checks, the fits and the PASS/FAIL verdicts, and reports an
+overall verdict.  Given identical configurations the emitted bytes are equal.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .geometry import (
     fs_distance,
     horizontal_lift,
     latitude_loop,
+    normal_frame,
     perturbed_latitude,
 )
 from .leaf import HalfWeight, LeafTangent, project_constraints
@@ -120,6 +121,9 @@ class ExperimentConfig:
         for key, val in tolerances.items():
             if key != "decay_slope" and val <= 0:
                 raise ConfigError(f"tolerance {key} must be positive")
+        k_values = [int(k) for k in raw.get("k_values", [])]
+        if any(k < 1 for k in k_values):
+            raise ConfigError(f"k_values must be positive integers, got {k_values}")
         pairs = [tuple(int(i) for i in p) for p in raw.get("pairs", [])]
         tangents = list(raw.get("tangents", []))
         for i, j in pairs:
@@ -134,7 +138,7 @@ class ExperimentConfig:
             halfweight=dict(raw.get("halfweight", {"type": "constant"})),
             tangents=tangents,
             pairs=pairs,
-            k_values=[int(k) for k in raw.get("k_values", [])],
+            k_values=k_values,
             points=list(raw.get("points", [])),
             tolerances=tolerances,
             raw=raw,
@@ -160,6 +164,7 @@ class RunResult:
     fits: dict[str, Any]
     verdicts: dict[str, bool]
     config: ExperimentConfig
+    signs: calibration.Calibration
 
     @property
     def passed(self) -> bool:
@@ -229,6 +234,10 @@ def _point_from_descriptor(descriptor: dict) -> np.ndarray:
 # Experiment runners
 # ---------------------------------------------------------------------------
 
+# What a runner returns: CSV rows, fits and verdicts.
+_Outcome = tuple[list[tuple[int, int, int, float, float]], dict[str, Any], dict[str, bool]]
+
+
 def _setup(config: ExperimentConfig):
     loop = latitude_loop(float(config.c), config.n)
     lift = horizontal_lift(loop)
@@ -236,7 +245,7 @@ def _setup(config: ExperimentConfig):
     return loop, lift, hw
 
 
-def _run_norm_sweep(config: ExperimentConfig) -> RunResult:
+def _run_norm_sweep(config: ExperimentConfig) -> _Outcome:
     loop, lift, hw = _setup(config)
     r = lift.winding
     ks = [r * l for l in range(1, config.l_max + 1)]
@@ -260,7 +269,7 @@ def _run_norm_sweep(config: ExperimentConfig) -> RunResult:
         "leading_coefficient": deviation < config.tolerances["leading_rel"],
         "ladder_residual": ladder.consistent or ladder.inconclusive,
     }
-    return RunResult("norm-sweep", rows, fits, verdicts, config)
+    return rows, fits, verdicts
 
 
 def _pair_deviation(fitted: float, constant: float, target: float, scale: float) -> float:
@@ -268,7 +277,7 @@ def _pair_deviation(fitted: float, constant: float, target: float, scale: float)
     return abs(fitted - constant * target) / denom
 
 
-def _run_theorem_check(config: ExperimentConfig) -> RunResult:
+def _run_theorem_check(config: ExperimentConfig) -> _Outcome:
     loop, lift, hw = _setup(config)
     r = lift.winding
     if not config.tangents or not config.pairs:
@@ -277,7 +286,9 @@ def _run_theorem_check(config: ExperimentConfig) -> RunResult:
     consts = calibration.measured_constants()
     ks = [r * l for l in range(1, config.l_max + 1)]
     rows = []
-    fits: dict[str, Any] = {"c_omega": consts.c_omega, "c_g": consts.c_g, "pairs": []}
+    fits: dict[str, Any] = {"c_omega": bpu.C_OMEGA, "c_g": bpu.C_G,
+                            "c_omega_raw": consts.c_omega_raw, "c_g_raw": consts.c_g_raw,
+                            "pairs": []}
     verdicts: dict[str, bool] = {}
     for idx, (i, j) in enumerate(config.pairs):
         w, wp = tangents[i], tangents[j]
@@ -300,8 +311,8 @@ def _run_theorem_check(config: ExperimentConfig) -> RunResult:
         re_ladder = asymptotics.ladder_residual_check(re_samples, alpha=2.0, m=1,
                                                       band=config.tolerances["ladder_band"],
                                                       floor=noise_floor)
-        dev_omega = _pair_deviation(im_fit.leading, consts.c_omega, omega_target, scale)
-        dev_g = _pair_deviation(re_fit.leading, consts.c_g, g_target, scale)
+        dev_omega = _pair_deviation(im_fit.leading, bpu.C_OMEGA, omega_target, scale)
+        dev_g = _pair_deviation(re_fit.leading, bpu.C_G, g_target, scale)
         fits["pairs"].append({
             "pair": [i, j],
             "omega_target": omega_target,
@@ -318,10 +329,10 @@ def _run_theorem_check(config: ExperimentConfig) -> RunResult:
         verdicts[f"pair{idx}_g"] = dev_g < tol
         verdicts[f"pair{idx}_omega_ladder"] = im_ladder.consistent or im_ladder.inconclusive
         verdicts[f"pair{idx}_g_ladder"] = re_ladder.consistent or re_ladder.inconclusive
-    return RunResult("theorem-check", rows, fits, verdicts, config)
+    return rows, fits, verdicts
 
 
-def _run_derivative_crosscheck(config: ExperimentConfig) -> RunResult:
+def _run_derivative_crosscheck(config: ExperimentConfig) -> _Outcome:
     loop, lift, hw = _setup(config)
     r = lift.winding
     ks = config.k_values or [4 * r, 8 * r, 16 * r]
@@ -330,13 +341,14 @@ def _run_derivative_crosscheck(config: ExperimentConfig) -> RunResult:
         tangents = [_build_tangent(loop, hw, d) for d in config.tangents]
     else:
         tangents = [_random_tangent(loop, hw, rng) for _ in range(5)]
+    off_lattice = [k for k in ks if k % r]
+    if off_lattice:
+        raise ConfigError(f"cross-check levels {off_lattice} must be divisible by r = {r}")
     rows = []
     errors = []
     for t_idx, w in enumerate(tangents):
         gamma = leaf.gamma_flow(loop, w.f)
         for k in ks:
-            if k % r:
-                raise ConfigError(f"cross-check level {k} must be divisible by r = {r}")
             analytic = bpu.d_bpu(lift, hw, w, k, rescale=True, gamma=gamma)
             oracle = bpu.fd_d_bpu(lift, hw, w, k, rescale=True)
             denom = float(np.linalg.norm(oracle.coefficients))
@@ -344,24 +356,18 @@ def _run_derivative_crosscheck(config: ExperimentConfig) -> RunResult:
             errors.append(rel)
             rows.append((k, k // r, r, rel, 0.0))
     worst = max(errors)
-    cal = calibration.calibrated_signs()
-    fits = {
-        "relative_errors": errors,
-        "worst": worst,
-        "calibration": cal.to_dict(),
-    }
+    fits = {"relative_errors": errors, "worst": worst}
     verdicts = {"derivative_agreement": worst < config.tolerances["fd_rel"]}
-    return RunResult("derivative-crosscheck", rows, fits, verdicts, config)
+    return rows, fits, verdicts
 
 
-def _run_profile(config: ExperimentConfig) -> RunResult:
+def _run_profile(config: ExperimentConfig) -> _Outcome:
     loop, lift, hw = _setup(config)
     r = lift.winding
     k = config.k_values[0] if config.k_values else 40 * r
     if k % r:
         raise ConfigError(f"profile level {k} must be divisible by r = {r}")
     state = bpu.bpu_map(lift, hw, k)
-    from .geometry import normal_frame
     samples = np.linspace(0.0, 1.5, 16)
     table = bpu.pointwise_profile(state, lift.points[0], normal_frame(loop)[0], samples)
     rows = [(k, k // r, r, float(ratio), float(wn))
@@ -375,10 +381,10 @@ def _run_profile(config: ExperimentConfig) -> RunResult:
         "max_abs_deviation": deviation,
     }
     verdicts = {"gaussian_profile": deviation < config.tolerances["gaussian_abs"]}
-    return RunResult("profile", rows, fits, verdicts, config)
+    return rows, fits, verdicts
 
 
-def _run_decay(config: ExperimentConfig) -> RunResult:
+def _run_decay(config: ExperimentConfig) -> _Outcome:
     loop, lift, hw = _setup(config)
     r = lift.winding
     k_max = config.k_values[0] if config.k_values else 80
@@ -398,10 +404,10 @@ def _run_decay(config: ExperimentConfig) -> RunResult:
         fits["points"].append({"descriptor": desc, "distance": dist,
                                "report": report.to_dict()})
         verdicts[f"point{p_idx}_decay"] = bool(report.passed and not report.inconclusive)
-    return RunResult("decay", rows, fits, verdicts, config)
+    return rows, fits, verdicts
 
 
-def _run_identity_suite(config: ExperimentConfig) -> RunResult:
+def _run_identity_suite(config: ExperimentConfig) -> _Outcome:
     tol = config.tolerances["identity_abs"]
     rng = np.random.default_rng(config.seed)
     loops = [latitude_loop(float(config.c), config.n),
@@ -438,7 +444,7 @@ def _run_identity_suite(config: ExperimentConfig) -> RunResult:
     rows = []
     fits = {"worst_defects": {k: float(v) for k, v in sorted(worst.items())}}
     verdicts = {name: bool(v < tol) for name, v in sorted(worst.items())}
-    return RunResult("identity-suite", rows, fits, verdicts, config)
+    return rows, fits, verdicts
 
 
 _RUNNERS = {
@@ -452,7 +458,14 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    return _RUNNERS[config.kind](config)
+    """Run the experiment, then the convention sign check, once per run.
+
+    The check comes last so that the runner's configuration errors surface
+    without waiting for it.
+    """
+    rows, fits, verdicts = _RUNNERS[config.kind](config)
+    return RunResult(config.kind, rows, fits, verdicts, config,
+                     calibration.calibrated_signs())
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +488,13 @@ def emit_report(result: RunResult, outdir: Path | str) -> tuple[Path, Path]:
         lines.append(f"{k},{l},{r},{_format_float(re)},{_format_float(im)}")
     csv_path.write_text("\n".join(lines) + "\n")
 
-    cal = calibration.calibrated_signs()
-    consts = calibration.measured_constants()
     manifest = {
         "config": result.config.raw,
         "config_sha256": result.config.config_hash(),
         "kind": result.kind,
-        "calibrated_signs": cal.to_dict(),
-        "c_omega": consts.c_omega,
-        "c_g": consts.c_g,
+        "calibrated_signs": result.signs.to_dict(),
+        "c_omega": bpu.C_OMEGA,
+        "c_g": bpu.C_G,
         "tolerances": result.config.tolerances,
         "fits": result.fits,
         "verdicts": result.verdicts,

@@ -45,7 +45,6 @@ __all__ = [
     "SQRT_PI",
     "SpherePoint",
     "BundlePoint",
-    "QuadratureGrid",
     "LagrangianLoop",
     "PlanckianLift",
     "HolonomyResult",
@@ -201,24 +200,6 @@ def as_point_array(x) -> NDArray[np.complex128]:
     return arr
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform periodic nodes with weights 2*pi/N."""
-
-    n: int
-
-    @property
-    def nodes(self) -> NDArray[np.float64]:
-        return grid_nodes(self.n)
-
-    @property
-    def weights(self) -> NDArray[np.float64]:
-        return np.full(self.n, TWO_PI / self.n)
-
-    def integrate(self, values: np.ndarray) -> np.ndarray | float:
-        return trapezoid(np.asarray(values))
-
-
 class LagrangianLoop:
     """Closed curve on the model sphere, sampled at uniform parameter nodes.
 
@@ -241,7 +222,6 @@ class LagrangianLoop:
         self.points = pts / norms[:, None]
         self.n = pts.shape[0]
         self.area_coordinate = area_coordinate
-        self.grid = QuadratureGrid(self.n)
 
         raw = spectral_derivative(self.points)
         self.tangents = project_tangent(self.points, raw)
@@ -256,7 +236,7 @@ class LagrangianLoop:
 
     @property
     def phi(self) -> NDArray[np.float64]:
-        return self.grid.nodes
+        return grid_nodes(self.n)
 
     @property
     def length(self) -> float:
@@ -312,19 +292,10 @@ class PlanckianLift:
         if self.points.shape != (winding * base.n, 2):
             raise ContractViolation("lift must hold winding * N bundle samples")
         self.n = self.points.shape[0]
-        self.grid = QuadratureGrid(self.n)
         # Base quantities repeat along each circuit.
         self.speed = np.tile(base.speed, winding)
         # Fiber offset of each lift node over its base representative.
         self.phases = _inner(np.tile(base.points, (winding, 1)), self.points)
-
-    @property
-    def t(self) -> NDArray[np.float64]:
-        """Lift parameter in [0, 2*pi*winding)."""
-        return TWO_PI * np.arange(self.n) / self.base.n
-
-    def base_indices(self) -> NDArray[np.int64]:
-        return np.arange(self.n) % self.base.n
 
     def legendrian_residual(self) -> float:
         """Largest per-node connection pairing of the curve tangent, relative

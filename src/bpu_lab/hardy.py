@@ -35,8 +35,6 @@ __all__ = [
     "monomial_values",
     "monomial_derivatives",
     "eval_section",
-    "directional_derivative",
-    "fiber_derivative",
     "inner",
     "norm_sq",
 ]
@@ -118,10 +116,15 @@ def monomial_derivatives(b: SectionBasis, points: np.ndarray,
 
     The monomials extend holomorphically, so the derivative along a real
     tangent vector w is the complex-linear pairing dP(w) = w0 dP/dz0 + w1 dP/dz1,
-    evaluated exactly.
+    evaluated exactly.  Each w must be tangent to the 3-sphere at its point;
+    along the circle generator w = i*x the derivative is
+    i * k * EQUIVARIANCE_SIGN times the value.
     """
     pts = np.atleast_2d(as_point_array(points))
     w = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
+    radial = np.real(np.sum(np.conj(pts) * w, axis=-1))
+    if np.max(np.abs(radial)) > 1e-10:
+        raise ContractViolation("direction is not tangent to the 3-sphere")
     a = b.exponents
     z0, z1 = pts[:, [0]], pts[:, [1]]
     # a * z0^(a-1) * z1^(k-a): guard 0^(-1) via explicit zero at a = 0.
@@ -140,26 +143,6 @@ def eval_section(b: SectionBasis, v: SectionVector, x) -> complex | NDArray[np.c
     if np.ndim(as_point_array(x)) == 1:
         return complex(vals[0])
     return vals
-
-
-def directional_derivative(b: SectionBasis, v: SectionVector, x, w) -> complex | NDArray[np.complex128]:
-    """Exact derivative of the equivariant function along sphere-tangent w."""
-    if v.k != b.k:
-        raise ContractViolation(f"level mismatch: basis {b.k}, vector {v.k}")
-    pts = np.atleast_2d(as_point_array(x))
-    wv = np.atleast_2d(np.asarray(w, dtype=np.complex128))
-    radial = np.real(np.sum(np.conj(pts) * wv, axis=-1))
-    if np.max(np.abs(radial)) > 1e-10:
-        raise ContractViolation("direction is not tangent to the 3-sphere")
-    vals = monomial_derivatives(b, pts, wv) @ v.coefficients
-    if np.ndim(as_point_array(x)) == 1:
-        return complex(vals[0])
-    return vals
-
-
-def fiber_derivative(b: SectionBasis, v: SectionVector, x) -> complex | NDArray[np.complex128]:
-    """Derivative along the circle-action generator: i*k times the value."""
-    return 1j * b.k * EQUIVARIANCE_SIGN * eval_section(b, v, x)
 
 
 def inner(b: SectionBasis, u: SectionVector | np.ndarray, v: SectionVector | np.ndarray) -> complex:

@@ -21,6 +21,7 @@ legs of a tangent pair on equal footing in the pullback asymptotics.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -39,7 +40,6 @@ from .geometry import (
     PlanckianLift,
     exp_map,
     foot_parameters,
-    horizontal_lift,
     normal_frame,
     pole_clearance,
     project_tangent,
@@ -60,7 +60,6 @@ __all__ = [
     "hamiltonian_field",
     "gamma_flow",
     "flow_state",
-    "flow_path",
     "tube_margin",
 ]
 
@@ -110,16 +109,13 @@ class HalfWeight:
         return bool(np.min(np.abs(self.s_lambda)) > tol)
 
     def to_json(self) -> str:
-        import json
-        samples = {str(i): float(v) for i, v in enumerate(self.s_lambda)}
-        return json.dumps({"n": self.loop.n, "s_lambda": samples}, sort_keys=True)
+        return json.dumps({"n": self.loop.n, "s_lambda": self.s_lambda.tolist()},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, loop: LagrangianLoop, text: str) -> "HalfWeight":
-        import json
         payload = json.loads(text)
-        samples = np.array([payload["s_lambda"][str(i)] for i in range(payload["n"])])
-        return cls(loop, samples)
+        return cls(loop, np.asarray(payload["s_lambda"], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -145,21 +141,14 @@ class LeafTangent:
         return abs(r1), abs(r2)
 
     def to_json(self) -> str:
-        import json
-        return json.dumps({
-            "n": self.loop.n,
-            "f": {str(i): float(v) for i, v in enumerate(self.f)},
-            "s_ell": {str(i): float(v) for i, v in enumerate(self.s_ell)},
-        }, sort_keys=True)
+        return json.dumps({"n": self.loop.n, "f": self.f.tolist(),
+                           "s_ell": self.s_ell.tolist()}, sort_keys=True)
 
     @classmethod
     def from_json(cls, loop: LagrangianLoop, text: str) -> "LeafTangent":
-        import json
         payload = json.loads(text)
-        n = payload["n"]
-        f = np.array([payload["f"][str(i)] for i in range(n)])
-        s_ell = np.array([payload["s_ell"][str(i)] for i in range(n)])
-        return cls(loop, f, s_ell)
+        return cls(loop, np.asarray(payload["f"], dtype=np.float64),
+                   np.asarray(payload["s_ell"], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -387,14 +376,3 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, t: float,
         loop.speed_at(loop.phi + delta) * dfeet / new_loop.speed)
     return new_lift, HalfWeight(new_loop, s_new)
 
-
-def flow_path(loop: LagrangianLoop, hw: HalfWeight, w: LeafTangent,
-              t: float) -> tuple[LagrangianLoop, HalfWeight]:
-    """Flow of the loop under upsilon_f with pulled-back half-weight.
-
-    Convenience wrapper around the lifted transport; the returned loop is
-    the projection of the transported lift.
-    """
-    lift = horizontal_lift(loop)
-    new_lift, new_hw = flow_state(lift, hw, w, t)
-    return new_lift.base, new_hw

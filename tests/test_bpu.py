@@ -9,9 +9,7 @@ import pytest
 from bpu_lab import bpu, hardy, leaf
 from bpu_lab.bpu import (
     bpu_map,
-    conjugate_monomial,
     d_bpu,
-    d_delta_pair,
     decay_check,
     delta_pair,
     f_integrand,
@@ -24,8 +22,8 @@ from bpu_lab.bpu import (
 from bpu_lab.errors import ContractViolation, OutsideAdmissibleSetError
 from bpu_lab.fourier import grid_nodes
 from bpu_lab.geometry import horizontal_lift, latitude_loop, normal_frame
-from bpu_lab.hardy import SectionVector, basis
-from bpu_lab.leaf import HalfWeight, LeafTangent, project_constraints
+from bpu_lab.hardy import SectionVector, basis, monomial_values
+from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
 
 N = 256
 PHI = grid_nodes(N)
@@ -42,6 +40,18 @@ def constrained(loop, hw, f, s_rel):
     return project_constraints(loop, f, s_rel * hw.s_lambda, hw)
 
 
+def conj_monomial(b, a):
+    """Test section conj(s_a), as a function of bundle points."""
+    return lambda pts: np.conj(monomial_values(b, pts)[:, a])
+
+
+def d_pair(lift, hw, w, b, a):
+    """Derivative of the delta pairing with conj(s_a): column a of the
+    unrescaled projected derivative times ||s_a||^2."""
+    return complex(d_bpu(lift, hw, w, b.k, rescale=False, sec_basis=b).coefficients[a]
+                   * b.norms_sq[a])
+
+
 # ---------------------------------------------------------------------------
 # Delta pairing and projection
 # ---------------------------------------------------------------------------
@@ -49,7 +59,7 @@ def constrained(loop, hw, f, s_rel):
 def test_delta_pair_rotational_selection(half_setup):
     _, lift, hw = half_setup
     b = basis(2)
-    vals = [abs(delta_pair(lift, hw, conjugate_monomial(b, a).value)) for a in range(3)]
+    vals = [abs(delta_pair(lift, hw, conj_monomial(b, a))) for a in range(3)]
     assert vals[1] > 0.1
     assert vals[0] < 1e-12 and vals[2] < 1e-12
 
@@ -58,7 +68,7 @@ def test_delta_pair_zero_section_and_linearity(half_setup):
     _, lift, hw = half_setup
     assert delta_pair(lift, hw, lambda pts: np.zeros(len(pts))) == 0.0
     b = basis(4)
-    s2 = conjugate_monomial(b, 2).value
+    s2 = conj_monomial(b, 2)
     combo = delta_pair(lift, hw, lambda pts: 2.0 * s2(pts) + 3j * s2(pts))
     assert combo == pytest.approx((2.0 + 3j) * delta_pair(lift, hw, s2), rel=1e-12)
 
@@ -142,31 +152,27 @@ def test_decay_far_point_passes_and_near_point_inconclusive(half_setup):
 def test_d_delta_pair_zero_tangent(half_setup):
     loop, lift, hw = half_setup
     w = LeafTangent(loop, np.zeros(N), np.zeros(N))
-    sec = conjugate_monomial(basis(8), 4)
-    assert d_delta_pair(lift, hw, w, sec) == 0.0
+    assert d_pair(lift, hw, w, basis(8), 4) == 0.0
 
 
 def test_d_delta_pair_reduces_to_delta_pair_when_f_zero(half_setup):
     loop, lift, hw = half_setup
     w = constrained(loop, hw, np.zeros(N), np.cos(PHI))
-    sec = conjugate_monomial(basis(8), 3)
+    b = basis(8)
     # with f = 0 the pairing is the plain delta pairing with S_ell as weight
-    expected = delta_pair(lift, HalfWeight(loop, w.s_ell), sec.value)
-    assert d_delta_pair(lift, hw, w, sec) == pytest.approx(expected, rel=1e-12)
+    expected = delta_pair(lift, HalfWeight(loop, w.s_ell), conj_monomial(b, 3))
+    assert d_pair(lift, hw, w, b, 3) == pytest.approx(expected, rel=1e-12)
 
 
 def test_d_delta_pair_matches_fd_oracle(half_setup):
     loop, lift, hw = half_setup
     w = constrained(loop, hw, np.cos(2 * PHI), np.cos(PHI))
     b = basis(8)
-    sec = conjugate_monomial(b, 3)
-    analytic = d_delta_pair(lift, hw, w, sec)
-
-    from bpu_lab.leaf import flow_state
+    analytic = d_pair(lift, hw, w, b, 3)
 
     def pairing_at(t):
         lift_t, hw_t = flow_state(lift, hw, w, t)
-        return delta_pair(lift_t, hw_t, sec.value)
+        return delta_pair(lift_t, hw_t, conj_monomial(b, 3))
 
     vals = {h: (pairing_at(h) - pairing_at(-h)) / (2 * h) for h in (1e-3, 5e-4)}
     oracle = (4.0 * vals[5e-4] - vals[1e-3]) / 3.0

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bpu_lab import bpu, calibration
 from bpu_lab.errors import ConfigError
 from bpu_lab.experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment
 
@@ -41,6 +42,17 @@ def test_config_rejects_bad_grid_and_kind():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "theorem-check", "pairs": [[0, 1]],
                                     "tangents": [{"f": []}]})
+
+
+def test_crosscheck_rejects_off_lattice_level_before_any_work(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("fd_d_bpu ran before the level check")
+
+    monkeypatch.setattr(bpu, "fd_d_bpu", never)
+    config = ExperimentConfig.from_dict({"kind": "derivative-crosscheck", "c": "1/2",
+                                         "n": 64, "k_values": [8, 9]})
+    with pytest.raises(ConfigError, match="divisible"):
+        run_experiment(config)
 
 
 def test_config_hash_is_stable():
@@ -90,6 +102,33 @@ def test_emission_is_deterministic(tmp_path, small_sweep):
     assert again_json.read_bytes() == json_path.read_bytes()
 
 
+def test_checks_run_once_per_experiment(monkeypatch, tmp_path):
+    calls = {"signs": 0, "constants": 0}
+
+    def signs():
+        calls["signs"] += 1
+        return calibration.Calibration(*bpu.CONVENTION_SIGNS, fd_relative_error=0.0)
+
+    def constants():
+        calls["constants"] += 1
+        return calibration.MeasuredConstants(c_omega_raw=-0.49, c_g_raw=0.51)
+
+    monkeypatch.setattr(calibration, "calibrated_signs", signs)
+    monkeypatch.setattr(calibration, "measured_constants", constants)
+    sweep = ExperimentConfig.from_dict({"kind": "norm-sweep", "c": "1/2", "n": 64, "l_max": 6})
+    emit_report(run_experiment(sweep), tmp_path / "sweep")
+    assert calls == {"signs": 1, "constants": 0}
+
+    check = ExperimentConfig.from_dict({
+        "kind": "theorem-check", "c": "1/2", "n": 64, "l_max": 6,
+        "tangents": [{"f": [{"mode": 1}], "s_ell": [{"mode": 1}]}], "pairs": [[0, 0]]})
+    _, json_path = emit_report(run_experiment(check), tmp_path / "check")
+    assert calls == {"signs": 2, "constants": 1}
+    manifest = json.loads(json_path.read_text())
+    assert (manifest["c_omega"], manifest["c_g"]) == (bpu.C_OMEGA, bpu.C_G)
+    assert (manifest["fits"]["c_omega_raw"], manifest["fits"]["c_g_raw"]) == (-0.49, 0.51)
+
+
 def test_empty_rows_yield_header_only_csv(tmp_path):
     config = ExperimentConfig.from_dict({"kind": "identity-suite", "c": "1/2", "n": 64,
                                          "seed": 5})
@@ -124,6 +163,10 @@ def test_cli_malformed_config_exits_2(tmp_path):
     cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/0"}))
     proc = run_cli("run", "--config", str(cfg))
     assert proc.returncode == 2
+    cfg.write_text(json.dumps({"kind": "derivative-crosscheck", "k_values": [0]}))
+    proc = run_cli("run", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "k_values" in proc.stderr
     cfg.write_text("{not json")
     proc = run_cli("run", "--config", str(cfg))
     assert proc.returncode == 2

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from bpu_lab.leaf import (
     HalfWeight,
     LeafTangent,
     WeightedTangent,
-    flow_path,
     flow_state,
     gamma_flow,
     hamiltonian_normal_components,
@@ -251,27 +252,28 @@ def test_gamma_linear():
 def test_flow_path_identity_at_zero(equator_setup):
     loop, hw = equator_setup
     w = random_tangent(loop, hw, 4)
-    new_loop, new_hw = flow_path(loop, hw, w, 0.0)
-    assert np.abs(new_loop.points - loop.points).max() < 1e-12
+    new_lift, new_hw = flow_state(horizontal_lift(loop), hw, w, 0.0)
+    assert np.abs(new_lift.base.points - loop.points).max() < 1e-12
     assert np.abs(new_hw.s_lambda - hw.s_lambda).max() < 1e-10
 
 
 def test_flow_preserves_holonomy_order(equator_setup):
     loop, hw = equator_setup
     w = project_constraints(loop, np.cos(2 * PHI), np.zeros(N), hw)
-    new_loop, _ = flow_path(loop, hw, w, 1e-3)
-    res = holonomy(new_loop)
+    new_lift, _ = flow_state(horizontal_lift(loop), hw, w, 1e-3)
+    res = holonomy(new_lift.base)
     assert res.order == 2
 
 
 def test_flow_mass_defect_is_quadratic(equator_setup):
     loop, hw = equator_setup
     w = project_constraints(loop, np.cos(2 * PHI), np.cos(PHI) * hw.s_lambda, hw)
+    lift = horizontal_lift(loop)
     defects = {}
     for t in (1e-3, 5e-4):
-        _, hw_t = flow_path(loop, hw, w, t)
+        _, hw_t = flow_state(lift, hw, w, t)
         defects[t] = hw_t.normalization_defect()
-        _, hw_m = flow_path(loop, hw, w, -t)
+        _, hw_m = flow_state(lift, hw, w, -t)
         # quadratic defect: same sign and size under t -> -t
         assert hw_m.normalization_defect() == pytest.approx(defects[t], rel=1e-2)
     assert defects[1e-3] / defects[5e-4] == pytest.approx(4.0, rel=5e-2)
@@ -284,11 +286,13 @@ def test_flow_rejects_large_steps(equator_setup):
     loop, hw = equator_setup
     w = project_constraints(loop, np.cos(2 * PHI), np.zeros(N), hw)
     with pytest.raises(TubeStepError):
-        flow_path(loop, hw, w, 5.0)
+        flow_state(horizontal_lift(loop), hw, w, 5.0)
 
 
 def test_halfweight_and_tangent_json_roundtrip(equator_setup):
     loop, hw = equator_setup
+    # plain sample lists, the wire format of loops and section vectors
+    assert json.loads(hw.to_json())["s_lambda"] == hw.s_lambda.tolist()
     back = HalfWeight.from_json(loop, hw.to_json())
     assert np.abs(back.s_lambda - hw.s_lambda).max() < 1e-15
     w = random_tangent(loop, hw, 17)
