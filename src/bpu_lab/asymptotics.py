@@ -4,9 +4,9 @@ Sampled sequences F(k) are fit to truncated expansions
 
     F(k) ~ c0 * k^alpha + c1 * k^(alpha - 1/2) + ... + c_{m-1} * k^(alpha - (m-1)/2)
 
-on a window of the sampled range (top half by default, where the asymptotic
-regime lives).  Columns are normalized by powers of k_max; raw power bases
-are catastrophically conditioned otherwise.
+on the top half of the sampled range, where the asymptotic regime lives.
+Columns are normalized by powers of k_max; raw power bases are
+catastrophically conditioned otherwise.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ class ExpansionFit:
     @property
     def leading(self) -> float:
         return float(self.coefficients[0])
-
-    def predict(self, k: np.ndarray) -> NDArray[np.float64]:
-        k = np.asarray(k, dtype=np.float64)
-        powers = np.stack([k ** (self.alpha - 0.5 * h) for h in range(self.m)], axis=1)
-        return powers @ self.coefficients
 
     def to_dict(self) -> dict:
         return {
@@ -107,18 +102,15 @@ def _as_arrays(samples) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return ks, ys
 
 
-def _window_mask(ks: np.ndarray, window: str, needed: int) -> NDArray[np.bool_]:
-    if window == "all":
-        return np.ones(ks.size, dtype=bool)
-    if window != "top-half":
-        raise DomainError(f"unknown fit window {window!r}")
+def _window_mask(ks: np.ndarray, needed: int) -> NDArray[np.bool_]:
+    """Samples in the top half of the k-range, or all when too few are there."""
     mask = ks >= 0.5 * (ks[0] + ks[-1])
     if mask.sum() < needed:
         mask = np.ones(ks.size, dtype=bool)
     return mask
 
 
-def fit_leading(samples, alpha: float, m: int, window: str = "top-half") -> ExpansionFit:
+def fit_leading(samples, alpha: float, m: int) -> ExpansionFit:
     """Least squares on the half-power basis {k^(alpha - h/2)}, h < m.
 
     Returns the coefficients together with the actual misfit of those
@@ -129,7 +121,7 @@ def fit_leading(samples, alpha: float, m: int, window: str = "top-half") -> Expa
     ks, ys = _as_arrays(samples)
     if ks.size < m + 2:
         raise DomainError(f"need at least {m + 2} samples for an {m}-term fit")
-    mask = _window_mask(ks, window, m + 2)
+    mask = _window_mask(ks, m + 2)
     kw, yw = ks[mask], ys[mask]
     kmax = kw[-1]
     design = np.stack([(kw / kmax) ** (alpha - 0.5 * h) for h in range(m)], axis=1)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -48,8 +48,9 @@ __all__ = [
     "C_G",
     "SPHERE_DIAMETER",
     "COEFF_FLOOR",
+    "FD_STEP",
+    "DECAY_MIN_DISTANCE",
     "BpuState",
-    "PullbackResult",
     "ProfileTable",
     "delta_pair",
     "bpu_map",
@@ -57,7 +58,6 @@ __all__ = [
     "fd_d_bpu",
     "zk_orthogonalize",
     "fs_pullback",
-    "pullback_sweep",
     "f_integrand",
     "norm_sweep",
     "pointwise_profile",
@@ -83,6 +83,11 @@ SPHERE_DIAMETER = SQRT_PI / 2.0
 # Coefficients below this magnitude count as exactly zero (quadrature floor).
 COEFF_FLOOR = 1e-11
 
+# Flow time of the coarser central difference in fd_d_bpu, and the base
+# distance below which an off-loop point gets no decay verdict.
+FD_STEP = 1e-3
+DECAY_MIN_DISTANCE = 0.2 * SPHERE_DIAMETER
+
 
 # ---------------------------------------------------------------------------
 # States
@@ -99,10 +104,6 @@ class BpuState:
     halfweight: HalfWeight
 
     @property
-    def r(self) -> int:
-        return self.lift.winding
-
-    @property
     def vector(self) -> SectionVector:
         return SectionVector(self.k, self.coefficients)
 
@@ -117,17 +118,6 @@ class BpuState:
 
     def evaluate(self, points) -> complex | NDArray[np.complex128]:
         return hardy.eval_section(self.sec_basis, self.vector, points)
-
-
-@dataclass(frozen=True)
-class PullbackResult:
-    """Hermitian pullback datum at level k; raw = g_value + i * omega_value."""
-
-    k: int
-    omega_value: float
-    g_value: float
-    hermitian: complex
-    u_norm_sq: float
 
 
 @dataclass(frozen=True)
@@ -166,8 +156,7 @@ def delta_pair(lift: PlanckianLift, hw: HalfWeight, section_values) -> complex:
     return complex(np.sum(_lift_weights(lift, hw) * vals))
 
 
-def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int,
-            sec_basis: SectionBasis | None = None) -> BpuState:
+def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
     """Orthogonal projection of the half-weighted delta onto level k.
 
     Pairings below the quadrature floor (relative to their no-cancellation
@@ -179,16 +168,14 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int,
     that leaving such noise in place would masquerade as O(1e-3)
     coefficients.
     """
-    b = sec_basis if sec_basis is not None else hardy_basis(k)
-    if b.k != k:
-        raise ContractViolation("basis level does not match k")
+    b = hardy_basis(k)
     weights = _lift_weights(lift, hw)
     mono = monomial_values(b, lift.points)
     pairings = np.conj(mono).T @ weights
     bound = np.abs(mono).T @ np.abs(weights)
     pairings[np.abs(pairings) <= 1e-10 * bound] = 0.0
     coeffs = pairings / b.norms_sq
-    return BpuState(k=k, sec_basis=b, coefficients=coeffs, lift=lift, halfweight=hw)
+    return BpuState(k, b, coeffs, lift, hw)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +192,6 @@ def _upsilon_at_lift(lift: PlanckianLift, w: LeafTangent) -> NDArray[np.complex1
 
 def d_bpu(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, k: int,
           rescale: bool = True,
-          sec_basis: SectionBasis | None = None,
           gamma: np.ndarray | None = None,
           signs: tuple[int, int] = CONVENTION_SIGNS) -> SectionVector:
     """Coefficients of the projected derivative along (f, ell) at level k.
@@ -216,12 +202,12 @@ def d_bpu(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, k: int,
     fiber and normal terms.  Returns the zero vector with a warning when the
     winding does not divide k.
     """
-    b = sec_basis if sec_basis is not None else hardy_basis(k)
     if k % lift.winding:
         warnings.warn(f"level {k} is not divisible by the winding {lift.winding}; "
                       "the projection is identically zero", stacklevel=2)
         return SectionVector(k, np.zeros(k + 1, dtype=np.complex128))
     sigma_theta, sigma_p = signs
+    b = hardy_basis(k)
     loop = lift.base
     if gamma is None:
         gamma = gamma_flow(loop, w.f)
@@ -247,24 +233,21 @@ def d_bpu(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, k: int,
 
 
 def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, k: int,
-             rescale: bool = True, step: float = 1e-3,
-             sec_basis: SectionBasis | None = None) -> SectionVector:
+             rescale: bool = True) -> SectionVector:
     """Finite-difference ground truth for d_bpu via the contact transport.
 
-    Central differences of the projection along the flow at steps t and
-    t/2, Richardson-combined.  The rescaled variant uses linearity in the
-    half-density leg.
+    Central differences of the projection along the flow at steps FD_STEP
+    and FD_STEP/2, Richardson-combined.  The rescaled variant uses linearity
+    in the half-density leg.
     """
-    b = sec_basis if sec_basis is not None else hardy_basis(k)
-
     def central_for(tangent: LeafTangent, h: float) -> np.ndarray:
-        plus = bpu_map(*flow_state(lift, hw, tangent, +h), k, b).coefficients
-        minus = bpu_map(*flow_state(lift, hw, tangent, -h), k, b).coefficients
+        plus = bpu_map(*flow_state(lift, hw, tangent, +h), k).coefficients
+        minus = bpu_map(*flow_state(lift, hw, tangent, -h), k).coefficients
         return (plus - minus) / (2.0 * h)
 
     def derivative_for(tangent: LeafTangent) -> np.ndarray:
-        d1 = central_for(tangent, step)
-        d2 = central_for(tangent, 0.5 * step)
+        d1 = central_for(tangent, FD_STEP)
+        d2 = central_for(tangent, 0.5 * FD_STEP)
         return (4.0 * d2 - d1) / 3.0
 
     if not rescale:
@@ -304,43 +287,28 @@ def f_integrand(w: LeafTangent, wp: LeafTangent, hw: HalfWeight) -> complex:
     return complex(np.sum((real_part + 1j * imag_part) * dens))
 
 
-def fs_pullback(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, wp: LeafTangent,
-                k: int,
-                sec_basis: SectionBasis | None = None,
-                gammas: tuple[np.ndarray, np.ndarray] | None = None) -> PullbackResult:
-    """Level-k pullback pairing of two leaf tangents.
+def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
+                ks: Sequence[int]) -> NDArray[np.complex128]:
+    """Level-k pullbacks of the Fubini-Study form over a frame of leaf tangents.
 
-    Builds u, the rescaled derivatives, their orthogonal parts Z, Z', and
-    returns raw = <Z, Z'> / <u, u> split into metric (real) and symplectic
-    (imaginary) values.  Independent of the bundle measure scale and of the
-    lift's starting phase.
+    At each level builds u and the orthogonal parts Z_i of the rescaled
+    derivatives along the tangents, and returns the forms, shape
+    (len(ks), T, T), with entries <Z_i, Z_j> / <u, u> made exactly
+    Hermitian as (G + G^H) / 2.  Real parts are metric values, imaginary
+    parts symplectic ones.  Independent of the bundle measure scale and of
+    the lift's starting phase.
     """
-    b = sec_basis if sec_basis is not None else hardy_basis(k)
-    u = bpu_map(lift, hw, k, b)
-    if not u.is_admissible:
-        raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
-    g_w = gammas[0] if gammas is not None else None
-    g_wp = gammas[1] if gammas is not None else None
-    du = d_bpu(lift, hw, w, k, rescale=True, sec_basis=b, gamma=g_w)
-    z = zk_orthogonalize(u, du)
-    diagonal = wp is w or (np.array_equal(w.f, wp.f) and np.array_equal(w.s_ell, wp.s_ell))
-    if diagonal:
-        # Im of a quadratic form is identically zero; compute it as a norm so
-        # the identity holds exactly rather than to complex-multiply rounding.
-        raw = complex(hardy.norm_sq(b, z.coefficients) / u.norm_sq)
-    else:
-        dup = d_bpu(lift, hw, wp, k, rescale=True, sec_basis=b, gamma=g_wp)
-        zp = zk_orthogonalize(u, dup)
-        raw = hardy.inner(b, z.coefficients, zp.coefficients) / u.norm_sq
-    return PullbackResult(k=k, omega_value=float(raw.imag), g_value=float(raw.real),
-                          hermitian=complex(raw), u_norm_sq=u.norm_sq)
-
-
-def pullback_sweep(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, wp: LeafTangent,
-                   ks: Sequence[int]) -> list[PullbackResult]:
-    """fs_pullback over a level sweep, computing each transport term once."""
-    gammas = (gamma_flow(lift.base, w.f), gamma_flow(lift.base, wp.f))
-    return [fs_pullback(lift, hw, w, wp, k, gammas=gammas) for k in ks]
+    flows = [gamma_flow(lift.base, w.f) for w in tangents]
+    forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
+    for n, k in enumerate(ks):
+        u = bpu_map(lift, hw, k)
+        if not u.is_admissible:
+            raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
+        z = np.array([zk_orthogonalize(u, d_bpu(lift, hw, w, k, gamma=g)).coefficients
+                      for w, g in zip(tangents, flows)])
+        gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
+        forms[n] = 0.5 * (gram + gram.conj().T)
+    return forms
 
 
 def norm_sweep(lift: PlanckianLift, hw: HalfWeight, ks: Sequence[int]) -> list[dict]:
@@ -411,11 +379,11 @@ def pointwise_profile(state: BpuState, x, w_direction,
                         gaussian=np.exp(-w_perp ** 2))
 
 
-def decay_check(lift: PlanckianLift, hw: HalfWeight, x, ks: Sequence[int],
-                min_distance: float = 0.2 * SPHERE_DIAMETER) -> asymptotics.DecayReport:
+def decay_check(lift: PlanckianLift, hw: HalfWeight, x,
+                ks: Sequence[int]) -> asymptotics.DecayReport:
     """Super-polynomial decay report for |u_k(x)| at an off-loop point.
 
-    Points closer than `min_distance` to the loop yield an inconclusive
+    Points closer than DECAY_MIN_DISTANCE to the loop yield an inconclusive
     report rather than a verdict.
     """
     xv = as_point_array(x)
@@ -426,9 +394,6 @@ def decay_check(lift: PlanckianLift, hw: HalfWeight, x, ks: Sequence[int],
         state = bpu_map(lift, hw, k)
         values.append(abs(complex(state.evaluate(xv[None, :])[0])))
     report = asymptotics.superpoly_decay(list(zip(admissible, values)))
-    if dist < min_distance:
-        return asymptotics.DecayReport(ks=report.ks, values=report.values,
-                                       dyad_ks=report.dyad_ks, slopes=report.slopes,
-                                       passed=False, threshold=report.threshold,
-                                       inconclusive=True)
+    if dist < DECAY_MIN_DISTANCE:
+        return replace(report, passed=False, inconclusive=True)
     return report

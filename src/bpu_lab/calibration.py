@@ -18,7 +18,6 @@ import numpy as np
 
 from . import asymptotics, bpu
 from .errors import IntegrationAccuracyError
-from .fourier import grid_nodes
 from .geometry import horizontal_lift, latitude_loop
 from .leaf import HalfWeight, gamma_flow, metric_g, omega, project_constraints
 
@@ -32,6 +31,13 @@ __all__ = [
 # The pinned sign pair must reproduce the finite-difference derivative to
 # this relative error; every other pair is off by O(1).
 SIGN_REL_TOL = 1e-6
+
+# Reference leaf of both checks (the c = 1/2 latitude, winding 2); the signs
+# are checked at level SIGN_LEVEL, the constants at k = 2, 4, ..., 2 * CONSTANT_L_MAX.
+REFERENCE_C = 0.5
+REFERENCE_N = 256
+SIGN_LEVEL = 8
+CONSTANT_L_MAX = 24
 
 # Allowed relative distance of a measured pullback constant from its pinned
 # value: the per-pair tolerance of the theorem check.
@@ -55,31 +61,33 @@ class MeasuredConstants:
     c_g_raw: float
 
 
-def calibrated_signs(n: int = 256, k: int = 8, c: float = 0.5,
-                     step: float = 1e-3) -> Calibration:
+def _reference_leaf():
+    """Half-area latitude with constant half-weight, the reference of both checks."""
+    loop = latitude_loop(REFERENCE_C, REFERENCE_N)
+    return loop, horizontal_lift(loop), HalfWeight.constant(loop)
+
+
+def calibrated_signs() -> Calibration:
     """Check of the convention signs on the fixed reference experiment.
 
-    Reference: the half-area latitude with constant half-weight and the
-    function-only tangent f = cos(2*phi).  Each of the four sign pairs is
-    compared with the Richardson-refined finite-difference derivative; the
-    best pair must be `bpu.CONVENTION_SIGNS` with relative error at most
-    SIGN_REL_TOL.
+    Reference: the reference leaf at level SIGN_LEVEL with the function-only
+    tangent f = cos(2*phi).  Each of the four sign pairs is compared with
+    the Richardson-refined finite-difference derivative; the best pair must
+    be `bpu.CONVENTION_SIGNS` with relative error at most SIGN_REL_TOL.
     """
-    loop = latitude_loop(c, n)
-    lift = horizontal_lift(loop)
-    hw = HalfWeight.constant(loop)
-    phi = grid_nodes(n)
-    w = project_constraints(loop, np.cos(2.0 * phi), np.zeros(n), hw)
+    loop, lift, hw = _reference_leaf()
+    phi = loop.phi
+    w = project_constraints(loop, np.cos(2.0 * phi), np.zeros(loop.n), hw)
     gamma = gamma_flow(loop, w.f)
 
-    oracle = bpu.fd_d_bpu(lift, hw, w, k, rescale=False, step=step).coefficients
+    oracle = bpu.fd_d_bpu(lift, hw, w, SIGN_LEVEL, rescale=False).coefficients
     scale = float(np.linalg.norm(oracle))
     if scale == 0.0:
         raise IntegrationAccuracyError("degenerate sign-calibration experiment")
 
     best = None
     for signs in itertools.product((1, -1), repeat=2):
-        analytic = bpu.d_bpu(lift, hw, w, k, rescale=False, gamma=gamma,
+        analytic = bpu.d_bpu(lift, hw, w, SIGN_LEVEL, rescale=False, gamma=gamma,
                              signs=signs).coefficients
         err = float(np.linalg.norm(analytic - oracle)) / scale
         if best is None or err < best[1]:
@@ -93,27 +101,26 @@ def calibrated_signs(n: int = 256, k: int = 8, c: float = 0.5,
     return Calibration(sigma_theta=signs[0], sigma_p=signs[1], fd_relative_error=err)
 
 
-def measured_constants(n: int = 256, l_max: int = 24) -> MeasuredConstants:
+def measured_constants() -> MeasuredConstants:
     """Check of the leading constants of the pullback asymptotics.
 
     Fits Im(raw)/k^2 against the symplectic pairing and Re(raw)/k^2 against
-    the metric pairing on reference mixed tangents of the half-area
-    latitude.  Each measured ratio must lie within CONSTANT_REL_TOL
-    (relative) of its pinned value `bpu.C_OMEGA` or `bpu.C_G`.
+    the metric pairing on reference mixed tangents of the reference leaf,
+    over the levels k = 2, 4, ..., 2 * CONSTANT_L_MAX.  Each measured ratio
+    must lie within CONSTANT_REL_TOL (relative) of its pinned value
+    `bpu.C_OMEGA` or `bpu.C_G`.
     """
-    loop = latitude_loop(0.5, n)
-    lift = horizontal_lift(loop)
-    hw = HalfWeight.constant(loop)
-    phi = grid_nodes(n)
+    loop, lift, hw = _reference_leaf()
+    phi = loop.phi
     w = project_constraints(loop, np.cos(phi), np.cos(phi) * hw.s_lambda, hw)
     wp = project_constraints(loop, np.sin(phi), np.cos(phi) * hw.s_lambda, hw)
 
     omega_val = omega(w, wp, hw)
     g_val = metric_g(w, wp, hw)
-    ks = [2 * l for l in range(1, l_max + 1)]
-    sweep = bpu.pullback_sweep(lift, hw, w, wp, ks)
-    im_fit = asymptotics.fit_leading([(p.k, p.omega_value) for p in sweep], alpha=2.0, m=3)
-    re_fit = asymptotics.fit_leading([(p.k, p.g_value) for p in sweep], alpha=2.0, m=3)
+    ks = [2 * l for l in range(1, CONSTANT_L_MAX + 1)]
+    values = bpu.fs_pullback(lift, hw, [w, wp], ks)[:, 0, 1]
+    im_fit = asymptotics.fit_leading(list(zip(ks, values.imag)), alpha=2.0, m=3)
+    re_fit = asymptotics.fit_leading(list(zip(ks, values.real)), alpha=2.0, m=3)
 
     result = MeasuredConstants(c_omega_raw=im_fit.leading / omega_val,
                                c_g_raw=re_fit.leading / g_val)

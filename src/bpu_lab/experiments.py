@@ -22,6 +22,7 @@ import numpy as np
 from . import asymptotics, bpu, calibration, leaf
 from .errors import ConfigError
 from .geometry import (
+    MAX_HOLONOMY_ORDER,
     fs_distance,
     horizontal_lift,
     latitude_loop,
@@ -62,6 +63,18 @@ _DEFAULT_TOLERANCES = {
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _number(raw: Any, name: str, integer: bool = False) -> float | int:
+    """`raw` as a finite float, or as an int when `integer`; ConfigError otherwise."""
+    try:
+        value = float(raw)
+        ok = math.isfinite(value) and (value.is_integer() or not integer)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}: {raw!r}")
+    return (raw if isinstance(raw, int) else int(value)) if integer else value
+
+
 def _parse_fraction(raw: Any) -> Fraction:
     if isinstance(raw, str):
         try:
@@ -70,12 +83,18 @@ def _parse_fraction(raw: Any) -> Fraction:
             raise ConfigError(f"cannot parse rational parameter {raw!r}") from exc
     elif isinstance(raw, (list, tuple)) and len(raw) == 2:
         try:
-            frac = Fraction(int(raw[0]), int(raw[1]))
-        except (ValueError, ZeroDivisionError) as exc:
+            frac = Fraction(*(_number(v, "rational parameter", integer=True) for v in raw))
+        except ZeroDivisionError as exc:
             raise ConfigError(f"cannot parse rational parameter {raw!r}") from exc
     else:
         raise ConfigError(f"rational parameter must be 'p/q' or [p, q], got {raw!r}")
     return frac
+
+
+def _checked(raw: Any, kind: type, name: str):
+    if not isinstance(raw, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {raw!r}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -104,42 +123,47 @@ class ExperimentConfig:
         c = _parse_fraction(raw.get("c", "1/2"))
         if not 0 < c < 1:
             raise ConfigError(f"circle parameter must lie in (0, 1), got {c}")
-        if c.denominator > 64:
-            raise ConfigError(f"circle parameter denominator {c.denominator} exceeds 64")
-        n = int(raw.get("n", 256))
+        if c.denominator > MAX_HOLONOMY_ORDER:
+            raise ConfigError(f"circle parameter denominator {c.denominator} "
+                              f"exceeds {MAX_HOLONOMY_ORDER}")
+        n = _number(raw.get("n", 256), "n", integer=True)
         if n < 64 or n & (n - 1):
             raise ConfigError(f"node count must be a power of two >= 64, got {n}")
-        l_max = int(raw.get("l_max", 40))
+        l_max = _number(raw.get("l_max", 40), "l_max", integer=True)
         if l_max < 5:
             raise ConfigError("l_max must be at least 5")
-        seed = int(raw.get("seed", 1))
+        seed = _number(raw.get("seed", 1), "seed", integer=True)
         tolerances = dict(_DEFAULT_TOLERANCES)
-        for key, val in dict(raw.get("tolerances", {})).items():
+        for key, val in _checked(raw.get("tolerances", {}), dict, "tolerances").items():
             if key not in _DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")
-            tolerances[key] = float(val)
+            tolerances[key] = _number(val, f"tolerance {key}")
         for key, val in tolerances.items():
             if key != "decay_slope" and val <= 0:
                 raise ConfigError(f"tolerance {key} must be positive")
-        k_values = [int(k) for k in raw.get("k_values", [])]
+        k_values = [_number(k, "k_values entry", integer=True)
+                    for k in _checked(raw.get("k_values", []), list, "k_values")]
         if any(k < 1 for k in k_values):
             raise ConfigError(f"k_values must be positive integers, got {k_values}")
-        pairs = [tuple(int(i) for i in p) for p in raw.get("pairs", [])]
-        tangents = list(raw.get("tangents", []))
-        for i, j in pairs:
-            if not (0 <= i < len(tangents) and 0 <= j < len(tangents)):
-                raise ConfigError(f"pair ({i}, {j}) indexes outside the tangent list")
+        tangents = [_checked(t, dict, "tangent")
+                    for t in _checked(raw.get("tangents", []), list, "tangents")]
+        pairs = [tuple(_number(i, "pair index", integer=True) for i in _checked(p, list, "pair"))
+                 for p in _checked(raw.get("pairs", []), list, "pairs")]
+        for pair in pairs:
+            if len(pair) != 2 or not all(0 <= i < len(tangents) for i in pair):
+                raise ConfigError(f"pair {list(pair)} must be two indices into the tangent list")
         return cls(
             kind=kind,
             c=c,
             n=n,
             l_max=l_max,
             seed=seed,
-            halfweight=dict(raw.get("halfweight", {"type": "constant"})),
+            halfweight=_checked(raw.get("halfweight", {"type": "constant"}), dict, "halfweight"),
             tangents=tangents,
             pairs=pairs,
             k_values=k_values,
-            points=list(raw.get("points", [])),
+            points=[_checked(p, dict, "point")
+                    for p in _checked(raw.get("points", []), list, "points")],
             tolerances=tolerances,
             raw=raw,
         )
@@ -177,9 +201,10 @@ class RunResult:
 
 def _fourier_samples(terms: list[dict], phi: np.ndarray) -> np.ndarray:
     out = np.zeros_like(phi)
-    for term in terms:
-        mode = int(term.get("mode", 1))
-        amp = float(term.get("amplitude", 1.0))
+    for term in _checked(terms, list, "Fourier terms"):
+        term = _checked(term, dict, "Fourier term")
+        mode = _number(term.get("mode", 1), "Fourier term mode", integer=True)
+        amp = _number(term.get("amplitude", 1.0), "Fourier term amplitude")
         kind = term.get("kind", "cos")
         if kind == "cos":
             out = out + amp * np.cos(mode * phi)
@@ -222,8 +247,8 @@ def _random_tangent(loop, hw: HalfWeight, rng: np.random.Generator) -> LeafTange
 
 
 def _point_from_descriptor(descriptor: dict) -> np.ndarray:
-    c = float(descriptor.get("c", 0.9))
-    psi = float(descriptor.get("psi", 0.0))
+    c = _number(descriptor.get("c", 0.9), "point c")
+    psi = _number(descriptor.get("psi", 0.0), "point psi")
     if not 0.0 <= c <= 1.0:
         raise ConfigError(f"point area coordinate must lie in [0, 1], got {c}")
     return np.array([math.sqrt(c) * np.exp(1j * psi), math.sqrt(1.0 - c)],
@@ -290,16 +315,16 @@ def _run_theorem_check(config: ExperimentConfig) -> _Outcome:
                             "c_omega_raw": consts.c_omega_raw, "c_g_raw": consts.c_g_raw,
                             "pairs": []}
     verdicts: dict[str, bool] = {}
+    forms = bpu.fs_pullback(lift, hw, tangents, ks)
     for idx, (i, j) in enumerate(config.pairs):
         w, wp = tangents[i], tangents[j]
         omega_target = leaf.omega(w, wp, hw)
         g_target = leaf.metric_g(w, wp, hw)
         scale = math.sqrt(leaf.metric_g(w, w, hw) * leaf.metric_g(wp, wp, hw))
-        sweep = bpu.pullback_sweep(lift, hw, w, wp, ks)
-        for p in sweep:
-            rows.append((p.k, p.k // r, r, p.g_value, p.omega_value))
-        im_samples = [(p.k, p.omega_value) for p in sweep]
-        re_samples = [(p.k, p.g_value) for p in sweep]
+        values = forms[:, i, j]
+        rows.extend((k, k // r, r, float(v.real), float(v.imag)) for k, v in zip(ks, values))
+        im_samples = list(zip(ks, values.imag))
+        re_samples = list(zip(ks, values.real))
         im_fit = asymptotics.fit_leading(im_samples, alpha=2.0, m=3)
         re_fit = asymptotics.fit_leading(re_samples, alpha=2.0, m=3)
         # Pullback values are Gram ratios of k^2-sized products; cancellation
@@ -396,8 +421,7 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
     verdicts = {}
     for p_idx, desc in enumerate(points):
         x = _point_from_descriptor(desc)
-        report = bpu.decay_check(lift, hw, x, ks,
-                                 min_distance=0.2 * bpu.SPHERE_DIAMETER)
+        report = bpu.decay_check(lift, hw, x, ks)
         for k, v in zip(report.ks, report.values):
             rows.append((int(k), int(k) // r, r, float(v), 0.0))
         dist = float(np.min(fs_distance(x[None, :], loop.points)))

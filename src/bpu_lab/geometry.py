@@ -43,6 +43,7 @@ from .fourier import TWO_PI, TrigInterpolator, grid_nodes, spectral_derivative, 
 
 __all__ = [
     "SQRT_PI",
+    "MAX_HOLONOMY_ORDER",
     "SpherePoint",
     "BundlePoint",
     "LagrangianLoop",
@@ -56,7 +57,6 @@ __all__ = [
     "signed_area",
     "fs_inner",
     "fs_norm",
-    "omega_pair",
     "project_tangent",
     "fs_distance",
     "exp_map",
@@ -86,11 +86,6 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fs_inner(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Riemannian pairing of horizontal representatives (area-1 metric)."""
     return np.real(_inner(v, w)) / np.pi
-
-
-def omega_pair(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Symplectic pairing of horizontal representatives (area-1 form)."""
-    return np.imag(_inner(v, w)) / np.pi
 
 
 def fs_norm(v: np.ndarray) -> np.ndarray:
@@ -392,12 +387,13 @@ class HolonomyResult:
     phase: complex
     order: int | None  # None encodes "infinite" (no order up to the search cap)
 
-    @property
-    def is_quantizable(self) -> bool:
-        return self.order is not None
-
 
 _CLOSURE_TOL = 1e-8
+
+# Holonomy orders are searched up to this cap; phase^r must be 1 within
+# _HOLONOMY_TOL.  Loops with no order up to the cap have no closed lift.
+MAX_HOLONOMY_ORDER = 64
+_HOLONOMY_TOL = 1e-9
 
 
 def _connection_rate(loop: LagrangianLoop) -> TrigInterpolator:
@@ -432,35 +428,35 @@ def _phase_path(loop: LagrangianLoop, circuits: int) -> NDArray[np.float64]:
     return (16.0 * fine[::2] - coarse) / 15.0
 
 
-def holonomy(loop: LagrangianLoop, r_max: int = 64, tol: float = 1e-9) -> HolonomyResult:
+def holonomy(loop: LagrangianLoop) -> HolonomyResult:
     """Connection holonomy around the loop and its order in the circle.
 
     The phase is exp(i*chi(2*pi)) with chi the horizontal phase transport;
-    the order is the smallest r <= r_max with phase^r = 1 within `tol`,
-    or None when no such r exists.
+    the order is the smallest r <= MAX_HOLONOMY_ORDER with phase^r = 1
+    within _HOLONOMY_TOL, or None when no such r exists.
     """
     if loop.periodicity_residual() > 1e-6:
         raise ContractViolation("loop samples are not smoothly periodic")
     chi = _phase_path(loop, 1)
     phase = complex(np.exp(1j * chi[-1]))
-    for r in range(1, r_max + 1):
-        if abs(phase ** r - 1.0) <= tol:
+    for r in range(1, MAX_HOLONOMY_ORDER + 1):
+        if abs(phase ** r - 1.0) <= _HOLONOMY_TOL:
             return HolonomyResult(phase=phase, order=r)
     return HolonomyResult(phase=phase, order=None)
 
 
-def horizontal_lift(loop: LagrangianLoop, start: BundlePoint | np.ndarray | None = None,
-                    r_max: int = 64) -> PlanckianLift:
+def horizontal_lift(loop: LagrangianLoop,
+                    start: BundlePoint | np.ndarray | None = None) -> PlanckianLift:
     """Closed horizontal lift of the loop, winding `order` times.
 
     Integrates the alpha-annihilating phase transport with a fixed-step
     4th-order method (one step per node, step-halving check), closes the
     residual seam exactly, and returns the sampled lift.
     """
-    hol = holonomy(loop, r_max=r_max)
+    hol = holonomy(loop)
     if hol.order is None:
-        raise BohrSommerfeldError(
-            f"holonomy phase {hol.phase:.12f} has no order <= {r_max}; no closed lift exists")
+        raise BohrSommerfeldError(f"holonomy phase {hol.phase:.12f} has no order "
+                                  f"<= {MAX_HOLONOMY_ORDER}; no closed lift exists")
     r = hol.order
 
     theta0 = 0.0
@@ -520,8 +516,12 @@ def pole_clearance(loop: LagrangianLoop) -> float:
 # Nearest-point (tube) projection
 # ---------------------------------------------------------------------------
 
-def foot_parameters(loop: LagrangianLoop, points: np.ndarray,
-                    max_iter: int = 40, tol: float = 1e-13) -> NDArray[np.float64]:
+# Newton iteration cap and step tolerance of the foot projection.
+_FOOT_MAX_ITER = 40
+_FOOT_TOL = 1e-13
+
+
+def foot_parameters(loop: LagrangianLoop, points: np.ndarray) -> NDArray[np.float64]:
     """Parameters of the normal-geodesic feet of tube points on the loop.
 
     For each point m, finds phi maximizing |<L(phi), m>| (equivalently
@@ -535,7 +535,7 @@ def foot_parameters(loop: LagrangianLoop, points: np.ndarray,
 
     interp = loop._interp_points
     step_cap = TWO_PI / loop.n
-    for _ in range(max_iter):
+    for _ in range(_FOOT_MAX_ITER):
         L = interp(phi)
         L1 = interp.derivative(phi, 1)
         L2 = interp.derivative(phi, 2)
@@ -549,7 +549,7 @@ def foot_parameters(loop: LagrangianLoop, points: np.ndarray,
         step = -grad / curv
         step = np.clip(step, -step_cap, step_cap)
         phi = phi + step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < _FOOT_TOL:
             break
     else:
         raise TubeStepError("nearest-point projection onto the loop did not converge")

@@ -103,11 +103,17 @@ def basis(k: int) -> SectionBasis:
     return SectionBasis(k=int(k), exponents=a, log_norms=log_norms)
 
 
+def _power_columns(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Powers z0^j and z1^j, j = 0..k, at points (M, 2): two (M, k+1) matrices."""
+    j = np.arange(k + 1)
+    return pts[:, [0]] ** j, pts[:, [1]] ** j
+
+
 def monomial_values(b: SectionBasis, points: np.ndarray) -> NDArray[np.complex128]:
     """Matrix of monomial values z0^a z1^(k-a) at bundle points, shape (M, k+1)."""
-    pts = np.atleast_2d(as_point_array(points))
-    a = b.exponents
-    return pts[:, [0]] ** a[None, :] * pts[:, [1]] ** (b.k - a)[None, :]
+    z0, z1 = _power_columns(np.atleast_2d(as_point_array(points)), b.k)
+    z0 *= z1[:, ::-1]
+    return z0
 
 
 def monomial_derivatives(b: SectionBasis, points: np.ndarray,
@@ -125,14 +131,14 @@ def monomial_derivatives(b: SectionBasis, points: np.ndarray,
     radial = np.real(np.sum(np.conj(pts) * w, axis=-1))
     if np.max(np.abs(radial)) > 1e-10:
         raise ContractViolation("direction is not tangent to the 3-sphere")
+    z0, z1 = _power_columns(pts, b.k)
+    head, tail = z0[:, :-1], z1[:, -2::-1]  # z0^j and z1^(k-1-j), j < k
     a = b.exponents
-    z0, z1 = pts[:, [0]], pts[:, [1]]
-    # a * z0^(a-1) * z1^(k-a): guard 0^(-1) via explicit zero at a = 0.
-    d0 = np.where(a[None, :] > 0, a[None, :] * z0 ** np.maximum(a - 1, 0)[None, :]
-                  * z1 ** (b.k - a)[None, :], 0.0)
-    d1 = np.where((b.k - a)[None, :] > 0, (b.k - a)[None, :] * z0 ** a[None, :]
-                  * z1 ** np.maximum(b.k - a - 1, 0)[None, :], 0.0)
-    return w[:, [0]] * d0 + w[:, [1]] * d1
+    # Column a: w0 * a z0^(a-1) z1^(k-a) (a > 0) + w1 * (k-a) z0^a z1^(k-a-1) (a < k).
+    out = np.zeros_like(z0)
+    out[:, 1:] = w[:, [0]] * (a[1:] * head * tail)
+    out[:, :-1] += w[:, [1]] * ((b.k - a[:-1]) * head * tail)
+    return out
 
 
 def eval_section(b: SectionBasis, v: SectionVector, x) -> complex | NDArray[np.complex128]:

@@ -281,15 +281,19 @@ def hamiltonian_field(loop: LagrangianLoop, f: np.ndarray):
     return field
 
 
-def gamma_flow(loop: LagrangianLoop, f: np.ndarray, step: float = 1e-3,
-               rel_tol: float = 1e-5) -> NDArray[np.float64]:
+_GAMMA_STEP = 1e-3
+_GAMMA_REL_TOL = 1e-5
+
+
+def gamma_flow(loop: LagrangianLoop, f: np.ndarray) -> NDArray[np.float64]:
     """First-order change of the Riemannian half-density along the flow of f.
 
     Realized as its defining t-derivative: displace the loop along the
     normal Hamiltonian velocity, pull the displaced half-density coefficient
     back through the flow parametrization, and differentiate at t = 0 by
     Richardson-refined central differences; the two refined estimates
-    (from step pairs (t, t/2) and (t/2, t/4)) must agree to `rel_tol`.
+    (from step pairs (t, t/2) and (t/2, t/4), t = _GAMMA_STEP) must agree to
+    _GAMMA_REL_TOL.
     """
     f = np.asarray(f, dtype=np.float64)
     a = hamiltonian_normal_components(loop, f)
@@ -299,12 +303,13 @@ def gamma_flow(loop: LagrangianLoop, f: np.ndarray, step: float = 1e-3,
         moved = exp_map(loop.points, (t * a)[:, None] * nf)
         return np.sqrt(LagrangianLoop(moved).speed / loop.speed)
 
+    step = _GAMMA_STEP
     central = {h: (g_at(h) - g_at(-h)) / (2.0 * h) for h in (step, 0.5 * step, 0.25 * step)}
     first = (4.0 * central[0.5 * step] - central[step]) / 3.0
     second = (4.0 * central[0.25 * step] - central[0.5 * step]) / 3.0
     # Geodesic loops have identically vanishing derivative; allow an
     # absolute floor tied to the flow amplitude besides the relative check.
-    tol = rel_tol * float(np.max(np.abs(second))) + 1e-9 * (1.0 + float(np.max(np.abs(a))))
+    tol = _GAMMA_REL_TOL * float(np.max(np.abs(second))) + 1e-9 * (1.0 + float(np.max(np.abs(a))))
     if float(np.max(np.abs(second - first))) > tol:
         raise IntegrationAccuracyError("half-density derivative failed step-halving check")
     return second
@@ -319,8 +324,8 @@ def tube_margin(loop: LagrangianLoop) -> float:
     return 0.25 * pole_clearance(loop)
 
 
-def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, t: float,
-               rk_steps: int | None = None) -> tuple[PlanckianLift, HalfWeight]:
+def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
+               t: float) -> tuple[PlanckianLift, HalfWeight]:
     """Transport (lift, half-weight) a time t along the tangent (f, ell).
 
     The bundle samples follow the contact transport (horizontal Hamiltonian
@@ -346,7 +351,7 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, t: float,
         upsilon, fval = field(x)
         return upsilon - (fval[:, None] * 1j) * x
 
-    steps = rk_steps if rk_steps is not None else max(1, int(math.ceil(abs(t) / 2e-3)))
+    steps = max(1, int(math.ceil(abs(t) / 2e-3)))  # RK4 steps of at most 2e-3
     h = t / steps
     x = lift.points.copy()
     for _ in range(steps):

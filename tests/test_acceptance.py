@@ -183,12 +183,12 @@ def pullback_data(leaves):
             omega_target = leaf.omega(w, wp, hw)
             g_target = leaf.metric_g(w, wp, hw)
             scale = math.sqrt(leaf.metric_g(w, w, hw) * leaf.metric_g(wp, wp, hw))
-            sweep = bpu.pullback_sweep(lift, hw, w, wp, ks)
+            values = bpu.fs_pullback(lift, hw, [w, wp], ks)[:, 0, 1]
             data.append({
                 "r": r, "label": label, "omega": omega_target, "g": g_target,
                 "scale": scale,
-                "im": [(p.k, p.omega_value) for p in sweep],
-                "re": [(p.k, p.g_value) for p in sweep],
+                "im": list(zip(ks, values.imag)),
+                "re": list(zip(ks, values.real)),
             })
     return data
 

@@ -48,7 +48,7 @@ def conj_monomial(b, a):
 def d_pair(lift, hw, w, b, a):
     """Derivative of the delta pairing with conj(s_a): column a of the
     unrescaled projected derivative times ||s_a||^2."""
-    return complex(d_bpu(lift, hw, w, b.k, rescale=False, sec_basis=b).coefficients[a]
+    return complex(d_bpu(lift, hw, w, b.k, rescale=False).coefficients[a]
                    * b.norms_sq[a])
 
 
@@ -258,20 +258,40 @@ def test_fs_pullback_diagonal_and_antisymmetry(half_setup):
     loop, lift, hw = half_setup
     w = constrained(loop, hw, np.cos(PHI), np.cos(PHI))
     wp = constrained(loop, hw, np.sin(PHI), np.cos(PHI))
-    diag = fs_pullback(lift, hw, w, w, 8)
-    assert diag.omega_value == 0.0
-    assert diag.g_value >= 0.0
-    ab = fs_pullback(lift, hw, w, wp, 8)
-    ba = fs_pullback(lift, hw, wp, w, 8)
-    assert ab.omega_value == pytest.approx(-ba.omega_value, rel=1e-10)
-    assert ab.hermitian == pytest.approx(ab.g_value + 1j * ab.omega_value)
+    forms = fs_pullback(lift, hw, [w, wp], [8])
+    assert forms.shape == (1, 2, 2)
+    h = forms[0]
+    assert np.array_equal(h, h.conj().T)
+    assert h[0, 0].imag == 0.0 and h[1, 1].imag == 0.0
+    assert h[0, 0].real >= 0.0 and h[1, 1].real >= 0.0
+    assert h[0, 1].imag != 0.0
+    # Reordering the frame permutes the form.
+    swapped = fs_pullback(lift, hw, [wp, w], [8])[0]
+    assert swapped[0, 1] == pytest.approx(h[1, 0], rel=1e-10)
 
 
 def test_fs_pullback_outside_domain(half_setup):
     loop, lift, hw = half_setup
     w = constrained(loop, hw, np.cos(PHI), np.zeros(N))
     with pytest.raises(OutsideAdmissibleSetError):
-        fs_pullback(lift, hw, w, w, 5)
+        fs_pullback(lift, hw, [w], [5])
+
+
+def test_fs_pullback_entries_are_gram_ratios_of_orthogonal_parts(half_setup):
+    loop, lift, hw = half_setup
+    frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),
+             constrained(loop, hw, np.sin(PHI), np.cos(PHI)),
+             constrained(loop, hw, np.cos(PHI) + np.cos(2 * PHI), np.cos(PHI) + np.sin(PHI))]
+    ks = [8, 16]
+    forms = fs_pullback(lift, hw, frame, ks)
+    assert forms.shape == (2, 3, 3)
+    for n, k in enumerate(ks):
+        u = bpu_map(lift, hw, k)
+        z = [zk_orthogonalize(u, d_bpu(lift, hw, w, k)) for w in frame]
+        for i in range(3):
+            for j in range(3):
+                expect = hardy.inner(u.sec_basis, z[i], z[j]) / u.norm_sq
+                assert abs(forms[n, i, j] - expect) <= 1e-12 * abs(expect)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,20 @@ def test_cli_malformed_config_exits_2(tmp_path):
     proc = run_cli("run", "--config", str(cfg))
     assert proc.returncode == 2
     assert "k_values" in proc.stderr
+    fourier_hw = {"type": "fourier", "terms": [{"mode": "q"}]}
+    for bad in ({"kind": "norm-sweep", "n": "abc"},
+                {"kind": "norm-sweep", "l_max": None},
+                {"kind": "norm-sweep", "l_max": 5.7},
+                {"kind": "derivative-crosscheck", "k_values": ["x"]},
+                {"kind": "theorem-check", "tangents": [{"f": []}], "pairs": [[0]]},
+                {"kind": "norm-sweep", "tolerances": {"leading_rel": "a"}},
+                {"kind": "decay", "points": [{"c": "zz"}]},
+                {"kind": "norm-sweep", "n": 64, "halfweight": fourier_hw},
+                {"kind": "theorem-check", "tangents": [5], "pairs": [[0, 0]]}):
+        cfg.write_text(json.dumps(bad))
+        proc = run_cli("run", "--config", str(cfg))
+        assert proc.returncode == 2, (bad, proc.stderr)
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     cfg.write_text("{not json")
     proc = run_cli("run", "--config", str(cfg))
     assert proc.returncode == 2

@@ -133,11 +133,15 @@ def test_eval_level_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_vertical_derivative_is_ik_times_value():
-    b = basis(5)
-    v = random_vector(5, seed=7)
-    x = random_bundle_point(seed=8)
-    dd = directional(b, v, x, 1j * x)
-    assert dd == pytest.approx(1j * 5 * eval_section(b, v, x), rel=1e-12)
+    poles = (np.array([1.0 + 0j, 0.0]), np.array([0.0 + 0j, 1.0]))
+    for k in (5, 1):
+        b = basis(k)
+        v = random_vector(k, seed=7)
+        for x in (random_bundle_point(seed=8), *poles):
+            row = monomial_derivatives(b, x, 1j * x)
+            assert np.all(np.isfinite(row))
+            assert directional(b, v, x, 1j * x) == pytest.approx(
+                1j * k * eval_section(b, v, x), rel=1e-12)
 
 
 def test_directional_derivative_linear_in_direction():

@@ -1,11 +1,15 @@
-"""Source layout rules: every import of the package sits at module level."""
+"""Source layout rules: every import of the package sits at module level,
+and every name the benchmark tracer summarizes exists in the package."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bpu_lab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bpu_lab"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def function_imports(path: Path) -> set[str]:
@@ -21,3 +25,33 @@ def test_no_imports_inside_functions():
     assert modules
     found = sorted(set().union(*(function_imports(p) for p in modules)))
     assert not found, f"imports inside function bodies: {', '.join(found)}"
+
+
+def traced_names(path: Path) -> set[tuple[str, str]]:
+    """The (layer, name) string pairs in the tracer source whose layer is one
+    of its LAYERS; read with ast, never imported."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    pairs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 2 and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+            layer, name = (e.value for e in node.elts)
+            if layer in layers:
+                pairs.add((layer, name))
+    return pairs
+
+
+def test_benchmark_traced_names_exist():
+    pairs = traced_names(TRACER)
+    assert len(pairs) >= 17
+    missing = []
+    for layer, name in sorted(pairs):
+        obj = importlib.import_module(f"bpu_lab.{layer}")
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{layer}.{name}")
+    assert not missing, f"names the tracer summarizes but the package lacks: {', '.join(missing)}"
