@@ -190,87 +190,86 @@ def _upsilon_at_lift(lift: PlanckianLift, w: LeafTangent) -> NDArray[np.complex1
     return lift.phases[:, None] * np.tile(ups_base, (lift.winding, 1))
 
 
-def d_bpu(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, k: int,
-          rescale: bool = True,
-          gamma: np.ndarray | None = None,
-          signs: tuple[int, int] = CONVENTION_SIGNS) -> SectionVector:
-    """Coefficients of the projected derivative along (f, ell) at level k.
+def d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
+          ks: Sequence[int],
+          signs: tuple[int, int] = CONVENTION_SIGNS) -> list[NDArray[np.complex128]]:
+    """Coefficients of the projected derivatives along a frame of tangents.
 
-    With `rescale` the half-density leg is amplified to (f, k*ell) by
+    Returns one (len(tangents), k+1) array per level k in `ks`; row i is the
+    derivative along (f_i, k*ell_i), the half-density leg amplified by
     linearity, the scaling under which the pullback expansions carry their
     k^2 leading term.  `signs` are (sigma_theta, sigma_p), the signs of the
-    fiber and normal terms.  Returns the zero vector with a warning when the
-    winding does not divide k.
+    fiber and normal terms.  A level the winding does not divide gets zero
+    rows and a warning.
     """
-    if k % lift.winding:
-        warnings.warn(f"level {k} is not divisible by the winding {lift.winding}; "
-                      "the projection is identically zero", stacklevel=2)
-        return SectionVector(k, np.zeros(k + 1, dtype=np.complex128))
     sigma_theta, sigma_p = signs
-    b = hardy_basis(k)
-    loop = lift.base
-    if gamma is None:
-        gamma = gamma_flow(loop, w.f)
     r = lift.winding
-    weights = lift.speed * (TWO_PI / loop.n)
-    s_lam = np.tile(hw.s_lambda, r)
-    f_vals = np.tile(w.f, r)
+    weights = lift.speed * (TWO_PI / lift.base.n)
+    s_w = np.tile(hw.s_lambda, r) * weights
+    # Per-node amplitudes of the transport, fiber (per unit k) and
+    # half-density terms, and the normal fields; none depends on k.
+    transport = np.array([np.tile(hw.s_lambda * gamma_flow(lift.base, w.f), r) * weights
+                          for w in tangents]).T
+    fiber = np.array([np.tile(w.f, r) * s_w for w in tangents]).T
+    density = np.array([np.tile(w.s_ell, r) * weights for w in tangents]).T
+    normals = [_upsilon_at_lift(lift, w) for w in tangents]
 
-    mono = monomial_values(b, lift.points)            # (rN, k+1)
-    mono_c = np.conj(mono)
-    fiber_c = np.conj(1j * k * mono)                  # conj of the fiber derivative
-    direc_c = np.conj(monomial_derivatives(b, lift.points, _upsilon_at_lift(lift, w)))
+    out = []
+    for k in ks:
+        if k % r:
+            warnings.warn(f"level {k} is not divisible by the winding {r}; "
+                          "the projection is identically zero", stacklevel=2)
+            out.append(np.zeros((len(tangents), k + 1), dtype=np.complex128))
+            continue
+        b = hardy_basis(k)
+        # conj of the fiber derivative i*k*s_a is -i*k*conj(s_a).
+        amp = transport - (sigma_theta * 1j * k) * fiber + k * density
+        pair = np.conj(monomial_values(b, lift.points)).T @ amp          # (k+1, T)
+        for i, ups in enumerate(normals):
+            pair[:, i] += sigma_p * (np.conj(monomial_derivatives(b, lift.points, ups)).T @ s_w)
+        out.append(pair.T / b.norms_sq)
+    return out
 
-    # f-leg: transport + fiber + normal terms; ell-leg: half-density velocity.
-    amp_f = np.tile(hw.s_lambda * gamma, r) * weights
-    amp_ell = np.tile(w.s_ell, r) * weights
-    pair_f = (mono_c.T @ amp_f
-              + sigma_theta * (fiber_c.T @ (f_vals * s_lam * weights))
-              + sigma_p * (direc_c.T @ (s_lam * weights)))
-    pair_ell = mono_c.T @ amp_ell
-    scale_ell = float(k) if rescale else 1.0
-    return SectionVector(k, (pair_f + scale_ell * pair_ell) / b.norms_sq)
 
-
-def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent, k: int,
-             rescale: bool = True) -> SectionVector:
+def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
+             ks: Sequence[int]) -> list[NDArray[np.complex128]]:
     """Finite-difference ground truth for d_bpu via the contact transport.
 
-    Central differences of the projection along the flow at steps FD_STEP
-    and FD_STEP/2, Richardson-combined.  The rescaled variant uses linearity
-    in the half-density leg.
+    Each tangent's legs (f, 0) and (0, ell) are transported once, to +-FD_STEP
+    and +-FD_STEP/2; at every level the central differences of the projected
+    states are Richardson-combined into d_f and d_ell, and row i of the
+    level-k array is d_f + k*d_ell, as in d_bpu.  A leg that is identically
+    zero moves nothing and is skipped.
     """
-    def central_for(tangent: LeafTangent, h: float) -> np.ndarray:
-        plus = bpu_map(*flow_state(lift, hw, tangent, +h), k).coefficients
-        minus = bpu_map(*flow_state(lift, hw, tangent, -h), k).coefficients
-        return (plus - minus) / (2.0 * h)
-
-    def derivative_for(tangent: LeafTangent) -> np.ndarray:
-        d1 = central_for(tangent, FD_STEP)
-        d2 = central_for(tangent, 0.5 * FD_STEP)
-        return (4.0 * d2 - d1) / 3.0
-
-    if not rescale:
-        return SectionVector(k, derivative_for(w))
     loop = lift.base
     zero = np.zeros(loop.n)
-    d_f = derivative_for(LeafTangent(loop, w.f, zero))
-    d_ell = derivative_for(LeafTangent(loop, zero, w.s_ell))
-    return SectionVector(k, d_f + float(k) * d_ell)
+    steps = (FD_STEP, 0.5 * FD_STEP)
+    out = [np.zeros((len(tangents), k + 1), dtype=np.complex128) for k in ks]
+    for i, w in enumerate(tangents):
+        for leg, rescaled in ((LeafTangent(loop, w.f, zero), False),
+                              (LeafTangent(loop, zero, w.s_ell), True)):
+            if not (np.any(leg.f) or np.any(leg.s_ell)):
+                continue
+            moved = [(flow_state(lift, hw, leg, +h), flow_state(lift, hw, leg, -h)) for h in steps]
+            for n, k in enumerate(ks):
+                d1, d2 = ((bpu_map(*plus, k).coefficients - bpu_map(*minus, k).coefficients)
+                          / (2.0 * h) for h, (plus, minus) in zip(steps, moved))
+                out[n][i] += (float(k) if rescaled else 1.0) * ((4.0 * d2 - d1) / 3.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Orthogonalization and pullbacks
 # ---------------------------------------------------------------------------
 
-def zk_orthogonalize(u: BpuState, du: SectionVector) -> SectionVector:
-    """Component of du orthogonal to u (Gram-Schmidt step)."""
+def zk_orthogonalize(u: BpuState, du: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Components of the coefficient rows du orthogonal to u (Gram-Schmidt step)."""
     if not u.is_admissible:
         raise OutsideAdmissibleSetError(
             "projection vanishes at this level; orthogonalization undefined")
-    b = u.sec_basis
-    coeff = hardy.inner(b, u.coefficients, du.coefficients) / u.norm_sq
-    return SectionVector(u.k, du.coefficients - coeff * u.coefficients)
+    du = np.asarray(du, dtype=np.complex128)
+    coeff = du @ (np.conj(u.coefficients) * u.sec_basis.norms_sq) / u.norm_sq
+    return du - np.multiply.outer(coeff, u.coefficients)
 
 
 def f_integrand(w: LeafTangent, wp: LeafTangent, hw: HalfWeight) -> complex:
@@ -298,14 +297,13 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     parts symplectic ones.  Independent of the bundle measure scale and of
     the lift's starting phase.
     """
-    flows = [gamma_flow(lift.base, w.f) for w in tangents]
-    forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
-    for n, k in enumerate(ks):
-        u = bpu_map(lift, hw, k)
+    states = [bpu_map(lift, hw, k) for k in ks]
+    for k, u in zip(ks, states):
         if not u.is_admissible:
             raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
-        z = np.array([zk_orthogonalize(u, d_bpu(lift, hw, w, k, gamma=g)).coefficients
-                      for w, g in zip(tangents, flows)])
+    forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
+    for n, (u, du) in enumerate(zip(states, d_bpu(lift, hw, tangents, ks))):
+        z = zk_orthogonalize(u, du)
         gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
         forms[n] = 0.5 * (gram + gram.conj().T)
     return forms

@@ -19,7 +19,7 @@ import numpy as np
 from . import asymptotics, bpu
 from .errors import IntegrationAccuracyError
 from .geometry import horizontal_lift, latitude_loop
-from .leaf import HalfWeight, gamma_flow, metric_g, omega, project_constraints
+from .leaf import HalfWeight, metric_g, omega, project_constraints
 
 __all__ = [
     "Calibration",
@@ -78,17 +78,15 @@ def calibrated_signs() -> Calibration:
     loop, lift, hw = _reference_leaf()
     phi = loop.phi
     w = project_constraints(loop, np.cos(2.0 * phi), np.zeros(loop.n), hw)
-    gamma = gamma_flow(loop, w.f)
 
-    oracle = bpu.fd_d_bpu(lift, hw, w, SIGN_LEVEL, rescale=False).coefficients
+    oracle = bpu.fd_d_bpu(lift, hw, [w], [SIGN_LEVEL])[0][0]
     scale = float(np.linalg.norm(oracle))
     if scale == 0.0:
         raise IntegrationAccuracyError("degenerate sign-calibration experiment")
 
     best = None
     for signs in itertools.product((1, -1), repeat=2):
-        analytic = bpu.d_bpu(lift, hw, w, SIGN_LEVEL, rescale=False, gamma=gamma,
-                             signs=signs).coefficients
+        analytic = bpu.d_bpu(lift, hw, [w], [SIGN_LEVEL], signs=signs)[0][0]
         err = float(np.linalg.norm(analytic - oracle)) / scale
         if best is None or err < best[1]:
             best = (signs, err)

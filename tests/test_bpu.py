@@ -22,7 +22,7 @@ from bpu_lab.bpu import (
 from bpu_lab.errors import ContractViolation, OutsideAdmissibleSetError
 from bpu_lab.fourier import grid_nodes
 from bpu_lab.geometry import horizontal_lift, latitude_loop, normal_frame
-from bpu_lab.hardy import SectionVector, basis, monomial_values
+from bpu_lab.hardy import basis, monomial_values
 from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
 
 N = 256
@@ -46,10 +46,11 @@ def conj_monomial(b, a):
 
 
 def d_pair(lift, hw, w, b, a):
-    """Derivative of the delta pairing with conj(s_a): column a of the
-    unrescaled projected derivative times ||s_a||^2."""
-    return complex(d_bpu(lift, hw, w, b.k, rescale=False).coefficients[a]
-                   * b.norms_sq[a])
+    """Derivative of the delta pairing with conj(s_a) along (f, ell): by
+    linearity, column a of the projected derivative along (f, ell/k), which
+    d_bpu rescales to (f, ell), times ||s_a||^2."""
+    w_k = LeafTangent(w.loop, w.f, w.s_ell / b.k)
+    return complex(d_bpu(lift, hw, [w_k], [b.k])[0][0, a] * b.norms_sq[a])
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +183,20 @@ def test_d_delta_pair_matches_fd_oracle(half_setup):
 def test_d_bpu_zero_tangent_and_linearity(half_setup):
     loop, lift, hw = half_setup
     zero = LeafTangent(loop, np.zeros(N), np.zeros(N))
-    assert np.abs(d_bpu(lift, hw, zero, 8).coefficients).max() == 0.0
+    assert np.abs(d_bpu(lift, hw, [zero], [8])[0]).max() == 0.0
     w1 = constrained(loop, hw, np.cos(PHI), np.zeros(N))
     w2 = constrained(loop, hw, np.zeros(N), np.cos(2 * PHI))
     both = LeafTangent(loop, w1.f + w2.f, w1.s_ell + w2.s_ell)
-    lhs = d_bpu(lift, hw, both, 8).coefficients
-    rhs = d_bpu(lift, hw, w1, 8).coefficients + d_bpu(lift, hw, w2, 8).coefficients
+    lhs, d1, d2 = d_bpu(lift, hw, [both, w1, w2], [8])[0]
+    rhs = d1 + d2
     assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
 
 
 def test_d_bpu_matches_fd_for_reference_tangent(half_setup):
     loop, lift, hw = half_setup
     w = constrained(loop, hw, np.cos(2 * PHI), np.cos(PHI))
-    ana = d_bpu(lift, hw, w, 8, rescale=True).coefficients
-    fd = fd_d_bpu(lift, hw, w, 8, rescale=True).coefficients
+    ana = d_bpu(lift, hw, [w], [8])[0][0]
+    fd = fd_d_bpu(lift, hw, [w], [8])[0][0]
     assert np.linalg.norm(ana - fd) / np.linalg.norm(fd) < 1e-4
 
 
@@ -203,16 +204,16 @@ def test_d_bpu_matches_fd_for_reference_tangent(half_setup):
 def test_d_bpu_matches_fd_across_levels(half_setup, k):
     loop, lift, hw = half_setup
     rng = np.random.default_rng(k)
-    worst = 0.0
+    frame = []
     for trial in range(5):
         f = sum(rng.uniform(0.5, 1.5) * np.cos(m * PHI + rng.uniform(0, 2 * np.pi))
                 for m in rng.integers(1, 3, size=2))
         s = sum(rng.uniform(0.5, 1.5) * np.cos(m * PHI + rng.uniform(0, 2 * np.pi))
                 for m in rng.integers(1, 3, size=2))
-        w = constrained(loop, hw, f, s)
-        ana = d_bpu(lift, hw, w, k, rescale=True).coefficients
-        fd = fd_d_bpu(lift, hw, w, k, rescale=True).coefficients
-        worst = max(worst, np.linalg.norm(ana - fd) / np.linalg.norm(fd))
+        frame.append(constrained(loop, hw, f, s))
+    ana = d_bpu(lift, hw, frame, [k])[0]
+    fd = fd_d_bpu(lift, hw, frame, [k])[0]
+    worst = max(np.linalg.norm(a - d) / np.linalg.norm(d) for a, d in zip(ana, fd))
     assert worst < 1e-3
 
 
@@ -221,9 +222,43 @@ def test_d_bpu_warns_off_lattice(half_setup):
     w = constrained(loop, hw, np.cos(PHI), np.zeros(N))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = d_bpu(lift, hw, w, 5)
-    assert np.abs(out.coefficients).max() == 0.0
+        out = d_bpu(lift, hw, [w], [5])[0]
+    assert out.shape == (1, 6) and np.abs(out).max() == 0.0
     assert any("divisible" in str(c.message) for c in caught)
+
+
+def test_d_bpu_frame_rows_match_single_tangent_calls(half_setup):
+    loop, lift, hw = half_setup
+    frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),
+             constrained(loop, hw, np.cos(2 * PHI), np.zeros(N)),
+             constrained(loop, hw, np.sin(PHI), np.cos(PHI) + np.sin(2 * PHI))]
+    ks = [8, 16, 32]
+    batched = d_bpu(lift, hw, frame, ks)
+    assert [arr.shape for arr in batched] == [(3, k + 1) for k in ks]
+    for i, w in enumerate(frame):
+        for arr, single in zip(batched, d_bpu(lift, hw, [w], ks)):
+            assert np.linalg.norm(arr[i] - single[0]) <= 1e-14 * np.linalg.norm(single[0])
+
+
+def test_fd_d_bpu_transports_each_leg_once(monkeypatch):
+    loop = latitude_loop(0.5, 64)
+    lift = horizontal_lift(loop)
+    hw = HalfWeight.constant(loop)
+    phi = grid_nodes(64)
+    both = constrained(loop, hw, np.cos(phi), np.cos(phi))
+    f_only = constrained(loop, hw, np.cos(2 * phi), np.zeros(64))
+    calls = []
+
+    def counting(lift_, hw_, w, t):
+        calls.append(w)
+        return flow_state(lift_, hw_, w, t)
+
+    monkeypatch.setattr(bpu, "flow_state", counting)
+    out = fd_d_bpu(lift, hw, [both, f_only], [4, 8, 16])
+    assert [arr.shape for arr in out] == [(2, 5), (2, 9), (2, 17)]
+    # Both legs of `both` at +-FD_STEP and +-FD_STEP/2, the f-leg of `f_only`.
+    assert len(calls) == 8 + 4
+    assert all(np.array_equal(w.f, f_only.f) for w in calls[8:])
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +269,28 @@ def test_zk_orthogonalize_cases(half_setup):
     loop, lift, hw = half_setup
     u = bpu_map(lift, hw, 8)
     b = u.sec_basis
-    z = zk_orthogonalize(u, u.vector)
-    assert np.abs(z.coefficients).max() < 1e-12 * np.abs(u.coefficients).max()
+    z = zk_orthogonalize(u, u.coefficients)
+    assert np.abs(z).max() < 1e-12 * np.abs(u.coefficients).max()
     rng = np.random.default_rng(0)
-    du = SectionVector(8, rng.normal(size=9) + 1j * rng.normal(size=9))
+    du = rng.normal(size=9) + 1j * rng.normal(size=9)
     z = zk_orthogonalize(u, du)
-    rel = abs(hardy.inner(b, z.coefficients, u.coefficients))
-    rel /= math.sqrt(hardy.norm_sq(b, z.coefficients) * u.norm_sq)
+    rel = abs(hardy.inner(b, z, u.coefficients))
+    rel /= math.sqrt(hardy.norm_sq(b, z) * u.norm_sq)
     assert rel < 1e-10
-    perp = SectionVector(8, du.coefficients - 0 * du.coefficients)
     already = zk_orthogonalize(u, z)
-    assert np.abs(already.coefficients - z.coefficients).max() < 1e-12 * np.abs(z.coefficients).max()
+    assert np.abs(already - z).max() < 1e-12 * np.abs(z).max()
+    # A stack of rows is orthogonalized row by row.
+    rows = zk_orthogonalize(u, np.array([du, u.coefficients, z]))
+    assert rows.shape == (3, 9)
+    assert np.abs(rows[0] - z).max() <= 1e-14 * np.abs(z).max()
+    assert np.abs(rows[1]).max() < 1e-12 * np.abs(u.coefficients).max()
 
 
 def test_zk_requires_admissible_state(half_setup):
     _, lift, hw = half_setup
     u = bpu_map(lift, hw, 5)  # odd level: projection vanishes
     with pytest.raises(OutsideAdmissibleSetError):
-        zk_orthogonalize(u, u.vector)
+        zk_orthogonalize(u, u.coefficients)
 
 
 def test_fs_pullback_diagonal_and_antisymmetry(half_setup):
@@ -287,7 +326,7 @@ def test_fs_pullback_entries_are_gram_ratios_of_orthogonal_parts(half_setup):
     assert forms.shape == (2, 3, 3)
     for n, k in enumerate(ks):
         u = bpu_map(lift, hw, k)
-        z = [zk_orthogonalize(u, d_bpu(lift, hw, w, k)) for w in frame]
+        z = [zk_orthogonalize(u, d_bpu(lift, hw, [w], [k])[0][0]) for w in frame]
         for i in range(3):
             for j in range(3):
                 expect = hardy.inner(u.sec_basis, z[i], z[j]) / u.norm_sq
@@ -323,15 +362,13 @@ def test_f_integrand_symmetries(half_setup):
 def test_u_du_pairing_growth_bound(half_setup):
     loop, lift, hw = half_setup
     w = constrained(loop, hw, np.cos(PHI), np.cos(PHI))
-    gamma = leaf.gamma_flow(loop, w.f)
+    ks = (16, 32, 64)
     ratios = []
-    for k in (16, 32, 64):
+    for k, du in zip(ks, d_bpu(lift, hw, [w], ks)):
         u = bpu_map(lift, hw, k)
-        du = d_bpu(lift, hw, w, k, rescale=True, gamma=gamma)
-        ratios.append(abs(hardy.inner(u.sec_basis, u.coefficients, du.coefficients))
-                      / (u.norm_sq * k))
+        ratios.append(abs(hardy.inner(u.sec_basis, u.coefficients, du[0])) / (u.norm_sq * k))
     # admissible growth is k^(-1/2) relative; check the bound with margin
-    assert all(r < 2.0 / math.sqrt(k) for r, k in zip(ratios, (16, 32, 64)))
+    assert all(r < 2.0 / math.sqrt(k) for r, k in zip(ratios, ks))
 
 
 def test_hermitian_product_reproduces_f_integral(half_setup):
@@ -340,12 +377,9 @@ def test_hermitian_product_reproduces_f_integral(half_setup):
     wp = constrained(loop, hw, np.sin(PHI), np.cos(PHI))
     target = f_integrand(w, wp, hw)
     k = 96
-    gamma_w = leaf.gamma_flow(loop, w.f)
-    gamma_wp = leaf.gamma_flow(loop, wp.f)
     u = bpu_map(lift, hw, k)
-    du = d_bpu(lift, hw, w, k, rescale=True, gamma=gamma_w)
-    dup = d_bpu(lift, hw, wp, k, rescale=True, gamma=gamma_wp)
-    herm = hardy.inner(u.sec_basis, du.coefficients, dup.coefficients) / u.norm_sq / k ** 2
+    du, dup = d_bpu(lift, hw, [w, wp], [k])[0]
+    herm = hardy.inner(u.sec_basis, du, dup) / u.norm_sq / k ** 2
     assert herm.real == pytest.approx(target.real, rel=3e-2)
     assert herm.imag == pytest.approx(target.imag, rel=3e-2)
 

@@ -3,12 +3,16 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bpu_lab import bpu, calibration
 from bpu_lab.errors import ConfigError
 from bpu_lab.experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run_cli(*args):
@@ -42,6 +46,20 @@ def test_config_rejects_bad_grid_and_kind():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "theorem-check", "pairs": [[0, 1]],
                                     "tangents": [{"f": []}]})
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_parse(path):
+    config = ExperimentConfig.from_json(path.read_text())
+    assert config.raw == json.loads(path.read_text())
+
+
+def test_tangent_reduced_to_rounding_names_its_index():
+    config = ExperimentConfig.from_dict({
+        "kind": "theorem-check", "c": "1/2", "n": 64, "pairs": [[0, 1]],
+        "tangents": [{"f": [{"mode": 1}]}, {"f": [{"mode": 0, "amplitude": 1.0}]}]})
+    with pytest.raises(ConfigError, match="tangent 1 "):
+        run_experiment(config)
 
 
 def test_crosscheck_rejects_off_lattice_level_before_any_work(monkeypatch):
@@ -176,7 +194,14 @@ def test_cli_malformed_config_exits_2(tmp_path):
                 {"kind": "norm-sweep", "tolerances": {"leading_rel": "a"}},
                 {"kind": "decay", "points": [{"c": "zz"}]},
                 {"kind": "norm-sweep", "n": 64, "halfweight": fourier_hw},
-                {"kind": "theorem-check", "tangents": [5], "pairs": [[0, 0]]}):
+                {"kind": "theorem-check", "tangents": [5], "pairs": [[0, 0]]},
+                {"kind": "theorem-check", "tangents": [{"f": [], "s_ell": []}],
+                 "pairs": [[0, 0]]},
+                {"kind": "derivative-crosscheck", "tangents": [{"f": [], "s_ell": []}]},
+                {"kind": "theorem-check", "tangents": [{"f": [{"mode": 0, "amplitude": 1.0}]}],
+                 "pairs": [[0, 0]]},
+                {"kind": "norm-sweep", "c": "1/2", "n": 64, "lmax": 6},
+                {"kind": "norm-sweep", "raw": {}}):
         cfg.write_text(json.dumps(bad))
         proc = run_cli("run", "--config", str(cfg))
         assert proc.returncode == 2, (bad, proc.stderr)
