@@ -251,10 +251,10 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
             if not (np.any(leg.f) or np.any(leg.s_ell)):
                 continue
             moved = [(flow_state(lift, hw, leg, +h), flow_state(lift, hw, leg, -h)) for h in steps]
-            for n, k in enumerate(ks):
+            for k, rows in zip(ks, out):
                 d1, d2 = ((bpu_map(*plus, k).coefficients - bpu_map(*minus, k).coefficients)
                           / (2.0 * h) for h, (plus, minus) in zip(steps, moved))
-                out[n][i] += (float(k) if rescaled else 1.0) * ((4.0 * d2 - d1) / 3.0)
+                rows[i] += (float(k) if rescaled else 1.0) * ((4.0 * d2 - d1) / 3.0)
     return out
 
 
