@@ -171,7 +171,7 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
     b = hardy_basis(k)
     weights = _lift_weights(lift, hw)
     mono = monomial_values(b, lift.points)
-    pairings = np.conj(mono).T @ weights
+    pairings = np.conj(mono.T @ np.conj(weights))  # conj(mono)^T weights, no conjugate copy
     bound = np.abs(mono).T @ np.abs(weights)
     pairings[np.abs(pairings) <= 1e-10 * bound] = 0.0
     coeffs = pairings / b.norms_sq

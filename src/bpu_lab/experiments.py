@@ -427,6 +427,8 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
     loop, lift, hw = _setup(config)
     r = lift.winding
     k_max = config.k_values[0] if config.k_values else 80
+    if k_max < 2 * r:
+        raise ConfigError(f"decay level {k_max} must reach 2r = {2 * r} to hold a (k, 2k) pair")
     ks = [k for k in range(r, k_max + 1) if k % r == 0]
     points = config.points or [{"c": 0.9, "psi": 0.0}, {"c": 0.88, "psi": 2.0},
                                {"c": 0.92, "psi": 4.0}]

@@ -36,19 +36,40 @@ def mode_numbers(n: int) -> NDArray[np.int64]:
 def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
     """Derivative d^order/dphi^order of periodic samples along axis 0.
 
-    The Nyquist mode is zeroed for odd orders (the standard symmetric
-    convention); for analytic data its coefficient is negligible anyway.
+    For even n the Nyquist mode is zeroed for odd orders (the standard
+    symmetric convention); for analytic data its coefficient is negligible
+    anyway.  Odd n has no Nyquist mode.
     """
     n = samples.shape[0]
     m = mode_numbers(n).astype(np.float64)
     factor = (1j * m) ** order
-    if order % 2 == 1:
+    if order % 2 == 1 and n % 2 == 0:
         factor[n // 2] = 0.0
     shape = (n,) + (1,) * (samples.ndim - 1)
     out = np.fft.ifft(np.fft.fft(samples, axis=0) * factor.reshape(shape), axis=0)
     if np.isrealobj(samples):
         return out.real
     return out
+
+
+def _powers(z: np.ndarray, n: int, into: np.ndarray | None = None) -> NDArray[np.complex128]:
+    """Powers z^j, j = 0..n, of a vector z as an (M, n+1) matrix, or multiplied
+    in place into the (M, n+1) array `into`.
+
+    Entry j = q*B + i is (z^i)(z^B)^q with B = floor(sqrt n) + 1; both factors
+    come from short running products, so each entry costs one complex
+    multiply.  0^0 = 1 and the other powers of 0 are exact zeros.
+    """
+    z = np.asarray(z, dtype=np.complex128)[:, None]
+    block = int(n ** 0.5) + 1
+    small = np.cumprod(np.hstack([np.ones_like(z), np.repeat(z, block - 1, axis=1)]), axis=1)
+    step = small[:, -1:] * z  # z^B
+    big = np.cumprod(np.hstack([np.ones_like(z), np.repeat(step, n // block, axis=1)]), axis=1)
+    into = np.ones((z.shape[0], n + 1), dtype=np.complex128) if into is None else into
+    for q in range(big.shape[1]):
+        cols = into[:, q * block:(q + 1) * block]
+        cols *= small[:, :cols.shape[1]] * big[:, q:q + 1]
+    return into
 
 
 def trapezoid(values: np.ndarray, axis: int = 0) -> np.ndarray | float:
@@ -86,43 +107,44 @@ class TrigInterpolator:
 
     Evaluation and derivatives at arbitrary angles use the full centered
     spectrum; the single unpaired Nyquist mode is realized as cos(N/2*phi)
-    so real samples interpolate to real values.
+    so real samples interpolate to real values.  One table of e^{i m phi},
+    m = 0..N/2, serves every requested order: the negative modes are its
+    conjugate, and derivatives scale the coefficients by (i m)^order.
     """
 
     def __init__(self, samples: np.ndarray):
         samples = np.asarray(samples)
         self._real = np.isrealobj(samples)
         self.n = samples.shape[0]
-        self.coeffs = np.fft.fft(samples, axis=0) / self.n
-        self.modes = mode_numbers(self.n).astype(np.float64)
-
-    def _basis(self, phi: np.ndarray, order: int) -> np.ndarray:
-        phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-        m = self.modes
-        mat = np.exp(1j * np.outer(phi, m))
-        if order > 0:
-            mat = mat * (1j * m) ** order
-        # Nyquist column: e^{-i(N/2)phi} + its mirror collapse to cos((N/2)phi).
-        half = self.n // 2
-        if 2 * half == self.n:
-            w = 0.5 * self.n * phi  # (N/2)*phi
-            cyc = order % 4
-            nyq = [np.cos(w), -np.sin(w), -np.cos(w), np.sin(w)][cyc]
-            mat[:, half] = (0.5 * self.n) ** order * nyq
-        return mat
+        self._shape = samples.shape[1:]
+        coeffs = np.fft.fft(samples, axis=0).reshape(self.n, -1) / self.n
+        # Coefficients of e^{+i m phi} and of e^{-i m phi}, m = 0..N/2; the
+        # constant and the Nyquist term cos(N/2 phi) go half to each.
+        m = np.arange(self.n // 2 + 1)
+        shared = np.where((m == 0) | (2 * m == self.n), 0.5, 1.0)[:, None]
+        self._pos = shared * coeffs[m]
+        self._neg = shared * coeffs[-m % self.n]
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        return self._eval(phi, 0)
+        return self._eval(phi, (0,))[0]
 
-    def derivative(self, phi: np.ndarray, order: int = 1) -> np.ndarray:
-        return self._eval(phi, order)
+    def derivative(self, phi: np.ndarray, order: int | tuple[int, ...] = 1):
+        """d^order/dphi^order at phi; a tuple of orders gives one array per
+        order, all from one basis."""
+        if isinstance(order, tuple):
+            return self._eval(phi, order)
+        return self._eval(phi, (order,))[0]
 
-    def _eval(self, phi: np.ndarray, order: int) -> np.ndarray:
-        scalar = np.isscalar(phi) or (np.ndim(phi) == 0)
-        mat = self._basis(phi, order)
-        vals = np.tensordot(mat, self.coeffs, axes=(1, 0))
+    def _eval(self, phi: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        scalar = np.ndim(phi) == 0
+        phi = np.ravel(np.asarray(phi, dtype=np.float64))
+        basis = _powers(np.cos(phi) + 1j * np.sin(phi), self.n // 2)
+        m = 1j * np.arange(self.n // 2 + 1)[:, None]
+        coef = np.hstack([c for p in orders
+                          for c in (self._pos * m ** p, np.conj(self._neg * (-m) ** p))])
+        vals = (basis @ coef).reshape(phi.size, len(orders), 2, -1)
+        vals = vals[:, :, 0] + np.conj(vals[:, :, 1])
         if self._real:
             vals = vals.real
-        if scalar:
-            return vals[0]
-        return vals
+        out = tuple(vals[:, i].reshape(phi.shape + self._shape) for i in range(len(orders)))
+        return tuple(v[0] for v in out) if scalar else out

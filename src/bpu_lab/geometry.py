@@ -251,8 +251,7 @@ class LagrangianLoop:
         return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
     def tangent_at(self, phi) -> NDArray[np.complex128]:
-        p = self._interp_points(phi)
-        d = self._interp_points.derivative(phi)
+        p, d = self._interp_points.derivative(phi, (0, 1))
         return project_tangent(p / np.linalg.norm(p, axis=-1, keepdims=True), d)
 
     def speed_at(self, phi) -> NDArray[np.float64]:
@@ -536,9 +535,7 @@ def foot_parameters(loop: LagrangianLoop, points: np.ndarray) -> NDArray[np.floa
     interp = loop._interp_points
     step_cap = TWO_PI / loop.n
     for _ in range(_FOOT_MAX_ITER):
-        L = interp(phi)
-        L1 = interp.derivative(phi, 1)
-        L2 = interp.derivative(phi, 2)
+        L, L1, L2 = interp.derivative(phi, (0, 1, 2))
         u = _inner(L, pts)
         u1 = _inner(L1, pts)
         u2 = _inner(L2, pts)

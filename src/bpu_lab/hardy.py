@@ -24,6 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ContractViolation, DomainError
+from .fourier import _powers
 from .geometry import as_point_array
 
 __all__ = [
@@ -103,17 +104,16 @@ def basis(k: int) -> SectionBasis:
     return SectionBasis(k=int(k), exponents=a, log_norms=log_norms)
 
 
-def _power_columns(pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Powers z0^j and z1^j, j = 0..k, at points (M, 2): two (M, k+1) matrices."""
-    j = np.arange(k + 1)
-    return pts[:, [0]] ** j, pts[:, [1]] ** j
+def _monomials(pts: np.ndarray, k: int) -> NDArray[np.complex128]:
+    """Monomials z0^a z1^(k-a), a = 0..k, at points (M, 2): an (M, k+1) matrix."""
+    mono = _powers(pts[:, 0], k)
+    _powers(pts[:, 1], k, into=mono[:, ::-1])
+    return mono
 
 
 def monomial_values(b: SectionBasis, points: np.ndarray) -> NDArray[np.complex128]:
     """Matrix of monomial values z0^a z1^(k-a) at bundle points, shape (M, k+1)."""
-    z0, z1 = _power_columns(np.atleast_2d(as_point_array(points)), b.k)
-    z0 *= z1[:, ::-1]
-    return z0
+    return _monomials(np.atleast_2d(as_point_array(points)), b.k)
 
 
 def monomial_derivatives(b: SectionBasis, points: np.ndarray,
@@ -131,13 +131,12 @@ def monomial_derivatives(b: SectionBasis, points: np.ndarray,
     radial = np.real(np.sum(np.conj(pts) * w, axis=-1))
     if np.max(np.abs(radial)) > 1e-10:
         raise ContractViolation("direction is not tangent to the 3-sphere")
-    z0, z1 = _power_columns(pts, b.k)
-    head, tail = z0[:, :-1], z1[:, -2::-1]  # z0^j and z1^(k-1-j), j < k
+    prod = _monomials(pts, b.k - 1)
     a = b.exponents
-    # Column a: w0 * a z0^(a-1) z1^(k-a) (a > 0) + w1 * (k-a) z0^a z1^(k-a-1) (a < k).
-    out = np.zeros_like(z0)
-    out[:, 1:] = w[:, [0]] * (a[1:] * head * tail)
-    out[:, :-1] += w[:, [1]] * ((b.k - a[:-1]) * head * tail)
+    # Column a: w0 * a P[:, a-1] (a > 0) + w1 * (k-a) P[:, a] (a < k), P the level-(k-1) monomials.
+    out = np.zeros((pts.shape[0], b.k + 1), dtype=np.complex128)
+    out[:, 1:] = w[:, [0]] * (a[1:] * prod)
+    out[:, :-1] += w[:, [1]] * ((b.k - a[:-1]) * prod)
     return out
 
 

@@ -249,9 +249,7 @@ def _implicit_foot_gradient(loop: LagrangianLoop, points: np.ndarray,
     converged foot; exact to solve precision, covariant under fiber phase.
     """
     interp = loop._interp_points
-    L = interp(feet)
-    L1 = interp.derivative(feet, 1)
-    L2 = interp.derivative(feet, 2)
+    L, L1, L2 = interp.derivative(feet, (0, 1, 2))
     u = np.sum(np.conj(L) * points, axis=-1)
     u1 = np.sum(np.conj(L1) * points, axis=-1)
     u2 = np.sum(np.conj(L2) * points, axis=-1)
@@ -274,9 +272,9 @@ def hamiltonian_field(loop: LagrangianLoop, f: np.ndarray):
     def field(points: np.ndarray):
         feet = foot_parameters(loop, points)
         grad_phi = _implicit_foot_gradient(loop, points, feet)
-        fprime = f_interp.derivative(feet)
+        fval, fprime = f_interp.derivative(feet, (0, 1))
         upsilon = -HAMILTONIAN_SCALE * fprime[:, None] * (1j * grad_phi)
-        return upsilon, f_interp(feet)
+        return upsilon, fval
 
     return field
 

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from bpu_lab.errors import BohrSommerfeldError, ContractViolation, DomainError
+from bpu_lab import fourier, geometry
+from bpu_lab.errors import BohrSommerfeldError, ContractViolation, DomainError, TubeStepError
 from bpu_lab.fourier import TrigInterpolator, grid_nodes, spectral_derivative, trapezoid
 from bpu_lab.geometry import (
     BundlePoint,
     SpherePoint,
+    foot_parameters,
     fs_distance,
     fs_inner,
     fs_norm,
@@ -45,6 +47,86 @@ def test_trig_interpolator_matches_off_grid():
     xs = np.linspace(0.1, 6.2, 17)
     assert np.abs(interp(xs) - np.exp(np.cos(xs))).max() < 1e-12
     assert np.abs(interp.derivative(xs) + np.sin(xs) * np.exp(np.cos(xs))).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spectral_derivative_keeps_top_mode_on_odd_grids(n, order):
+    phi = grid_nodes(n)
+    # Mode 3 is the top mode of both grids; cos 4phi is the Nyquist mode of n = 8.
+    f = np.sin(3 * phi) + 0.5 * np.cos(2 * phi) + (0.25 * np.cos(4 * phi) if n == 8 else 0.0)
+    df = (3.0 ** order * np.sin(3 * phi + order * np.pi / 2)
+          + 0.5 * 2.0 ** order * np.cos(2 * phi + order * np.pi / 2))
+    if n == 8:
+        df = df + 0.25 * 4.0 ** order * np.cos(4 * phi + order * np.pi / 2)
+    assert np.abs(spectral_derivative(f, order) - df).max() < 1e-12 * 4.0 ** order
+
+
+def _trig_polynomial(n: int, real: bool, seed: int):
+    """Samples of a trig polynomial with every mode of an n-node grid (for even
+    n the Nyquist term b cos(n/2 phi)) and its long-double closed form."""
+    rng = np.random.default_rng(seed)
+    top = (n - 1) // 2
+    modes = np.arange(-top, top + 1)
+    shape = (modes.size,) if real else (modes.size, 2)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = rng.normal(size=shape[1:]) + (0.0 if real else 1j * rng.normal(size=shape[1:]))
+    if real:
+        a = 0.5 * (a + np.conj(a[::-1]))  # a_{-m} = conj(a_m)
+    b = b * (n % 2 == 0)  # odd grids have no Nyquist term
+
+    def closed_form(phi: np.ndarray, order: int) -> np.ndarray:
+        phi = phi.astype(np.longdouble)[:, None]
+        shift = order * np.arccos(np.longdouble(0.0))  # (i m)^p = |m|^p e^{i sgn(m) p pi/2}
+        ang = phi * modes + np.sign(modes) * shift
+        wave = np.abs(modes).astype(np.longdouble) ** order * (np.cos(ang) + 1j * np.sin(ang))
+        nyq = (n / 2) ** order * np.cos(phi * (n / 2) + shift)
+        return (wave @ a.reshape(modes.size, -1) + nyq * b.reshape(1, -1)).reshape(
+            (-1,) + a.shape[1:]).astype(np.complex128)
+
+    phi = grid_nodes(n)
+    samples = closed_form(phi, 0)
+    if real:
+        samples = samples.real
+    scale = [float(np.sum(np.abs(a)) * top ** p + np.sum(np.abs(b)) * (n / 2) ** p) for p in range(4)]
+    return samples, closed_form, scale
+
+
+@pytest.mark.parametrize("n", [7, 8, 256])
+@pytest.mark.parametrize("real", [True, False])
+def test_trig_interpolator_orders_match_closed_form(n, real):
+    samples, closed_form, scale = _trig_polynomial(n, real, seed=n)
+    interp = TrigInterpolator(samples)
+    xs = np.concatenate([np.linspace(-9.0, -0.1, 13), np.linspace(2 * np.pi, 20.0, 13)])
+    values = interp.derivative(xs, (0, 1, 2, 3))
+    for order, got in enumerate(values):
+        want = closed_form(xs, order)
+        if real:
+            assert np.isrealobj(got)
+            want = want.real
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * scale[order]
+        single = interp(xs) if order == 0 else interp.derivative(xs, order)
+        assert np.abs(single - got).max() <= 1e-14 * scale[order]
+    assert np.abs(interp(xs[3]) - values[0][3]).max() <= 1e-14 * scale[0]
+
+
+def test_foot_projection_builds_one_basis_per_newton_step(monkeypatch):
+    loop = latitude_loop(0.5, 64)
+    off_node = loop.point_at(loop.phi + 0.3 * (2 * np.pi / loop.n))
+    builds = []
+    real_powers = fourier._powers
+    monkeypatch.setattr(fourier, "_powers", lambda z, n: builds.append(n) or real_powers(z, n))
+    # On the nodes the nearest-node seed is already the foot: one step.
+    feet = foot_parameters(loop, loop.points)
+    assert np.abs(np.exp(1j * feet) - np.exp(1j * loop.phi)).max() < 1e-12
+    assert len(builds) == 1
+    for steps in (1, 2):
+        builds.clear()
+        monkeypatch.setattr(geometry, "_FOOT_MAX_ITER", steps)
+        with pytest.raises(TubeStepError):
+            foot_parameters(loop, off_node)
+        assert len(builds) == steps
 
 
 def test_quadrature_grid_kills_pure_modes():

@@ -7,6 +7,7 @@ import pytest
 
 from bpu_lab import hardy
 from bpu_lab.errors import ContractViolation, DomainError
+from bpu_lab.geometry import horizontal_lift, latitude_loop
 from bpu_lab.hardy import (
     EQUIVARIANCE_SIGN,
     SectionBasis,
@@ -93,6 +94,31 @@ def test_monomial_value_at_poles():
     bottom = SectionVector(3, np.eye(4)[0])  # z1^3
     assert eval_section(b, top, np.array([1.0 + 0j, 0j])) == pytest.approx(1.0)
     assert eval_section(b, bottom, np.array([0j, 1.0 + 0j])) == pytest.approx(1.0)
+
+
+def _polar_monomials(pts: np.ndarray, k: int):
+    """Real and imaginary parts of z0^a z1^(k-a) in long-double polar form."""
+    x, y = pts.real.astype(np.longdouble), pts.imag.astype(np.longdouble)
+    mod, arg = np.sqrt(x * x + y * y), np.arctan2(y, x)
+    a = np.arange(k + 1, dtype=np.longdouble)
+    mag = mod[:, [0]] ** a * mod[:, [1]] ** (k - a)
+    phase = arg[:, [0]] * a + arg[:, [1]] * (k - a)
+    return mag * np.cos(phase), mag * np.sin(phase)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 600, 767])
+def test_monomial_values_match_long_double_reference(k):
+    lift = horizontal_lift(latitude_loop(1.0 / 3.0, 256))
+    poles = np.array([[1.0, 0.0], [np.exp(0.3j), 0.0], [0.0, 1.0], [0.0, np.exp(-2.1j)]])
+    pts = np.vstack([lift.points, poles])
+    vals = hardy.monomial_values(basis(k), pts)
+    re, im = _polar_monomials(pts, k)
+    zero = (re == 0) & (im == 0)
+    assert np.all(vals[zero] == 0)
+    # 0^0 = 1: at the poles only the pure power of the nonzero coordinate survives.
+    assert np.count_nonzero(~zero[-4:]) == 4 and np.all(~zero[:-4])
+    err = np.hypot(vals.real - re, vals.imag - im)[~zero] / np.hypot(re, im)[~zero]
+    assert float(err.max()) <= 1e-13
 
 
 def test_eval_modulus_is_circle_invariant():
