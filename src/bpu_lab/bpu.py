@@ -104,10 +104,6 @@ class BpuState:
     halfweight: HalfWeight
 
     @property
-    def vector(self) -> SectionVector:
-        return SectionVector(self.k, self.coefficients)
-
-    @property
     def norm_sq(self) -> float:
         return hardy.norm_sq(self.sec_basis, self.coefficients)
 
@@ -117,7 +113,7 @@ class BpuState:
         return bool(np.max(np.abs(self.coefficients)) > COEFF_FLOOR)
 
     def evaluate(self, points) -> complex | NDArray[np.complex128]:
-        return hardy.eval_section(self.sec_basis, self.vector, points)
+        return hardy.eval_section(self.sec_basis, SectionVector(self.k, self.coefficients), points)
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,6 @@ __all__ = [
     "project_tangent",
     "fs_distance",
     "exp_map",
-    "log_map",
-    "rotate_fiber",
     "foot_parameters",
     "pole_clearance",
 ]
@@ -116,24 +114,6 @@ def exp_map(z: np.ndarray, v: np.ndarray) -> np.ndarray:
     theta = amp  # C^2 angle equals sqrt(pi) * (g-distance)
     out = np.cos(theta)[..., None] * z + np.sin(theta)[..., None] * vhat
     return np.where(small[..., None], z, out)
-
-
-def log_map(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Inverse of exp_map up to fiber phase of w; returns a tangent at z."""
-    ov = _inner(z, w)
-    phase = np.where(np.abs(ov) < 1e-300, 1.0, ov / np.abs(ov))
-    w_aligned = w / phase[..., None]
-    rho = np.clip(np.abs(ov), 0.0, 1.0)
-    u = w_aligned - rho[..., None] * z
-    un = np.linalg.norm(u, axis=-1)
-    theta = np.arccos(rho)
-    scale = np.where(un < 1e-300, 0.0, theta / np.where(un < 1e-300, 1.0, un))
-    return scale[..., None] * u
-
-
-def rotate_fiber(x: np.ndarray, theta: float) -> np.ndarray:
-    """Circle action e^{i theta} . x on bundle points."""
-    return np.exp(1j * theta) * x
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +277,6 @@ class PlanckianLift:
         deriv = spectral_derivative(self.points)
         pairing = np.imag(_inner(self.points, deriv))
         return float(np.max(np.abs(pairing) / np.maximum(np.linalg.norm(deriv, axis=1), 1e-300)))
-
-    def rotated(self, theta: float) -> "PlanckianLift":
-        return PlanckianLift(rotate_fiber(self.points, theta), self.base,
-                             self.winding, self.holonomy_phase)
 
     def to_json(self) -> str:
         payload = {

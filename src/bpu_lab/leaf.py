@@ -102,9 +102,6 @@ class HalfWeight:
     def mass(self) -> float:
         return _integrate_density(self.loop, self.s_lambda ** 2)
 
-    def normalization_defect(self) -> float:
-        return abs(self.mass() - 1.0)
-
     def is_nowhere_vanishing(self, tol: float = 1e-9) -> bool:
         return bool(np.min(np.abs(self.s_lambda)) > tol)
 
@@ -159,9 +156,6 @@ class WeightedTangent:
     loop: LagrangianLoop
     f: NDArray[np.float64]
     phi_density: NDArray[np.float64]
-
-    def total_mass_rate(self) -> float:
-        return float(trapezoid(self.phi_density))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,18 @@ def bundle_gram(sec_basis, n_c: int = 256, n_psi: int = 256) -> np.ndarray:
     return BUNDLE_VOLUME * (np.conj(vals.T) * w2) @ vals
 
 
+def log_map(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Inverse of the geodesic exponential up to the fiber phase of w: a
+    horizontal tangent at z whose C^2 length is the angle between the classes."""
+    ov = np.sum(np.conj(z) * w, axis=-1)
+    phase = np.where(np.abs(ov) < 1e-300, 1.0, ov / np.abs(ov))
+    rho = np.clip(np.abs(ov), 0.0, 1.0)
+    u = w / phase[..., None] - rho[..., None] * z
+    un = np.linalg.norm(u, axis=-1)
+    scale = np.where(un < 1e-300, 0.0, np.arccos(rho) / np.where(un < 1e-300, 1.0, un))
+    return scale[..., None] * u
+
+
 def great_circle_fd(fn, x: np.ndarray, w: np.ndarray, h: float = 1e-4) -> complex:
     """Central difference of fn along the unit-speed great circle through x."""
     wn = w / np.linalg.norm(w)

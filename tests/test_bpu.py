@@ -21,7 +21,7 @@ from bpu_lab.bpu import (
 )
 from bpu_lab.errors import ContractViolation, OutsideAdmissibleSetError
 from bpu_lab.fourier import grid_nodes
-from bpu_lab.geometry import horizontal_lift, latitude_loop, normal_frame
+from bpu_lab.geometry import PlanckianLift, horizontal_lift, latitude_loop, normal_frame
 from bpu_lab.hardy import basis, monomial_values
 from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
 
@@ -95,7 +95,8 @@ def test_bpu_single_coefficient_at_matching_weight(half_setup):
 def test_projectivization_phase_invariance(half_setup):
     _, lift, hw = half_setup
     state = bpu_map(lift, hw, 8)
-    rotated = bpu_map(lift.rotated(0.37), hw, 8)
+    rotated = bpu_map(PlanckianLift(np.exp(0.37j) * lift.points, lift.base, lift.winding,
+                                    lift.holonomy_phase), hw, 8)
     b = state.sec_basis
     overlap = abs(hardy.inner(b, state.coefficients, rotated.coefficients))
     assert overlap / math.sqrt(state.norm_sq * rotated.norm_sq) == pytest.approx(1.0, abs=1e-10)
