@@ -19,6 +19,7 @@ independent of the global bundle measure scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import asymptotics, hardy
-from .errors import ContractViolation, OutsideAdmissibleSetError
+from .errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from .fourier import TWO_PI
 from .geometry import (
     PlanckianLift,
@@ -38,7 +39,7 @@ from .geometry import (
     fs_distance,
     normal_frame,
 )
-from .hardy import SectionBasis, SectionVector, basis as hardy_basis, monomial_derivatives, monomial_values
+from .hardy import SectionBasis, SectionVector, _require_sphere_tangent, basis as hardy_basis, monomial_values
 from .leaf import HalfWeight, LeafTangent, flow_state, gamma_flow, hamiltonian_normal_components
 
 __all__ = [
@@ -52,9 +53,9 @@ __all__ = [
     "DECAY_MIN_DISTANCE",
     "BpuState",
     "ProfileTable",
-    "delta_pair",
     "bpu_map",
     "d_bpu",
+    "sign_pair_derivatives",
     "fd_d_bpu",
     "zk_orthogonalize",
     "fs_pullback",
@@ -130,47 +131,92 @@ class ProfileTable:
 
 
 # ---------------------------------------------------------------------------
-# Pairings and projection
+# Level-moment kernel: projection and derivative pairings
 # ---------------------------------------------------------------------------
 
-def _lift_weights(lift: PlanckianLift, hw: HalfWeight) -> NDArray[np.float64]:
-    """Quadrature weights S_lambda * speed * (2 pi / N) at the lift nodes."""
+def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
+                   ks: Sequence[int]):
+    """Level-moment kernel: for each k in ks, the basis, the projection's
+    coefficients and the (T, k+1) blocks (base, fiber, normal) of d_bpu,
+    which `_signed` combines.
+
+    `points` (M, 2) carry real amplitudes `amp` (M, 1 + 3T): the delta
+    weights s_w, then per tangent the transport, fiber (per unit k) and
+    half-density ones; `normal` (M, 2, T) holds the fields ups_i times s_w.
+    All pairings read one matrix P of level-(k-1) monomials:
+    s_a = z1 P[:, a] (a < k), s_k = z0 P[:, k-1] and
+    ds_a(ups) = a ups0 P[:, a-1] + (k-a) ups1 P[:, a].  So each is a row of
+    conj(P)^T V, V = [conj(z1) amp, conj(ups0) s_w, conj(ups1) s_w] built
+    once for all levels, but for the row a = k, which pairs conj(P[:, k-1])
+    with conj(z0) amp.  Valid for k < r*N on an r-fold lift of an N-node
+    loop (the trapezoid rule aliases above) and k < 1019 (see `hardy.basis`).
+    """
+    z0, z1 = points[:, 0], points[:, 1]
+    t = normal.shape[2]
+    head = np.hstack([z1[:, None] * amp, normal[:, 0], normal[:, 1]])  # conj(V)
+    tail = z0[:, None] * amp
+    reach = np.abs(z1) * np.abs(amp[:, 0]), np.abs(z0) * np.abs(amp[:, 0])
+    for k in ks:
+        b = hardy_basis(k)
+        p = (monomial_values(hardy_basis(k - 1), points) if k > 1
+             else np.ones((len(points), 1), dtype=np.complex128))
+        g = np.conj(p.T @ head)
+        values = np.vstack([g[:, :1 + 3 * t], np.conj(p[:, -1] @ tail)])
+        # Snap pairings below the quadrature floor of their no-cancellation bound.
+        bound = np.append(np.abs(p).T @ reach[0], np.abs(p[:, -1]) @ reach[1])
+        values[np.abs(values[:, 0]) <= 1e-10 * bound, 0] = 0.0
+        deriv = np.zeros((k + 1, t), dtype=np.complex128)
+        deriv[1:] = np.arange(1, k + 1)[:, None] * g[:, 1 + 3 * t:1 + 4 * t]
+        deriv[:-1] += np.arange(k, 0, -1)[:, None] * g[:, 1 + 4 * t:]
+        coeffs = values.T / b.norms_sq
+        transport, fiber, density = coeffs[1:].reshape(3, t, k + 1)
+        # conj of the fiber derivative i*k*s_a is -i*k*conj(s_a).
+        yield b, coeffs[0], (transport + k * density, -1j * k * fiber, deriv.T / b.norms_sq)
+
+
+def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
+                   ks: Sequence[int]):
+    """The level-moment kernel on a lift and a tangent frame."""
     if hw.loop is not lift.base:
         raise ContractViolation("half-weight and lift live on different loops")
-    s = np.tile(hw.s_lambda, lift.winding)
-    return s * lift.speed * (TWO_PI / lift.base.n)
+    r, t = lift.winding, len(tangents)
+    weights = lift.speed * (TWO_PI / lift.base.n)
+    s_w = np.tile(hw.s_lambda, r) * weights
+    amp = np.column_stack([s_w] + [np.tile(hw.s_lambda * gamma_flow(lift.base, w.f), r) * weights
+                                   for w in tangents]
+                          + [np.tile(w.f, r) * s_w for w in tangents]
+                          + [np.tile(w.s_ell, r) * weights for w in tangents])
+    # Horizontal lifts ups_i of the Hamiltonian fields of the f_i, times s_w.
+    normal = np.zeros((len(s_w), 2, t), dtype=np.complex128)
+    for i, w in enumerate(tangents):
+        a = hamiltonian_normal_components(lift.base, w.f)
+        field = np.tile(a[:, None] * normal_frame(lift.base), (r, 1))
+        _require_sphere_tangent(lift.points, lift.phases[:, None] * field)
+        normal[:, :, i] = (lift.phases * s_w)[:, None] * field
+    return _level_moments(lift.points, amp, normal, ks)
 
 
-def delta_pair(lift: PlanckianLift, hw: HalfWeight, section_values) -> complex:
-    """Pairing of the half-weighted delta of the lift with a test section.
-
-    `section_values` maps bundle points (M, 2) to complex values; the
-    pairing is the periodic-trapezoid quadrature of S_lambda * values over
-    the r-fold cover with its length density.
-    """
-    vals = np.asarray(section_values(lift.points))
-    return complex(np.sum(_lift_weights(lift, hw) * vals))
+def _signed(blocks, signs: tuple[int, int]) -> NDArray[np.complex128]:
+    """d_bpu rows from the kernel's blocks under the signs (sigma_theta, sigma_p)."""
+    return blocks[0] + signs[0] * blocks[1] + signs[1] * blocks[2]
 
 
 def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
-    """Orthogonal projection of the half-weighted delta onto level k.
+    """Orthogonal projection of the half-weighted delta onto level k, the
+    tangent-free case of the level-moment kernel.
 
     Pairings below the quadrature floor (relative to their no-cancellation
     bound) are exact zeros of the rotational selection rule: they are
     snapped to zero before dividing by the basis norms, which keeps the
     off-lattice vanishing exact.  The floor sits two orders above the lift
-    seam noise; a pairing that small contributes less than 1e-19 to any
-    norm or Gram quantity, while the mid-band basis norms are tiny enough
-    that leaving such noise in place would masquerade as O(1e-3)
-    coefficients.
+    seam noise; a pairing that small contributes less than 1e-19 to any norm
+    or Gram quantity, while the mid-band basis norms are tiny enough that
+    leaving such noise in place would masquerade as O(1e-3) coefficients.
+    Valid for k < r*N on an r-fold lift of an N-node loop, above which the
+    trapezoid rule aliases, and below k = 1019, where the basis norms go
+    subnormal (norm_sq is NaN at k = 1024 on the c = 1/2 latitude).
     """
-    b = hardy_basis(k)
-    weights = _lift_weights(lift, hw)
-    mono = monomial_values(b, lift.points)
-    pairings = np.conj(mono.T @ np.conj(weights))  # conj(mono)^T weights, no conjugate copy
-    bound = np.abs(mono).T @ np.abs(weights)
-    pairings[np.abs(pairings) <= 1e-10 * bound] = 0.0
-    coeffs = pairings / b.norms_sq
+    b, coeffs, _ = next(_frame_moments(lift, hw, (), [k]))
     return BpuState(k, b, coeffs, lift, hw)
 
 
@@ -178,38 +224,19 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
 # Analytic derivative
 # ---------------------------------------------------------------------------
 
-def _upsilon_at_lift(lift: PlanckianLift, w: LeafTangent) -> NDArray[np.complex128]:
-    """Horizontal lift, at each lift node, of the Hamiltonian field of f."""
-    loop = lift.base
-    a = hamiltonian_normal_components(loop, w.f)
-    ups_base = a[:, None] * normal_frame(loop)
-    return lift.phases[:, None] * np.tile(ups_base, (lift.winding, 1))
-
-
 def d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
-          ks: Sequence[int],
-          signs: tuple[int, int] = CONVENTION_SIGNS) -> list[NDArray[np.complex128]]:
+          ks: Sequence[int]) -> list[NDArray[np.complex128]]:
     """Coefficients of the projected derivatives along a frame of tangents.
 
     Returns one (len(tangents), k+1) array per level k in `ks`; row i is the
     derivative along (f_i, k*ell_i), the half-density leg amplified by
     linearity, the scaling under which the pullback expansions carry their
-    k^2 leading term.  `signs` are (sigma_theta, sigma_p), the signs of the
-    fiber and normal terms.  A level the winding does not divide gets zero
-    rows and a warning.
+    k^2 leading term.  The fiber and normal terms carry the signs
+    CONVENTION_SIGNS.  A level the winding does not divide gets zero rows
+    and a warning.
     """
-    sigma_theta, sigma_p = signs
     r = lift.winding
-    weights = lift.speed * (TWO_PI / lift.base.n)
-    s_w = np.tile(hw.s_lambda, r) * weights
-    # Per-node amplitudes of the transport, fiber (per unit k) and
-    # half-density terms, and the normal fields; none depends on k.
-    transport = np.array([np.tile(hw.s_lambda * gamma_flow(lift.base, w.f), r) * weights
-                          for w in tangents]).T
-    fiber = np.array([np.tile(w.f, r) * s_w for w in tangents]).T
-    density = np.array([np.tile(w.s_ell, r) * weights for w in tangents]).T
-    normals = [_upsilon_at_lift(lift, w) for w in tangents]
-
+    moments = _frame_moments(lift, hw, tangents, [k for k in ks if k % r == 0])
     out = []
     for k in ks:
         if k % r:
@@ -217,14 +244,19 @@ def d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
                           "the projection is identically zero", stacklevel=2)
             out.append(np.zeros((len(tangents), k + 1), dtype=np.complex128))
             continue
-        b = hardy_basis(k)
-        # conj of the fiber derivative i*k*s_a is -i*k*conj(s_a).
-        amp = transport - (sigma_theta * 1j * k) * fiber + k * density
-        pair = np.conj(monomial_values(b, lift.points)).T @ amp          # (k+1, T)
-        for i, ups in enumerate(normals):
-            pair[:, i] += sigma_p * (np.conj(monomial_derivatives(b, lift.points, ups)).T @ s_w)
-        out.append(pair.T / b.norms_sq)
+        out.append(_signed(next(moments)[2], CONVENTION_SIGNS))
     return out
+
+
+def sign_pair_derivatives(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
+                          k: int) -> dict[tuple[int, int], NDArray[np.complex128]]:
+    """The d_bpu rows at level k under each of the four sign pairs
+    (sigma_theta, sigma_p), from one kernel pass: the derivative is affine
+    in the signs.  The winding must divide k."""
+    if k % lift.winding:
+        raise DomainError(f"level {k} is not divisible by the winding {lift.winding}")
+    _, _, blocks = next(_frame_moments(lift, hw, tangents, [k]))
+    return {signs: _signed(blocks, signs) for signs in itertools.product((1, -1), repeat=2)}
 
 
 def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
@@ -291,16 +323,17 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     (len(ks), T, T), with entries <Z_i, Z_j> / <u, u> made exactly
     Hermitian as (G + G^H) / 2.  Real parts are metric values, imaginary
     parts symplectic ones.  Independent of the bundle measure scale and of
-    the lift's starting phase.
+    the lift's starting phase.  One pass of the level-moment kernel per
+    level gives u and the derivatives together.
     """
-    states = [bpu_map(lift, hw, k) for k in ks]
-    for k, u in zip(ks, states):
+    forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
+    moments = _frame_moments(lift, hw, tangents, ks)
+    for n, (k, (b, coeffs, blocks)) in enumerate(zip(ks, moments)):
+        u = BpuState(k, b, coeffs, lift, hw)
         if not u.is_admissible:
             raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
-    forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
-    for n, (u, du) in enumerate(zip(states, d_bpu(lift, hw, tangents, ks))):
-        z = zk_orthogonalize(u, du)
-        gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
+        z = zk_orthogonalize(u, _signed(blocks, CONVENTION_SIGNS))
+        gram = (np.conj(z) * b.norms_sq) @ z.T / u.norm_sq
         forms[n] = 0.5 * (gram + gram.conj().T)
     return forms
 

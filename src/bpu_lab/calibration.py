@@ -11,7 +11,6 @@ and are recorded in the run manifests.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +73,7 @@ def calibrated_signs() -> Calibration:
     tangent f = cos(2*phi).  Each of the four sign pairs is compared with
     the Richardson-refined finite-difference derivative; the best pair must
     be `bpu.CONVENTION_SIGNS` with relative error at most SIGN_REL_TOL.
+    `bpu.sign_pair_derivatives` gives all four pairs from one evaluation.
     """
     loop, lift, hw = _reference_leaf()
     phi = loop.phi
@@ -84,13 +84,10 @@ def calibrated_signs() -> Calibration:
     if scale == 0.0:
         raise IntegrationAccuracyError("degenerate sign-calibration experiment")
 
-    best = None
-    for signs in itertools.product((1, -1), repeat=2):
-        analytic = bpu.d_bpu(lift, hw, [w], [SIGN_LEVEL], signs=signs)[0][0]
-        err = float(np.linalg.norm(analytic - oracle)) / scale
-        if best is None or err < best[1]:
-            best = (signs, err)
-    signs, err = best
+    errors = {signs: float(np.linalg.norm(rows[0] - oracle)) / scale
+              for signs, rows in bpu.sign_pair_derivatives(lift, hw, [w], SIGN_LEVEL).items()}
+    signs = min(errors, key=errors.get)
+    err = errors[signs]
     if signs != bpu.CONVENTION_SIGNS or err > SIGN_REL_TOL:
         raise IntegrationAccuracyError(
             f"sign calibration: best pair {signs} (relative error {err:.3e}) does not "

@@ -36,7 +36,6 @@ __all__ = [
     "monomial_values",
     "monomial_derivatives",
     "eval_section",
-    "inner",
     "norm_sq",
 ]
 
@@ -87,11 +86,15 @@ class SectionVector:
 
 
 def basis(k: int) -> SectionBasis:
-    """Monomial basis with log-domain norms (stable for k up to thousands).
+    """Monomial basis with log-domain norms.
 
     Norms are accumulated through the adjacent-ratio recurrence
     ||s_{a+1}||^2 / ||s_a||^2 = (a+1)/(k-a) from the closed-form anchor at
     a = 0, which keeps neighboring log-differences exact to rounding.
+
+    Valid range: the log norms hold for k up to thousands, but `norms_sq`
+    goes subnormal from k = 1019 (1.2e-308), and a projection's norm_sq is NaN
+    at k = 1024 on the c = 1/2 latitude.  Lift quadratures need k < r*N.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"level must be a positive integer, got {k!r}")
@@ -116,6 +119,13 @@ def monomial_values(b: SectionBasis, points: np.ndarray) -> NDArray[np.complex12
     return _monomials(np.atleast_2d(as_point_array(points)), b.k)
 
 
+def _require_sphere_tangent(pts: np.ndarray, w: np.ndarray) -> None:
+    """Raise ContractViolation unless every vector w is tangent to the sphere at its point."""
+    radial = np.real(np.sum(np.conj(pts) * w, axis=-1))
+    if np.max(np.abs(radial)) > 1e-10:
+        raise ContractViolation("direction is not tangent to the 3-sphere")
+
+
 def monomial_derivatives(b: SectionBasis, points: np.ndarray,
                          vectors: np.ndarray) -> NDArray[np.complex128]:
     """Directional derivatives of each monomial along per-point C^2 vectors.
@@ -128,9 +138,7 @@ def monomial_derivatives(b: SectionBasis, points: np.ndarray,
     """
     pts = np.atleast_2d(as_point_array(points))
     w = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
-    radial = np.real(np.sum(np.conj(pts) * w, axis=-1))
-    if np.max(np.abs(radial)) > 1e-10:
-        raise ContractViolation("direction is not tangent to the 3-sphere")
+    _require_sphere_tangent(pts, w)
     prod = _monomials(pts, b.k - 1)
     a = b.exponents
     # Column a: w0 * a P[:, a-1] (a > 0) + w1 * (k-a) P[:, a] (a < k), P the level-(k-1) monomials.
@@ -148,13 +156,6 @@ def eval_section(b: SectionBasis, v: SectionVector, x) -> complex | NDArray[np.c
     if np.ndim(as_point_array(x)) == 1:
         return complex(vals[0])
     return vals
-
-
-def inner(b: SectionBasis, u: SectionVector | np.ndarray, v: SectionVector | np.ndarray) -> complex:
-    """L2 pairing from coefficients, conjugate-linear in the first slot."""
-    cu = u.coefficients if isinstance(u, SectionVector) else np.asarray(u)
-    cv = v.coefficients if isinstance(v, SectionVector) else np.asarray(v)
-    return complex(np.sum(np.conj(cu) * cv * b.norms_sq))
 
 
 def norm_sq(b: SectionBasis, v: SectionVector | np.ndarray) -> float:

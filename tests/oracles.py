@@ -1,12 +1,16 @@
 """Independent numerical oracles used by the test suite.
 
 These deliberately avoid the package's spectral machinery: lengths come
-from polygonal chord sums, bundle integrals from a dense product grid, and
-derivatives from central finite differences, so they can certify the
-closed-form / spectral paths.
+from polygonal chord sums, bundle integrals from a dense product grid,
+derivatives from central finite differences or exact per-entry monomial
+arithmetic, basis norms and latitude norms from closed forms, and delta
+pairings from a plain quadrature sum, so they can certify the closed-form /
+spectral paths and the level-moment kernel.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -82,3 +86,73 @@ def great_circle_fd(fn, x: np.ndarray, w: np.ndarray, h: float = 1e-4) -> comple
     plus = np.cos(h) * x + np.sin(h) * wn
     minus = np.cos(h) * x - np.sin(h) * wn
     return (fn(plus) - fn(minus)) / (2.0 * h) * np.linalg.norm(w)
+
+
+def basis_norms_sq(k: int) -> np.ndarray:
+    """Closed-form squared norms BUNDLE_VOLUME * a! (k-a)! / (k+1)!, a = 0..k."""
+    f = math.factorial
+    return np.array([BUNDLE_VOLUME * (f(a) * f(k - a) / f(k + 1)) for a in range(k + 1)])
+
+
+def inner(sec_basis, u, v) -> complex:
+    """L2 pairing of two coefficient vectors (arrays or SectionVectors) of the
+    level of `sec_basis`, conjugate-linear in the first slot."""
+    cu, cv = (np.asarray(getattr(x, "coefficients", x)) for x in (u, v))
+    return complex(np.sum(np.conj(cu) * cv * basis_norms_sq(sec_basis.k)))
+
+
+def lift_weights(lift, hw) -> np.ndarray:
+    """Trapezoid weights S_lambda * speed * (2 pi / N) at the r * N lift nodes."""
+    return np.tile(hw.s_lambda, lift.winding) * lift.speed * (2.0 * np.pi / lift.base.n)
+
+
+def delta_pair(lift, hw, section_values):
+    """Pairing of the half-weighted delta of the lift with a test section.
+
+    `section_values` maps bundle points (M, 2) to complex values, (M,) for
+    one section or (M, n) for n of them; the pairing is the
+    periodic-trapezoid quadrature of S_lambda * values over the r-fold
+    cover with its length density, a scalar or an (n,) vector.
+    """
+    return lift_weights(lift, hw) @ np.asarray(section_values(lift.points), dtype=np.complex128)
+
+
+def latitude_norm_sq(lift, hw, c: float, k: int) -> float:
+    """Exact squared norm of the level-k projection of a latitude at area c.
+
+    On the latitude |z0|^2 = c with a constant half-weight the projection is
+    the single monomial a = c*k, and
+
+        norm_sq = P^2 c^a (1-c)^(k-a) (k+1)! / (BUNDLE_VOLUME a! (k-a)!),
+
+    with P = sum of the lift weights, evaluated in the log domain with lgamma.
+    """
+    a = round(c * k)
+    total = float(np.sum(lift_weights(lift, hw)))
+    log_val = (2.0 * math.log(total) + a * math.log(c) + (k - a) * math.log1p(-c)
+               + math.lgamma(k + 2) - math.log(BUNDLE_VOLUME)
+               - math.lgamma(a + 1) - math.lgamma(k - a + 1))
+    return math.exp(log_val)
+
+
+def monomial_derivative_oracle(points, vectors, k: int) -> np.ndarray:
+    """Derivatives of the level-k monomials along per-point C^2 vectors, shape (M, k+1).
+
+    Column a is w0 a z0^(a-1) z1^(k-a) + w1 (k-a) z0^a z1^(k-a-1), with the
+    powers built by repeated Python complex multiplication and the terms with
+    a zero factor (a) or (k-a) left out, so poles need no special case.
+    """
+    out = np.zeros((len(points), k + 1), dtype=np.complex128)
+    for m, ((z0, z1), (w0, w1)) in enumerate(zip(points, vectors)):
+        p0, p1 = [1 + 0j], [1 + 0j]
+        for _ in range(k):
+            p0.append(p0[-1] * complex(z0))
+            p1.append(p1[-1] * complex(z1))
+        for a in range(k + 1):
+            val = 0j
+            if a > 0:
+                val += complex(w0) * a * p0[a - 1] * p1[k - a]
+            if a < k:
+                val += complex(w1) * (k - a) * p0[a] * p1[k - a - 1]
+            out[m, a] = val
+    return out

@@ -11,7 +11,6 @@ from bpu_lab.bpu import (
     bpu_map,
     d_bpu,
     decay_check,
-    delta_pair,
     f_integrand,
     fd_d_bpu,
     fs_pullback,
@@ -19,11 +18,13 @@ from bpu_lab.bpu import (
     pointwise_profile,
     zk_orthogonalize,
 )
-from bpu_lab.errors import ContractViolation, OutsideAdmissibleSetError
+from bpu_lab.errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from bpu_lab.fourier import grid_nodes
 from bpu_lab.geometry import PlanckianLift, horizontal_lift, latitude_loop, normal_frame
 from bpu_lab.hardy import basis, monomial_values
 from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
+
+from oracles import delta_pair, inner, latitude_norm_sq, monomial_derivative_oracle
 
 N = 256
 PHI = grid_nodes(N)
@@ -98,7 +99,7 @@ def test_projectivization_phase_invariance(half_setup):
     rotated = bpu_map(PlanckianLift(np.exp(0.37j) * lift.points, lift.base, lift.winding,
                                     lift.holonomy_phase), hw, 8)
     b = state.sec_basis
-    overlap = abs(hardy.inner(b, state.coefficients, rotated.coefficients))
+    overlap = abs(inner(b, state.coefficients, rotated.coefficients))
     assert overlap / math.sqrt(state.norm_sq * rotated.norm_sq) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -107,6 +108,43 @@ def test_norm_sweep_positive_and_admissible(half_setup):
     rows = norm_sweep(lift, hw, [2, 4, 8, 16])
     assert all(row["norm_sq"] > 0 for row in rows)
     assert all(row["admissible"] for row in rows)
+
+
+@pytest.fixture(scope="module")
+def third_setup():
+    loop = latitude_loop(1.0 / 3.0, N)
+    lift = horizontal_lift(loop)
+    assert lift.winding == 3
+    return loop, lift, HalfWeight.constant(loop)
+
+
+@pytest.mark.parametrize("setup, ks", [("half_setup", (2, 8, 40, 160)),
+                                       ("third_setup", (3, 9, 60, 300))])
+def test_projection_pairings_match_delta_pair_quadrature(request, setup, ks):
+    _, lift, hw = request.getfixturevalue(setup)
+    for k in ks:
+        state = bpu_map(lift, hw, k)
+        pairings = state.coefficients * state.sec_basis.norms_sq
+        b = basis(k)
+        quadrature = delta_pair(lift, hw, lambda pts: np.conj(monomial_values(b, pts)))
+        bound = delta_pair(lift, hw, lambda pts: np.abs(monomial_values(b, pts))).real
+        kept = pairings != 0.0
+        assert np.count_nonzero(kept) == 1
+        assert (np.linalg.norm(pairings[kept] - quadrature[kept])
+                <= 1e-13 * np.linalg.norm(quadrature[kept]))
+        # The snapped pairings are seam noise under the floor of the selection rule.
+        assert np.all(np.abs(quadrature[~kept]) <= 1e-10 * bound[~kept])
+
+
+@pytest.mark.parametrize("setup, c", [("half_setup", 0.5), ("third_setup", 1.0 / 3.0)])
+def test_latitude_norm_matches_exact_oracle_up_to_k600(request, setup, c):
+    _, lift, hw = request.getfixturevalue(setup)
+    r = lift.winding
+    ks = sorted({r * round(x) for x in np.geomspace(1, 600 // r, 24)})
+    assert ks[-1] == 600
+    for k in ks:
+        exact = latitude_norm_sq(lift, hw, c, k)
+        assert bpu_map(lift, hw, k).norm_sq == pytest.approx(exact, rel=1e-11), k
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +301,93 @@ def test_fd_d_bpu_transports_each_leg_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Level-moment kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 8, 160])
+def test_kernel_normal_block_matches_exact_derivative_oracle(k):
+    rng = np.random.default_rng(k)
+    pts = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    pts = np.vstack([pts / np.linalg.norm(pts, axis=1, keepdims=True),
+                     [[1.0, 0.0], [0.0, 1.0], [0.0, 1j], [np.exp(0.3j), 0.0]]])
+    s_w = rng.uniform(0.5, 1.5, size=len(pts))
+    ups = rng.normal(size=(len(pts), 2, 2)) + 1j * rng.normal(size=(len(pts), 2, 2))
+    amp = np.hstack([s_w[:, None], np.zeros((len(pts), 6))])
+    b, coeffs, blocks = next(bpu._level_moments(pts, amp, ups * s_w[:, None, None], [k]))
+    assert coeffs.shape == (k + 1,) and [x.shape for x in blocks] == [(2, k + 1)] * 3
+    deriv = blocks[2] * b.norms_sq
+    for i in range(2):
+        exact = monomial_derivative_oracle(pts, ups[:, :, i], k)
+        scale = monomial_derivative_oracle(np.abs(pts), np.abs(ups[:, :, i]), k).real.T @ s_w
+        assert np.all(np.abs(deriv[i] - np.conj(exact).T @ s_w) <= 1e-13 * scale)
+
+
+def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):
+    loop = latitude_loop(0.5, 64)
+    lift = horizontal_lift(loop)
+    hw = HalfWeight.constant(loop)
+    phi = grid_nodes(64)
+    frame = [constrained(loop, hw, np.cos(phi), np.cos(phi)),
+             constrained(loop, hw, np.sin(phi), np.cos(phi)),
+             constrained(loop, hw, np.cos(2 * phi), np.zeros(64))]
+    ks = [2, 4, 8, 16]
+    builds, powers, gammas = [], [], []
+    real_values, real_powers, real_gamma = bpu.monomial_values, hardy._powers, bpu.gamma_flow
+    monkeypatch.setattr(bpu, "monomial_values",
+                        lambda b, pts: builds.append(b.k) or real_values(b, pts))
+    monkeypatch.setattr(hardy, "_powers",
+                        lambda z, n, into=None: powers.append(n) or real_powers(z, n, into))
+    monkeypatch.setattr(bpu, "gamma_flow", lambda lp, f: gammas.append(1) or real_gamma(lp, f))
+
+    def no_derivative_basis(*args):
+        raise AssertionError("monomial_derivatives called")
+
+    monkeypatch.setattr(hardy, "monomial_derivatives", no_derivative_basis)
+    assert not hasattr(bpu, "monomial_derivatives")
+    forms = fs_pullback(lift, hw, frame, ks)
+    assert forms.shape == (len(ks), 3, 3)
+    assert builds == [k - 1 for k in ks]
+    assert len(powers) == 2 * len(ks)
+    assert len(gammas) == len(frame)
+    for log in (builds, powers, gammas):
+        log.clear()
+    d_bpu(lift, hw, frame, ks)
+    assert builds == [k - 1 for k in ks]
+    assert len(powers) == 2 * len(ks)
+    assert len(gammas) == len(frame)
+
+
+@pytest.mark.parametrize("radial", [1.0, 1e-8])
+def test_kernel_rejects_a_normal_field_off_the_sphere(half_setup, monkeypatch, radial):
+    # The limit applies to the fields themselves, not to the fields times the
+    # quadrature weights (about 0.02 here), which would let 1e-8 through.
+    loop, lift, hw = half_setup
+    w = constrained(loop, hw, np.cos(PHI), np.zeros(N))
+    monkeypatch.setattr(bpu, "normal_frame", lambda lp: normal_frame(lp) + radial * lp.points)
+    with pytest.raises(ContractViolation, match="tangent"):
+        d_bpu(lift, hw, [w], [8])
+
+
+def test_derivative_signs_come_from_one_place(half_setup, monkeypatch):
+    loop, lift, hw = half_setup
+    frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),
+             constrained(loop, hw, np.cos(2 * PHI), np.zeros(N))]
+    pairs = bpu.sign_pair_derivatives(lift, hw, frame, 8)
+    assert set(pairs) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    assert np.array_equal(d_bpu(lift, hw, frame, [8])[0], pairs[bpu.CONVENTION_SIGNS])
+    # d_bpu and fs_pullback read the pinned signs when called.
+    monkeypatch.setattr(bpu, "CONVENTION_SIGNS", (1, -1))
+    assert np.array_equal(d_bpu(lift, hw, frame, [8])[0], pairs[(1, -1)])
+    u = bpu_map(lift, hw, 8)
+    z = zk_orthogonalize(u, pairs[(1, -1)])
+    gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
+    assert np.allclose(fs_pullback(lift, hw, frame, [8])[0], 0.5 * (gram + gram.conj().T),
+                       rtol=1e-13, atol=0.0)
+    with pytest.raises(DomainError):
+        bpu.sign_pair_derivatives(lift, hw, frame, 7)
+
+
+# ---------------------------------------------------------------------------
 # Orthogonalization and pullback
 # ---------------------------------------------------------------------------
 
@@ -275,7 +400,7 @@ def test_zk_orthogonalize_cases(half_setup):
     rng = np.random.default_rng(0)
     du = rng.normal(size=9) + 1j * rng.normal(size=9)
     z = zk_orthogonalize(u, du)
-    rel = abs(hardy.inner(b, z, u.coefficients))
+    rel = abs(inner(b, z, u.coefficients))
     rel /= math.sqrt(hardy.norm_sq(b, z) * u.norm_sq)
     assert rel < 1e-10
     already = zk_orthogonalize(u, z)
@@ -330,7 +455,7 @@ def test_fs_pullback_entries_are_gram_ratios_of_orthogonal_parts(half_setup):
         z = [zk_orthogonalize(u, d_bpu(lift, hw, [w], [k])[0][0]) for w in frame]
         for i in range(3):
             for j in range(3):
-                expect = hardy.inner(u.sec_basis, z[i], z[j]) / u.norm_sq
+                expect = inner(u.sec_basis, z[i], z[j]) / u.norm_sq
                 assert abs(forms[n, i, j] - expect) <= 1e-12 * abs(expect)
 
 
@@ -367,7 +492,7 @@ def test_u_du_pairing_growth_bound(half_setup):
     ratios = []
     for k, du in zip(ks, d_bpu(lift, hw, [w], ks)):
         u = bpu_map(lift, hw, k)
-        ratios.append(abs(hardy.inner(u.sec_basis, u.coefficients, du[0])) / (u.norm_sq * k))
+        ratios.append(abs(inner(u.sec_basis, u.coefficients, du[0])) / (u.norm_sq * k))
     # admissible growth is k^(-1/2) relative; check the bound with margin
     assert all(r < 2.0 / math.sqrt(k) for r, k in zip(ratios, ks))
 
@@ -380,7 +505,7 @@ def test_hermitian_product_reproduces_f_integral(half_setup):
     k = 96
     u = bpu_map(lift, hw, k)
     du, dup = d_bpu(lift, hw, [w, wp], [k])[0]
-    herm = hardy.inner(u.sec_basis, du, dup) / u.norm_sq / k ** 2
+    herm = inner(u.sec_basis, du, dup) / u.norm_sq / k ** 2
     assert herm.real == pytest.approx(target.real, rel=3e-2)
     assert herm.imag == pytest.approx(target.imag, rel=3e-2)
 

@@ -16,6 +16,14 @@ def test_sign_check_confirms_the_pinned_pair():
     assert cal.fd_relative_error <= calibration.SIGN_REL_TOL
 
 
+def test_sign_check_evaluates_the_analytic_derivative_once(monkeypatch):
+    calls = []
+    real_gamma = bpu.gamma_flow
+    monkeypatch.setattr(bpu, "gamma_flow", lambda loop, f: calls.append(1) or real_gamma(loop, f))
+    calibration.calibrated_signs()
+    assert len(calls) == 1
+
+
 def test_sign_check_rejects_a_wrong_pinned_pair(monkeypatch):
     monkeypatch.setattr(bpu, "CONVENTION_SIGNS", (1, 1))
     with pytest.raises(IntegrationAccuracyError, match="CONVENTION_SIGNS"):

@@ -14,12 +14,17 @@ from bpu_lab.hardy import (
     SectionVector,
     basis,
     eval_section,
-    inner,
     monomial_derivatives,
     norm_sq,
 )
 
-from oracles import bundle_gram, bundle_integral_abs2, great_circle_fd
+from oracles import (
+    bundle_gram,
+    bundle_integral_abs2,
+    great_circle_fd,
+    inner,
+    monomial_derivative_oracle,
+)
 
 
 def random_vector(k: int, seed: int = 0) -> SectionVector:
@@ -191,6 +196,18 @@ def test_directional_derivative_matches_great_circle_fd():
     exact = directional(b, v, x, w)
     fd = great_circle_fd(lambda p: eval_section(b, v, p), x, w, h=1e-4)
     assert abs(fd - exact) / abs(exact) < 1e-6
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 160])
+def test_monomial_derivatives_match_exact_oracle(k):
+    rng = np.random.default_rng(50 + k)
+    pts = np.vstack([[random_bundle_point(seed=60 + i) for i in range(6)],
+                     [[1.0, 0.0], [0.0, 1.0], [0.0, 1j], [np.exp(0.3j), 0.0]]])
+    w = rng.normal(size=pts.shape) + 1j * rng.normal(size=pts.shape)
+    w -= np.real(np.sum(np.conj(pts) * w, axis=1))[:, None] * pts  # sphere-tangent
+    exact = monomial_derivative_oracle(pts, w, k)
+    scale = monomial_derivative_oracle(np.abs(pts), np.abs(w), k).real
+    assert np.all(np.abs(monomial_derivatives(basis(k), pts, w) - exact) <= 1e-13 * scale)
 
 
 def test_directional_derivative_rejects_non_tangent():
