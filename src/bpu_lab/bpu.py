@@ -39,7 +39,7 @@ from .geometry import (
     fs_distance,
     normal_frame,
 )
-from .hardy import SectionBasis, SectionVector, _require_sphere_tangent, basis as hardy_basis, monomial_values
+from .hardy import SectionBasis, SectionVector, _monomials, _require_sphere_tangent, basis as hardy_basis
 from .leaf import HalfWeight, LeafTangent, flow_state, gamma_flow, hamiltonian_normal_components
 
 __all__ = [
@@ -134,6 +134,29 @@ class ProfileTable:
 # Level-moment kernel: projection and derivative pairings
 # ---------------------------------------------------------------------------
 
+def _level_monomials(points: np.ndarray, ks: Sequence[int]):
+    """Per k in ks, the level-(k-1) monomials z0^a z1^(k-1-a) at `points` as
+    rows a < k of one (max(ks), M) buffer, with their moduli in a second one.
+    A higher level k1 extends the rows of k0: with mono the degree-(k1-k0)
+    monomials, it appends mono[1:] times row k0-1 (z0^(k0-1)), then scales
+    the old rows by mono[0] = z1^(k1-k0).  A level at or below the previous
+    one restarts from row 0 = 1.  Each level overwrites the previous views.
+    """
+    rows = np.empty((max(ks, default=0), len(points)), dtype=np.complex128)
+    mods = np.empty(rows.shape)
+    held = 0  # rows[:held] hold the level-(held-1) monomials
+    for k in ks:
+        if not 0 < held < k:
+            rows[0], mods[0], held = 1.0, 1.0, 1
+        if k > held:
+            mono = _monomials(points, k - held)
+            for buf, m in ((rows, mono), (mods, np.abs(mono))):
+                np.multiply(m[:, 1:].T, buf[held - 1], out=buf[held:k])
+                buf[:held] *= m[:, 0]
+            held = k
+        yield rows[:k], mods[:k]
+
+
 def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
                    ks: Sequence[int]):
     """Level-moment kernel: for each k in ks, the basis, the projection's
@@ -143,27 +166,25 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
     `points` (M, 2) carry real amplitudes `amp` (M, 1 + 3T): the delta
     weights s_w, then per tangent the transport, fiber (per unit k) and
     half-density ones; `normal` (M, 2, T) holds the fields ups_i times s_w.
-    All pairings read one matrix P of level-(k-1) monomials:
-    s_a = z1 P[:, a] (a < k), s_k = z0 P[:, k-1] and
-    ds_a(ups) = a ups0 P[:, a-1] + (k-a) ups1 P[:, a].  So each is a row of
-    conj(P)^T V, V = [conj(z1) amp, conj(ups0) s_w, conj(ups1) s_w] built
-    once for all levels, but for the row a = k, which pairs conj(P[:, k-1])
-    with conj(z0) amp.  Valid for k < r*N on an r-fold lift of an N-node
-    loop (the trapezoid rule aliases above) and k < 1019 (see `hardy.basis`).
+    All pairings read the rows P[a] = z0^a z1^(k-1-a), a < k, that
+    `_level_monomials` extends over the levels: s_a = z1 P[a] (a < k),
+    s_k = z0 P[k-1] and ds_a(ups) = a ups0 P[a-1] + (k-a) ups1 P[a].  So
+    each is a row of conj(P V), V = [conj(z1) amp, conj(ups0) s_w,
+    conj(ups1) s_w] built once for all levels, but for the row a = k, which
+    pairs conj(P[k-1]) with conj(z0) amp.  Valid for k*max(c, 1-c) < N on a
+    latitude of area c over N base nodes, and k < 1019 (see `bpu_map`).
     """
     z0, z1 = points[:, 0], points[:, 1]
     t = normal.shape[2]
     head = np.hstack([z1[:, None] * amp, normal[:, 0], normal[:, 1]])  # conj(V)
     tail = z0[:, None] * amp
     reach = np.abs(z1) * np.abs(amp[:, 0]), np.abs(z0) * np.abs(amp[:, 0])
-    for k in ks:
+    for k, (p, p_mod) in zip(ks, _level_monomials(points, ks)):
         b = hardy_basis(k)
-        p = (monomial_values(hardy_basis(k - 1), points) if k > 1
-             else np.ones((len(points), 1), dtype=np.complex128))
-        g = np.conj(p.T @ head)
-        values = np.vstack([g[:, :1 + 3 * t], np.conj(p[:, -1] @ tail)])
+        g = np.conj(p @ head)
+        values = np.vstack([g[:, :1 + 3 * t], np.conj(p[-1] @ tail)])
         # Snap pairings below the quadrature floor of their no-cancellation bound.
-        bound = np.append(np.abs(p).T @ reach[0], np.abs(p[:, -1]) @ reach[1])
+        bound = np.append(p_mod @ reach[0], p_mod[-1] @ reach[1])
         values[np.abs(values[:, 0]) <= 1e-10 * bound, 0] = 0.0
         deriv = np.zeros((k + 1, t), dtype=np.complex128)
         deriv[1:] = np.arange(1, k + 1)[:, None] * g[:, 1 + 3 * t:1 + 4 * t]
@@ -212,9 +233,10 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
     seam noise; a pairing that small contributes less than 1e-19 to any norm
     or Gram quantity, while the mid-band basis norms are tiny enough that
     leaving such noise in place would masquerade as O(1e-3) coefficients.
-    Valid for k < r*N on an r-fold lift of an N-node loop, above which the
-    trapezoid rule aliases, and below k = 1019, where the basis norms go
-    subnormal (norm_sq is NaN at k = 1024 on the c = 1/2 latitude).
+    Valid while the level-k integrand's loop frequencies stay below N, the
+    base nodes that an r-fold lift repeats: on a latitude of area c the
+    trapezoid rule aliases from k*max(c, 1-c) = N, not r*N; and below k = 1019,
+    where the basis norms go subnormal (norm_sq is NaN at k = 1024, c = 1/2).
     """
     b, coeffs, _ = next(_frame_moments(lift, hw, (), [k]))
     return BpuState(k, b, coeffs, lift, hw)
@@ -264,7 +286,8 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
     """Finite-difference ground truth for d_bpu via the contact transport.
 
     Each tangent's legs (f, 0) and (0, ell) are transported once, to +-FD_STEP
-    and +-FD_STEP/2; at every level the central differences of the projected
+    and +-FD_STEP/2, and each transported state is projected at all levels in
+    one kernel pass; at every level the central differences of the projected
     states are Richardson-combined into d_f and d_ell, and row i of the
     level-k array is d_f + k*d_ell, as in d_bpu.  A leg that is identically
     zero moves nothing and is skipped.
@@ -278,10 +301,12 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
                               (LeafTangent(loop, zero, w.s_ell), True)):
             if not (np.any(leg.f) or np.any(leg.s_ell)):
                 continue
-            moved = [(flow_state(lift, hw, leg, +h), flow_state(lift, hw, leg, -h)) for h in steps]
-            for k, rows in zip(ks, out):
-                d1, d2 = ((bpu_map(*plus, k).coefficients - bpu_map(*minus, k).coefficients)
-                          / (2.0 * h) for h, (plus, minus) in zip(steps, moved))
+            states = [(flow_state(lift, hw, leg, +h), flow_state(lift, hw, leg, -h)) for h in steps]
+            moved = [[[c for _, c, _ in _frame_moments(*state, (), ks)] for state in pair]
+                     for pair in states]
+            for n, (k, rows) in enumerate(zip(ks, out)):
+                d1, d2 = ((plus[n] - minus[n]) / (2.0 * h)
+                          for h, (plus, minus) in zip(steps, moved))
                 rows[i] += (float(k) if rescaled else 1.0) * ((4.0 * d2 - d1) / 3.0)
     return out
 
@@ -323,8 +348,8 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     (len(ks), T, T), with entries <Z_i, Z_j> / <u, u> made exactly
     Hermitian as (G + G^H) / 2.  Real parts are metric values, imaginary
     parts symplectic ones.  Independent of the bundle measure scale and of
-    the lift's starting phase.  One pass of the level-moment kernel per
-    level gives u and the derivatives together.
+    the lift's starting phase.  One level-moment kernel pass over all the
+    levels gives u and the derivatives together.
     """
     forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
     moments = _frame_moments(lift, hw, tangents, ks)
@@ -339,17 +364,13 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
 
 
 def norm_sweep(lift: PlanckianLift, hw: HalfWeight, ks: Sequence[int]) -> list[dict]:
-    """Table of squared norms over levels, with admissibility records."""
-    rows = []
-    for k in ks:
-        state = bpu_map(lift, hw, k)
-        rows.append({
-            "k": int(k),
-            "l": int(k // lift.winding) if k % lift.winding == 0 else 0,
-            "r": lift.winding,
-            "norm_sq": state.norm_sq,
-            "admissible": state.is_admissible,
-        })
+    """Table of squared norms over levels, with admissibility records, from
+    one kernel pass."""
+    r, rows = lift.winding, []
+    for k, (b, coeffs, _) in zip(ks, _frame_moments(lift, hw, (), ks)):
+        state = BpuState(k, b, coeffs, lift, hw)
+        rows.append({"k": int(k), "l": int(k // r) if k % r == 0 else 0, "r": r,
+                     "norm_sq": state.norm_sq, "admissible": state.is_admissible})
     return rows
 
 
@@ -416,10 +437,8 @@ def decay_check(lift: PlanckianLift, hw: HalfWeight, x,
     xv = as_point_array(x)
     dist = float(np.min(fs_distance(xv[None, :], lift.base.points)))
     admissible = [k for k in ks if k % lift.winding == 0]
-    values = []
-    for k in admissible:
-        state = bpu_map(lift, hw, k)
-        values.append(abs(complex(state.evaluate(xv[None, :])[0])))
+    values = [abs(complex(BpuState(k, b, coeffs, lift, hw).evaluate(xv[None, :])[0]))
+              for k, (b, coeffs, _) in zip(admissible, _frame_moments(lift, hw, (), admissible))]
     report = asymptotics.superpoly_decay(list(zip(admissible, values)))
     if dist < DECAY_MIN_DISTANCE:
         return replace(report, passed=False, inconclusive=True)

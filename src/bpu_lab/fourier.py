@@ -65,11 +65,14 @@ def _powers(z: np.ndarray, n: int, into: np.ndarray | None = None) -> NDArray[np
     small = np.cumprod(np.hstack([np.ones_like(z), np.repeat(z, block - 1, axis=1)]), axis=1)
     step = small[:, -1:] * z  # z^B
     big = np.cumprod(np.hstack([np.ones_like(z), np.repeat(step, n // block, axis=1)]), axis=1)
-    into = np.ones((z.shape[0], n + 1), dtype=np.complex128) if into is None else into
+    out = np.empty((z.shape[0], n + 1), dtype=np.complex128) if into is None else into
     for q in range(big.shape[1]):
-        cols = into[:, q * block:(q + 1) * block]
-        cols *= small[:, :cols.shape[1]] * big[:, q:q + 1]
-    return into
+        cols = out[:, q * block:(q + 1) * block]
+        if into is None:
+            np.multiply(small[:, :cols.shape[1]], big[:, q:q + 1], out=cols)
+        else:
+            cols *= small[:, :cols.shape[1]] * big[:, q:q + 1]
+    return out
 
 
 def trapezoid(values: np.ndarray, axis: int = 0) -> np.ndarray | float:

@@ -94,7 +94,8 @@ def basis(k: int) -> SectionBasis:
 
     Valid range: the log norms hold for k up to thousands, but `norms_sq`
     goes subnormal from k = 1019 (1.2e-308), and a projection's norm_sq is NaN
-    at k = 1024 on the c = 1/2 latitude.  Lift quadratures need k < r*N.
+    at k = 1024 on the c = 1/2 latitude.  A lift quadrature over N base nodes
+    needs k*max(c, 1-c) < N on a latitude of area c, whatever the winding.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"level must be a positive integer, got {k!r}")

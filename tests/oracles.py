@@ -3,7 +3,7 @@
 These deliberately avoid the package's spectral machinery: lengths come
 from polygonal chord sums, bundle integrals from a dense product grid,
 derivatives from central finite differences or exact per-entry monomial
-arithmetic, basis norms and latitude norms from closed forms, and delta
+arithmetic, monomial values from a long-double polar form, basis norms and latitude norms from closed forms, and delta
 pairings from a plain quadrature sum, so they can certify the closed-form /
 spectral paths and the level-moment kernel.
 """
@@ -156,3 +156,13 @@ def monomial_derivative_oracle(points, vectors, k: int) -> np.ndarray:
                 val += complex(w1) * (k - a) * p0[a] * p1[k - a - 1]
             out[m, a] = val
     return out
+
+
+def polar_monomials(pts: np.ndarray, k: int):
+    """Real and imaginary parts of z0^a z1^(k-a), shape (M, k+1), in long-double polar form."""
+    x, y = pts.real.astype(np.longdouble), pts.imag.astype(np.longdouble)
+    mod, arg = np.sqrt(x * x + y * y), np.arctan2(y, x)
+    a = np.arange(k + 1, dtype=np.longdouble)
+    mag = mod[:, [0]] ** a * mod[:, [1]] ** (k - a)
+    phase = arg[:, [0]] * a + arg[:, [1]] * (k - a)
+    return mag * np.cos(phase), mag * np.sin(phase)

@@ -24,7 +24,13 @@ from bpu_lab.geometry import PlanckianLift, horizontal_lift, latitude_loop, norm
 from bpu_lab.hardy import basis, monomial_values
 from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
 
-from oracles import delta_pair, inner, latitude_norm_sq, monomial_derivative_oracle
+from oracles import (
+    delta_pair,
+    inner,
+    latitude_norm_sq,
+    monomial_derivative_oracle,
+    polar_monomials,
+)
 
 N = 256
 PHI = grid_nodes(N)
@@ -93,6 +99,23 @@ def test_bpu_single_coefficient_at_matching_weight(half_setup):
     assert mags[mask].max() < 1e-12
 
 
+@pytest.mark.parametrize("setup, c", [("half_setup", 0.5), ("third_setup", 1.0 / 3.0)])
+def test_single_coefficient_below_the_alias_bound(request, setup, c):
+    # The r-fold lift repeats the N base nodes, so the trapezoid rule aliases
+    # once a frequency a - c*k of the level-k integrand reaches N in modulus:
+    # from k*max(c, 1-c) = N (k = 512 at c = 1/2, 384 at c = 1/3), not r*N.
+    _, lift, hw = request.getfixturevalue(setup)
+    r = lift.winding
+    bound = round(N / max(c, 1.0 - c))
+    ks = list(range(r, bound + 1, r))
+    for k, (_, coeffs, _) in zip(ks, bpu._frame_moments(lift, hw, (), ks)):
+        kept = np.flatnonzero(coeffs)
+        if k < bound:
+            assert kept.tolist() == [round(c * k)], k
+        else:
+            assert round(c * k) in kept and len(kept) > 1
+
+
 def test_projectivization_phase_invariance(half_setup):
     _, lift, hw = half_setup
     state = bpu_map(lift, hw, 8)
@@ -145,6 +168,38 @@ def test_latitude_norm_matches_exact_oracle_up_to_k600(request, setup, c):
     for k in ks:
         exact = latitude_norm_sq(lift, hw, c, k)
         assert bpu_map(lift, hw, k).norm_sq == pytest.approx(exact, rel=1e-11), k
+
+
+def test_norm_sweep_over_the_ladder_matches_exact_oracle(third_setup):
+    _, lift, hw = third_setup
+    ks = list(range(3, 601, 3))
+    rows = norm_sweep(lift, hw, ks)
+    assert [row["k"] for row in rows] == ks
+    for row in rows:
+        exact = latitude_norm_sq(lift, hw, 1.0 / 3.0, row["k"])
+        assert row["norm_sq"] == pytest.approx(exact, rel=1e-11), row["k"]
+    # The rows extended over the whole sweep hold the level-599 monomials.
+    *_, (rows_599, mods_599) = bpu._level_monomials(lift.points, ks)
+    re, im = (part.T for part in polar_monomials(lift.points, 599))
+    mag = np.hypot(re, im)
+    assert np.all(np.hypot(rows_599.real - re, rows_599.imag - im) <= 1e-13 * mag)
+    assert np.all(np.abs(mods_599 - mag) <= 1e-13 * mag)
+
+
+def test_kernel_restarts_below_the_held_level(half_setup):
+    loop, lift, hw = half_setup
+    frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),
+             constrained(loop, hw, np.cos(2 * PHI), np.zeros(N))]
+    ks = [32, 8, 8, 2, 16]
+    for rows, k in zip(d_bpu(lift, hw, frame, ks), ks):
+        single = d_bpu(lift, hw, frame, [k])[0]
+        assert np.linalg.norm(rows - single) <= 1e-13 * np.linalg.norm(single), k
+    sweep = norm_sweep(lift, hw, ks)
+    assert [row["norm_sq"] for row in sweep] == pytest.approx(
+        [bpu_map(lift, hw, k).norm_sq for k in ks], rel=1e-13)
+    # An empty level list never reaches max([]).
+    assert list(bpu._level_monomials(lift.points, [])) == []
+    assert d_bpu(lift, hw, frame, []) == [] and norm_sweep(lift, hw, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +387,9 @@ def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):
              constrained(loop, hw, np.cos(2 * phi), np.zeros(64))]
     ks = [2, 4, 8, 16]
     builds, powers, gammas = [], [], []
-    real_values, real_powers, real_gamma = bpu.monomial_values, hardy._powers, bpu.gamma_flow
-    monkeypatch.setattr(bpu, "monomial_values",
-                        lambda b, pts: builds.append(b.k) or real_values(b, pts))
+    real_monomials, real_powers, real_gamma = bpu._monomials, hardy._powers, bpu.gamma_flow
+    monkeypatch.setattr(bpu, "_monomials",
+                        lambda pts, d: builds.append(d + 1) or real_monomials(pts, d))
     monkeypatch.setattr(hardy, "_powers",
                         lambda z, n, into=None: powers.append(n) or real_powers(z, n, into))
     monkeypatch.setattr(bpu, "gamma_flow", lambda lp, f: gammas.append(1) or real_gamma(lp, f))
@@ -346,13 +401,14 @@ def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):
     assert not hasattr(bpu, "monomial_derivatives")
     forms = fs_pullback(lift, hw, frame, ks)
     assert forms.shape == (len(ks), 3, 3)
-    assert builds == [k - 1 for k in ks]
+    # One pass extends the rows level by level: no level rebuilds those below it.
+    assert len(builds) == len(ks) and sum(builds) <= max(ks) + len(ks)
     assert len(powers) == 2 * len(ks)
     assert len(gammas) == len(frame)
     for log in (builds, powers, gammas):
         log.clear()
     d_bpu(lift, hw, frame, ks)
-    assert builds == [k - 1 for k in ks]
+    assert len(builds) == len(ks) and sum(builds) <= max(ks) + len(ks)
     assert len(powers) == 2 * len(ks)
     assert len(gammas) == len(frame)
 

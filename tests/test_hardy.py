@@ -24,6 +24,7 @@ from oracles import (
     great_circle_fd,
     inner,
     monomial_derivative_oracle,
+    polar_monomials,
 )
 
 
@@ -101,23 +102,13 @@ def test_monomial_value_at_poles():
     assert eval_section(b, bottom, np.array([0j, 1.0 + 0j])) == pytest.approx(1.0)
 
 
-def _polar_monomials(pts: np.ndarray, k: int):
-    """Real and imaginary parts of z0^a z1^(k-a) in long-double polar form."""
-    x, y = pts.real.astype(np.longdouble), pts.imag.astype(np.longdouble)
-    mod, arg = np.sqrt(x * x + y * y), np.arctan2(y, x)
-    a = np.arange(k + 1, dtype=np.longdouble)
-    mag = mod[:, [0]] ** a * mod[:, [1]] ** (k - a)
-    phase = arg[:, [0]] * a + arg[:, [1]] * (k - a)
-    return mag * np.cos(phase), mag * np.sin(phase)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 600, 767])
 def test_monomial_values_match_long_double_reference(k):
     lift = horizontal_lift(latitude_loop(1.0 / 3.0, 256))
     poles = np.array([[1.0, 0.0], [np.exp(0.3j), 0.0], [0.0, 1.0], [0.0, np.exp(-2.1j)]])
     pts = np.vstack([lift.points, poles])
     vals = hardy.monomial_values(basis(k), pts)
-    re, im = _polar_monomials(pts, k)
+    re, im = polar_monomials(pts, k)
     zero = (re == 0) & (im == 0)
     assert np.all(vals[zero] == 0)
     # 0^0 = 1: at the poles only the pure power of the nonzero coordinate survives.
