@@ -494,6 +494,35 @@ def pole_clearance(loop: LagrangianLoop) -> float:
 # Newton iteration cap and step tolerance of the foot projection.
 _FOOT_MAX_ITER = 40
 _FOOT_TOL = 1e-13
+# Newton accepts an iterate only where d^2|<L(phi), m>|^2/dphi^2 <= -_FOOT_CURVATURE,
+# so it climbs to the maximum that is the foot, never to the antipodal minimum
+# (curvature +2c(1-c) on a latitude).  At a foot the curvature is about
+# -2*pi*speed^2 (-0.095 on the c = 0.05 latitude); its rounding grows like
+# (N/2)^2 * eps (8.5e-11 at N = 1024).  1e-6 clears both by four orders.
+_FOOT_CURVATURE = 1e-6
+
+
+def _foot_newton(interp: TrigInterpolator, points: np.ndarray, phi: np.ndarray):
+    """Newton iteration for the feet of `points`, started at the parameters `phi`.
+
+    `interp` holds the loop samples in its first two columns; more columns
+    ride along.  Returns the feet, the values of `interp` and its first two
+    derivatives at the last iterate, and u = <L, m>, u1 = <L', m> and the
+    curvature of |u|^2 there.  TubeStepError signals departure from the tube.
+    """
+    step_cap = TWO_PI / interp.n
+    for _ in range(_FOOT_MAX_ITER):
+        vals = interp.derivative(phi, (0, 1, 2))
+        u, u1, u2 = (_inner(v[:, :2], points) for v in vals)
+        grad = 2.0 * np.real(np.conj(u) * u1)
+        curv = 2.0 * (np.abs(u1) ** 2 + np.real(np.conj(u) * u2))
+        if np.any(curv > -_FOOT_CURVATURE):
+            raise TubeStepError("nearest-point projection is not at a maximum; point left the tube")
+        step = np.clip(-grad / curv, -step_cap, step_cap)
+        phi = phi + step
+        if np.max(np.abs(step)) < _FOOT_TOL:
+            return phi, vals, u, u1, curv
+    raise TubeStepError("nearest-point projection onto the loop did not converge")
 
 
 def foot_parameters(loop: LagrangianLoop, points: np.ndarray) -> NDArray[np.float64]:
@@ -501,29 +530,12 @@ def foot_parameters(loop: LagrangianLoop, points: np.ndarray) -> NDArray[np.floa
 
     For each point m, finds phi maximizing |<L(phi), m>| (equivalently
     minimizing geodesic distance) by vectorized Newton iteration seeded at
-    the nearest sample node.  Raises if any point fails to converge, which
-    signals departure from the tube of unique projection.
+    the sample node of largest overlap, an O(M*N) search for points with no
+    better seed (`leaf.flow_state` seeds its own feet at the nodes).  Raises
+    if any point fails to converge to a maximum, which signals departure
+    from the tube of unique projection.
     """
     pts = np.atleast_2d(as_point_array(points))
     overlaps = np.abs(pts @ np.conj(loop.points).T)  # (M, N)
-    phi = loop.phi[np.argmax(overlaps, axis=1)].astype(np.float64)
-
-    interp = loop._interp_points
-    step_cap = TWO_PI / loop.n
-    for _ in range(_FOOT_MAX_ITER):
-        L, L1, L2 = interp.derivative(phi, (0, 1, 2))
-        u = _inner(L, pts)
-        u1 = _inner(L1, pts)
-        u2 = _inner(L2, pts)
-        grad = 2.0 * np.real(np.conj(u) * u1)
-        curv = 2.0 * (np.abs(u1) ** 2 + np.real(np.conj(u) * u2))
-        if np.any(np.abs(curv) < 1e-14):
-            raise TubeStepError("nearest-point projection onto the loop degenerated")
-        step = -grad / curv
-        step = np.clip(step, -step_cap, step_cap)
-        phi = phi + step
-        if np.max(np.abs(step)) < _FOOT_TOL:
-            break
-    else:
-        raise TubeStepError("nearest-point projection onto the loop did not converge")
-    return np.mod(phi, TWO_PI)
+    phi = loop.phi[np.argmax(overlaps, axis=1)]
+    return np.mod(_foot_newton(loop._interp_points, pts, phi)[0], TWO_PI)

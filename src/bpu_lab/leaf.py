@@ -38,8 +38,8 @@ from .fourier import TWO_PI, TrigInterpolator, spectral_derivative, trapezoid
 from .geometry import (
     LagrangianLoop,
     PlanckianLift,
+    _foot_newton,
     exp_map,
-    foot_parameters,
     normal_frame,
     pole_clearance,
     project_tangent,
@@ -235,40 +235,25 @@ def hamiltonian_normal_components(loop: LagrangianLoop, f: np.ndarray) -> NDArra
     return -HAMILTONIAN_SCALE * df / loop.speed
 
 
-def _implicit_foot_gradient(loop: LagrangianLoop, points: np.ndarray,
-                            feet: np.ndarray) -> NDArray[np.complex128]:
-    """Gradient of the foot parameter at tube points, as horizontal vectors.
-
-    Differentiates the stationarity condition of |<L(phi), m>|^2 at the
-    converged foot; exact to solve precision, covariant under fiber phase.
-    """
-    interp = loop._interp_points
-    L, L1, L2 = interp.derivative(feet, (0, 1, 2))
-    u = np.sum(np.conj(L) * points, axis=-1)
-    u1 = np.sum(np.conj(L1) * points, axis=-1)
-    u2 = np.sum(np.conj(L2) * points, axis=-1)
-    curv = 2.0 * (np.abs(u1) ** 2 + np.real(np.conj(u) * u2))
-    if np.any(np.abs(curv) < 1e-12):
-        raise TubeStepError("foot projection degenerates; point left the tube")
-    gvec = -(2.0 / curv)[:, None] * (u1[:, None] * L + u[:, None] * L1)
-    return np.pi * project_tangent(points, gvec)
-
-
 def hamiltonian_field(loop: LagrangianLoop, f: np.ndarray):
-    """Tube vector field of the extension of f, as a batched callable.
+    """Tube vector field of the extension of f, on one circuit of nodes.
 
-    Returns a function mapping bundle/base representatives (M, 2) to the
-    horizontal representatives of upsilon_f at those points, together with
-    the extension values f(beta(m)) (needed by the contact transport).
+    Returns a function mapping (N, 2) representatives, point j near the
+    normal geodesic through node j, to the horizontal representatives of
+    upsilon_f there and the extension values f(beta(m)).  The field is
+    tangent to the level sets of the foot parameter, so Newton starts at
+    loop.phi.  One interpolant of the columns [L, f] serves Newton, and its
+    last basis also gives the foot gradient (the implicit derivative of
+    the stationarity of |<L(phi), m>|^2), f and f'.
     """
-    f_interp = TrigInterpolator(np.asarray(f, dtype=np.float64))
+    interp = TrigInterpolator(np.column_stack([loop.points, np.asarray(f, dtype=np.float64)]))
 
     def field(points: np.ndarray):
-        feet = foot_parameters(loop, points)
-        grad_phi = _implicit_foot_gradient(loop, points, feet)
-        fval, fprime = f_interp.derivative(feet, (0, 1))
-        upsilon = -HAMILTONIAN_SCALE * fprime[:, None] * (1j * grad_phi)
-        return upsilon, fval
+        _, (v, v1, _), u, u1, curv = _foot_newton(interp, points, loop.phi)
+        gvec = -(2.0 / curv)[:, None] * (u1[:, None] * v[:, :2] + u[:, None] * v1[:, :2])
+        grad_phi = np.pi * project_tangent(points, gvec)
+        upsilon = -HAMILTONIAN_SCALE * v1[:, 2:].real * (1j * grad_phi)
+        return upsilon, v[:, 2].real
 
     return field
 
@@ -324,7 +309,10 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     velocity plus fiber rate -f), so the transported lift stays Legendrian
     and depends smoothly on t; the half-weight follows the normal-geodesic
     pullback of lambda + t*ell.  The pair is the differentiable path with
-    velocity (f, ell) used as the finite-difference ground truth.
+    velocity (f, ell) used as the finite-difference ground truth.  The flow
+    is fiber-equivariant, V(e^{ia} x) = e^{ia} V(x), so only the first
+    circuit is integrated; every foot projection starts at the nodes, where
+    the feet of the transported nodes stay.
     """
     loop = lift.base
     if hw.loop is not loop or w.loop is not loop:
@@ -345,7 +333,7 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
 
     steps = max(1, int(math.ceil(abs(t) / 2e-3)))  # RK4 steps of at most 2e-3
     h = t / steps
-    x = lift.points.copy()
+    x = lift.points[: loop.n].copy()
     for _ in range(steps):
         k1 = velocity(x)
         k2 = velocity(x + 0.5 * h * k1)
@@ -354,16 +342,16 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
 
-    # The contact flow is fiber-equivariant, so each node keeps its phase
-    # offset over the base; de-phasing the first circuit recovers a smooth
-    # periodic gauge for the transported base loop.
-    base_pts = x[: loop.n] * np.conj(lift.phases[: loop.n])[:, None]
+    # De-phasing the first circuit gives a smooth periodic gauge for the new
+    # loop; node j+qN keeps its offset, so it is x_j turned by <x_j, x_{j+qN}>.
+    base_pts = x * np.conj(lift.phases[: loop.n])[:, None]
     new_loop = LagrangianLoop(base_pts, area_coordinate=loop.area_coordinate)
-    new_lift = PlanckianLift(x, new_loop, lift.winding, lift.holonomy_phase)
+    new_pts = np.tile(base_pts, (lift.winding, 1)) * lift.phases[:, None]
+    new_lift = PlanckianLift(new_pts, new_loop, lift.winding, lift.holonomy_phase)
 
     # Half-weight transport: pull lambda + t*ell back through the
     # normal-geodesic retraction beta_t : L_t -> L.
-    feet = foot_parameters(loop, new_loop.points)
+    feet = _foot_newton(loop._interp_points, new_loop.points, loop.phi)[0]
     delta = np.mod(feet - loop.phi + np.pi, TWO_PI) - np.pi
     dfeet = 1.0 + spectral_derivative(delta)
     if np.any(dfeet <= 0.0):
@@ -372,4 +360,3 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     s_new = eta(loop.phi + delta) * np.sqrt(
         loop.speed_at(loop.phi + delta) * dfeet / new_loop.speed)
     return new_lift, HalfWeight(new_loop, s_new)
-

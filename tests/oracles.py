@@ -5,7 +5,9 @@ from polygonal chord sums, bundle integrals from a dense product grid,
 derivatives from central finite differences or exact per-entry monomial
 arithmetic, monomial values from a long-double polar form, basis norms and latitude norms from closed forms, and delta
 pairings from a plain quadrature sum, so they can certify the closed-form /
-spectral paths and the level-moment kernel.
+spectral paths and the level-moment kernel.  The one exception is the
+all-circuit transport, which reuses the package's tube field but none of
+the shortcuts of `leaf.flow_state`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import math
 
 import numpy as np
 
-from bpu_lab.geometry import fs_distance
+from bpu_lab.fourier import TrigInterpolator, spectral_derivative
+from bpu_lab.geometry import LagrangianLoop, foot_parameters, fs_distance
 from bpu_lab.hardy import BUNDLE_VOLUME, monomial_values
+from bpu_lab.leaf import hamiltonian_field
 
 
 def polygonal_length(point_fn, m: int = 20000) -> float:
@@ -166,3 +170,41 @@ def polar_monomials(pts: np.ndarray, k: int):
     mag = mod[:, [0]] ** a * mod[:, [1]] ** (k - a)
     phase = arg[:, [0]] * a + arg[:, [1]] * (k - a)
     return mag * np.cos(phase), mag * np.sin(phase)
+
+
+def flow_all_circuits(lift, hw, w, t: float):
+    """Transport of (lift, half-weight) with every one of the r*N lift nodes integrated.
+
+    The same RK4 steps as `leaf.flow_state` (at most 2e-3 each), with the
+    same tube field, applied circuit by circuit because the field takes one
+    circuit's nodes.  The half-weight is pulled back through feet that
+    `geometry.foot_parameters` finds from the nodes of largest overlap.
+    Returns the transported lift points (r*N, 2) and S_lambda samples (N,).
+    """
+    loop, n = lift.base, lift.base.n
+    field = hamiltonian_field(loop, w.f)
+
+    def velocity(x):
+        out = []
+        for q in range(lift.winding):
+            upsilon, fval = field(x[q * n:(q + 1) * n])
+            out.append(upsilon - 1j * fval[:, None] * x[q * n:(q + 1) * n])
+        return np.concatenate(out)
+
+    steps = max(1, math.ceil(abs(t) / 2e-3))
+    h = t / steps
+    x = lift.points.copy()
+    for _ in range(steps):
+        k1 = velocity(x)
+        k2 = velocity(x + 0.5 * h * k1)
+        k3 = velocity(x + 0.5 * h * k2)
+        k4 = velocity(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+
+    new_loop = LagrangianLoop(x[:n] * np.conj(lift.phases[:n])[:, None])
+    delta = np.angle(np.exp(1j * (foot_parameters(loop, new_loop.points) - loop.phi)))
+    dfeet = 1.0 + spectral_derivative(delta)
+    eta = TrigInterpolator(hw.s_lambda + t * w.s_ell)
+    s_new = eta(loop.phi + delta) * np.sqrt(loop.speed_at(loop.phi + delta) * dfeet / new_loop.speed)
+    return x, s_new

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bpu_lab import fourier, geometry
+from bpu_lab import fourier, geometry, leaf
 from bpu_lab.errors import BohrSommerfeldError, ContractViolation, DomainError, TubeStepError
 from bpu_lab.fourier import TrigInterpolator, grid_nodes, spectral_derivative, trapezoid
 from bpu_lab.geometry import (
@@ -126,6 +126,37 @@ def test_foot_projection_builds_one_basis_per_newton_step(monkeypatch):
         with pytest.raises(TubeStepError):
             foot_parameters(loop, off_node)
         assert len(builds) == steps
+
+
+def test_flow_step_builds_one_basis_per_newton_step(monkeypatch):
+    # One RK4 step: four field calls and the retraction, each one Newton run.
+    # Every basis of the step is a Newton step's, plus two for the pulled-back
+    # half-weight and speed; the field reuses its last Newton basis.
+    loop = latitude_loop(1 / 3, 64)
+    hw = leaf.HalfWeight.constant(loop)
+    w = leaf.project_constraints(loop, np.cos(2 * loop.phi), np.sin(loop.phi) * hw.s_lambda, hw)
+    lift = horizontal_lift(loop)
+    builds, runs = [], []
+    real_powers, real_newton = fourier._powers, geometry._foot_newton
+    monkeypatch.setattr(fourier, "_powers", lambda z, n: builds.append(n) or real_powers(z, n))
+    monkeypatch.setattr(leaf, "_foot_newton", lambda *args: runs.append(args) or real_newton(*args))
+    leaf.flow_state(lift, hw, w, 1e-3)
+    total = len(builds)
+    assert len(runs) == 5
+
+    def newton_steps(args, max_iter=geometry._FOOT_MAX_ITER):
+        for cap in range(1, max_iter + 1):
+            monkeypatch.setattr(geometry, "_FOOT_MAX_ITER", cap)
+            try:
+                real_newton(*args)
+                return cap
+            except TubeStepError:
+                pass
+
+    steps = [newton_steps(args) for args in runs]
+    # Started at the nodes, each run converges within two steps.
+    assert max(steps) <= 2
+    assert total == sum(steps) + 2
 
 
 def test_quadrature_grid_kills_pure_modes():

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpu_lab import leaf
+from bpu_lab import geometry, leaf
 from bpu_lab.errors import NowhereVanishingError, TubeStepError
 from bpu_lab.fourier import grid_nodes, trapezoid
-from bpu_lab.geometry import fs_inner, holonomy, horizontal_lift, latitude_loop, normal_frame
+from bpu_lab.geometry import (
+    foot_parameters,
+    fs_inner,
+    holonomy,
+    horizontal_lift,
+    latitude_loop,
+    normal_frame,
+)
 from bpu_lab.leaf import (
     HalfWeight,
     LeafTangent,
@@ -26,7 +33,7 @@ from bpu_lab.leaf import (
     psi_pushforward,
 )
 
-from oracles import log_map
+from oracles import flow_all_circuits, log_map
 
 
 N = 256
@@ -289,6 +296,53 @@ def test_flow_rejects_large_steps(equator_setup):
     w = project_constraints(loop, np.cos(2 * PHI), np.zeros(N), hw)
     with pytest.raises(TubeStepError):
         flow_state(horizontal_lift(loop), hw, w, 5.0)
+
+
+def _latitude_state(c):
+    loop = latitude_loop(c, N)
+    hw = HalfWeight.constant(loop)
+    w = project_constraints(loop, np.cos(2 * PHI) + 0.3 * np.sin(PHI), np.cos(PHI) * hw.s_lambda, hw)
+    return horizontal_lift(loop), hw, w
+
+
+@pytest.mark.parametrize("c, r, t, tol", [(0.5, 2, 1e-3, 1e-13), (1 / 3, 3, 1e-3, 1e-13),
+                                          (1 / 3, 3, 0.025, 1e-10)])
+def test_flow_of_one_circuit_matches_all_circuit_oracle(c, r, t, tol):
+    # One circuit integrated and turned by the deck phases, Newton started at
+    # the nodes: the same state as integrating all r*N nodes and searching
+    # the retraction's feet from scratch.  t = 0.025 takes 13 RK4 steps.
+    lift, hw, w = _latitude_state(c)
+    assert lift.winding == r
+    new_lift, new_hw = flow_state(lift, hw, w, t)
+    points, s_lambda = flow_all_circuits(lift, hw, w, t)
+    assert np.abs(new_lift.points - points).max() <= tol
+    assert np.abs(new_hw.s_lambda - s_lambda).max() <= tol
+
+
+def test_flow_keeps_each_node_foot_at_its_node():
+    # The warm start's premise: the field is tangent to the level sets of the
+    # foot parameter.  A multi-step flow of a non-latitude state leaves
+    # node j's foot at phi_j, found here from the node of largest overlap.
+    lift, hw, w = _latitude_state(1 / 3)
+    lift, hw = flow_state(lift, hw, w, 1e-3)
+    loop = lift.base
+    w = project_constraints(loop, np.cos(3 * PHI), np.sin(2 * PHI) * hw.s_lambda, hw)
+    new_lift, _ = flow_state(lift, hw, w, 0.025)
+    assert np.abs(new_lift.base.points - loop.points).max() > 1e-3
+    feet = foot_parameters(loop, new_lift.base.points)
+    assert np.abs(np.angle(np.exp(1j * (feet - loop.phi)))).max() <= 1e-10
+
+
+def test_foot_newton_refuses_the_antipodal_minimum(monkeypatch):
+    # On a latitude phi_j + pi is stationary for |<L(phi), L(phi_j)>|^2 with
+    # curvature +2c(1-c); seeded there, Newton must raise, not return it.
+    loop = latitude_loop(1 / 3, N)
+    seeds = loop.phi + np.pi
+    with pytest.raises(TubeStepError, match="not at a maximum"):
+        geometry._foot_newton(loop._interp_points, loop.points, seeds)
+    monkeypatch.setattr(geometry, "_FOOT_CURVATURE", -np.inf)
+    feet = geometry._foot_newton(loop._interp_points, loop.points, seeds)[0]
+    assert np.abs(np.exp(1j * feet) + np.exp(1j * loop.phi)).max() < 1e-12
 
 
 def test_halfweight_and_tangent_json_roundtrip(equator_setup):
