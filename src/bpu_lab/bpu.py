@@ -39,7 +39,7 @@ from .geometry import (
     fs_distance,
     normal_frame,
 )
-from .hardy import SectionBasis, SectionVector, _monomials, _require_sphere_tangent, basis as hardy_basis
+from .hardy import SectionBasis, _monomials, _require_sphere_tangent, basis as hardy_basis
 from .leaf import HalfWeight, LeafTangent, flow_state, gamma_flow, hamiltonian_normal_components
 
 __all__ = [
@@ -102,7 +102,6 @@ class BpuState:
     sec_basis: SectionBasis
     coefficients: NDArray[np.complex128]
     lift: PlanckianLift
-    halfweight: HalfWeight
 
     @property
     def norm_sq(self) -> float:
@@ -114,7 +113,7 @@ class BpuState:
         return bool(np.max(np.abs(self.coefficients)) > COEFF_FLOOR)
 
     def evaluate(self, points) -> complex | NDArray[np.complex128]:
-        return hardy.eval_section(self.sec_basis, SectionVector(self.k, self.coefficients), points)
+        return hardy.eval_section(self.sec_basis, self.coefficients, points)
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
     where the basis norms go subnormal (norm_sq is NaN at k = 1024, c = 1/2).
     """
     b, coeffs, _ = next(_frame_moments(lift, hw, (), [k]))
-    return BpuState(k, b, coeffs, lift, hw)
+    return BpuState(k, b, coeffs, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
     moments = _frame_moments(lift, hw, tangents, ks)
     for n, (k, (b, coeffs, blocks)) in enumerate(zip(ks, moments)):
-        u = BpuState(k, b, coeffs, lift, hw)
+        u = BpuState(k, b, coeffs, lift)
         if not u.is_admissible:
             raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
         z = zk_orthogonalize(u, _signed(blocks, CONVENTION_SIGNS))
@@ -368,7 +367,7 @@ def norm_sweep(lift: PlanckianLift, hw: HalfWeight, ks: Sequence[int]) -> list[d
     one kernel pass."""
     r, rows = lift.winding, []
     for k, (b, coeffs, _) in zip(ks, _frame_moments(lift, hw, (), ks)):
-        state = BpuState(k, b, coeffs, lift, hw)
+        state = BpuState(k, b, coeffs, lift)
         rows.append({"k": int(k), "l": int(k // r) if k % r == 0 else 0, "r": r,
                      "norm_sq": state.norm_sq, "admissible": state.is_admissible})
     return rows
@@ -437,7 +436,7 @@ def decay_check(lift: PlanckianLift, hw: HalfWeight, x,
     xv = as_point_array(x)
     dist = float(np.min(fs_distance(xv[None, :], lift.base.points)))
     admissible = [k for k in ks if k % lift.winding == 0]
-    values = [abs(complex(BpuState(k, b, coeffs, lift, hw).evaluate(xv[None, :])[0]))
+    values = [abs(complex(BpuState(k, b, coeffs, lift).evaluate(xv[None, :])[0]))
               for k, (b, coeffs, _) in zip(admissible, _frame_moments(lift, hw, (), admissible))]
     report = asymptotics.superpoly_decay(list(zip(admissible, values)))
     if dist < DECAY_MIN_DISTANCE:

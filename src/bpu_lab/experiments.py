@@ -68,10 +68,12 @@ _TANGENT_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 
 def _number(raw: Any, name: str, integer: bool = False) -> float | int:
-    """`raw` as a finite float, or as an int when `integer`; ConfigError otherwise."""
+    """`raw` as a finite float, or as an int when `integer`; ConfigError otherwise,
+    also for a JSON boolean."""
     try:
         value = float(raw)
-        ok = math.isfinite(value) and (value.is_integer() or not integer)
+        ok = (not isinstance(raw, bool) and math.isfinite(value)
+              and (value.is_integer() or not integer))
     except (TypeError, ValueError):
         ok = False
     if not ok:

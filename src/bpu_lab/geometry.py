@@ -25,7 +25,6 @@ Model conventions (fixed once, validated by the test oracles):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,8 +43,6 @@ from .fourier import TWO_PI, TrigInterpolator, grid_nodes, spectral_derivative, 
 __all__ = [
     "SQRT_PI",
     "MAX_HOLONOMY_ORDER",
-    "SpherePoint",
-    "BundlePoint",
     "LagrangianLoop",
     "PlanckianLift",
     "HolonomyResult",
@@ -120,55 +117,8 @@ def exp_map(z: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Domain types
 # ---------------------------------------------------------------------------
 
-_NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Projective point held as a canonical unit representative."""
-
-    z0: complex
-    z1: complex
-
-    def __post_init__(self):
-        n = math.sqrt(abs(self.z0) ** 2 + abs(self.z1) ** 2)
-        if n == 0.0:
-            raise DomainError("homogeneous pair must be nonzero")
-        object.__setattr__(self, "z0", complex(self.z0) / n)
-        object.__setattr__(self, "z1", complex(self.z1) / n)
-
-    @property
-    def vector(self) -> NDArray[np.complex128]:
-        return np.array([self.z0, self.z1], dtype=np.complex128)
-
-    def norm_defect(self) -> float:
-        return abs(abs(self.z0) ** 2 + abs(self.z1) ** 2 - 1.0)
-
-
-@dataclass(frozen=True)
-class BundlePoint:
-    """Point of the unit 3-sphere; the fiber phase is part of the data."""
-
-    z0: complex
-    z1: complex
-
-    def __post_init__(self):
-        n = math.sqrt(abs(self.z0) ** 2 + abs(self.z1) ** 2)
-        if abs(n - 1.0) > _NORM_TOL:
-            raise DomainError(f"bundle point must be a unit vector, |x| - 1 = {n - 1.0:.3e}")
-
-    @property
-    def vector(self) -> NDArray[np.complex128]:
-        return np.array([self.z0, self.z1], dtype=np.complex128)
-
-    def project(self) -> SpherePoint:
-        return SpherePoint(self.z0, self.z1)
-
-
 def as_point_array(x) -> NDArray[np.complex128]:
-    """Coerce a point-like object (dataclass or array) to a (..., 2) array."""
-    if isinstance(x, (SpherePoint, BundlePoint)):
-        return x.vector
+    """Coerce points to a (..., 2) complex array of C^2 coordinates."""
     arr = np.asarray(x, dtype=np.complex128)
     if arr.shape[-1] != 2:
         raise DomainError("expected a (..., 2) complex array of C^2 coordinates")
@@ -185,7 +135,7 @@ class LagrangianLoop:
     interpolators for off-node evaluation.
     """
 
-    def __init__(self, points: np.ndarray, area_coordinate: float | None = None):
+    def __init__(self, points: np.ndarray):
         pts = np.asarray(points, dtype=np.complex128)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise DomainError("loop samples must form an (N, 2) complex array")
@@ -196,7 +146,6 @@ class LagrangianLoop:
             raise DomainError("loop samples must be nonzero")
         self.points = pts / norms[:, None]
         self.n = pts.shape[0]
-        self.area_coordinate = area_coordinate
 
         raw = spectral_derivative(self.points)
         self.tangents = project_tangent(self.points, raw)
@@ -237,32 +186,14 @@ class LagrangianLoop:
     def speed_at(self, phi) -> NDArray[np.float64]:
         return self._interp_speed(phi)
 
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "metadata": {"N": self.n, "c": self.area_coordinate},
-            "nodes": [[p[0].real, p[0].imag, p[1].real, p[1].imag] for p in self.points],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LagrangianLoop":
-        payload = json.loads(text)
-        nodes = np.asarray(payload["nodes"], dtype=np.float64)
-        pts = nodes[:, 0] + 1j * nodes[:, 1], nodes[:, 2] + 1j * nodes[:, 3]
-        return cls(np.stack(pts, axis=1), area_coordinate=payload["metadata"].get("c"))
-
 
 class PlanckianLift:
     """Horizontal closed lift of a loop, winding r times over the base."""
 
-    def __init__(self, points: np.ndarray, base: LagrangianLoop, winding: int,
-                 holonomy_phase: complex):
+    def __init__(self, points: np.ndarray, base: LagrangianLoop, winding: int):
         self.points = np.asarray(points, dtype=np.complex128)
         self.base = base
         self.winding = int(winding)
-        self.holonomy_phase = complex(holonomy_phase)
         if self.points.shape != (winding * base.n, 2):
             raise ContractViolation("lift must hold winding * N bundle samples")
         self.n = self.points.shape[0]
@@ -277,35 +208,6 @@ class PlanckianLift:
         deriv = spectral_derivative(self.points)
         pairing = np.imag(_inner(self.points, deriv))
         return float(np.max(np.abs(pairing) / np.maximum(np.linalg.norm(deriv, axis=1), 1e-300)))
-
-    def to_json(self) -> str:
-        payload = {
-            "metadata": {"N": self.base.n, "r": self.winding, "c": self.base.area_coordinate},
-            "nodes": [[p[0].real, p[0].imag, p[1].real, p[1].imag] for p in self.points],
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str, base: LagrangianLoop | None = None) -> "PlanckianLift":
-        """Rebuild a lift from its serialized nodes.
-
-        The base gauge is not stored in the wire format; when `base` is not
-        supplied it is recovered by de-phasing the first circuit against
-        the holonomy seam of the node sequence.
-        """
-        payload = json.loads(text)
-        meta = payload["metadata"]
-        nodes = np.asarray(payload["nodes"], dtype=np.float64)
-        pts = np.stack([nodes[:, 0] + 1j * nodes[:, 1], nodes[:, 2] + 1j * nodes[:, 3]], axis=1)
-        n, r = int(meta["N"]), int(meta["r"])
-        if base is None:
-            # circuit-to-circuit deck phase: constant along the fiber orbit
-            deck = _inner(pts[:n], pts[n:2 * n]) if r > 1 else np.ones(n)
-            deck_phase = np.angle(np.mean(deck)) if r > 1 else 0.0
-            gauge = np.exp(-1j * deck_phase * np.arange(n) / n)
-            base = LagrangianLoop(pts[:n] * gauge[:, None], area_coordinate=meta.get("c"))
-        hol = holonomy(base)
-        return cls(pts, base, r, hol.phase)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +244,13 @@ def latitude_loop(c: float, n: int = 512) -> LagrangianLoop:
     """
     if not 0.0 < c < 1.0:
         raise DomainError(f"area fraction must lie in (0, 1), got {c}")
-    if n < 16 or n % 2:
-        raise DomainError("node count must be even and at least 16")
     phi = grid_nodes(n)
     pts = np.stack(
-        [np.full(n, math.sqrt(c), dtype=np.complex128),
+        [np.full_like(phi, math.sqrt(c), dtype=np.complex128),
          math.sqrt(1.0 - c) * np.exp(1j * phi)],
         axis=1,
     )
-    return LagrangianLoop(pts, area_coordinate=float(c))
+    return LagrangianLoop(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +320,7 @@ def holonomy(loop: LagrangianLoop) -> HolonomyResult:
     return HolonomyResult(phase=phase, order=None)
 
 
-def horizontal_lift(loop: LagrangianLoop,
-                    start: BundlePoint | np.ndarray | None = None) -> PlanckianLift:
+def horizontal_lift(loop: LagrangianLoop) -> PlanckianLift:
     """Closed horizontal lift of the loop, winding `order` times.
 
     Integrates the alpha-annihilating phase transport with a fixed-step
@@ -434,13 +333,6 @@ def horizontal_lift(loop: LagrangianLoop,
                                   f"<= {MAX_HOLONOMY_ORDER}; no closed lift exists")
     r = hol.order
 
-    theta0 = 0.0
-    if start is not None:
-        svec = as_point_array(start)
-        if fs_distance(svec, loop.points[0]) > 1e-9:
-            raise ContractViolation("start point must project to loop sample 0")
-        theta0 = float(np.angle(_inner(loop.points[0], svec)))
-
     chi = _phase_path(loop, r)
     defect = chi[-1] - TWO_PI * round(chi[-1] / TWO_PI)
     if abs(defect) > _CLOSURE_TOL:
@@ -449,8 +341,8 @@ def horizontal_lift(loop: LagrangianLoop,
     t = np.linspace(0.0, 1.0, loop.n * r + 1)
     chi = chi - defect * t  # redistribute the O(1e-12) seam; keeps samples periodic
     base = np.tile(loop.points, (r, 1))
-    lift_pts = np.exp(1j * (chi[:-1] + theta0))[:, None] * base
-    return PlanckianLift(lift_pts, loop, r, hol.phase)
+    lift_pts = np.exp(1j * chi[:-1])[:, None] * base
+    return PlanckianLift(lift_pts, loop, r)
 
 
 def normal_frame(loop: LagrangianLoop) -> NDArray[np.complex128]:

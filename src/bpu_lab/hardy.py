@@ -16,7 +16,6 @@ products are conjugate-linear in the first slot.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ __all__ = [
     "BUNDLE_VOLUME",
     "EQUIVARIANCE_SIGN",
     "SectionBasis",
-    "SectionVector",
     "basis",
     "monomial_values",
     "monomial_derivatives",
@@ -48,41 +46,11 @@ class SectionBasis:
     """Orthogonal monomial basis of the level-k space (dimension k+1)."""
 
     k: int
-    exponents: NDArray[np.int64]
     log_norms: NDArray[np.float64]  # log ||s_a||^2
-
-    @property
-    def dim(self) -> int:
-        return self.k + 1
 
     @property
     def norms_sq(self) -> NDArray[np.float64]:
         return np.exp(self.log_norms)
-
-
-@dataclass(frozen=True)
-class SectionVector:
-    """Coefficient vector in the orthogonal monomial basis."""
-
-    k: int
-    coefficients: NDArray[np.complex128]
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.complex128)
-        if coeffs.shape != (self.k + 1,):
-            raise DomainError(f"level-{self.k} vector needs {self.k + 1} coefficients")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"k": self.k, "coefficients": [[c.real, c.imag] for c in self.coefficients]},
-            sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SectionVector":
-        payload = json.loads(text)
-        pairs = np.asarray(payload["coefficients"], dtype=np.float64)
-        return cls(int(payload["k"]), pairs[:, 0] + 1j * pairs[:, 1])
 
 
 def basis(k: int) -> SectionBasis:
@@ -99,13 +67,12 @@ def basis(k: int) -> SectionBasis:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"level must be a positive integer, got {k!r}")
-    a = np.arange(k + 1, dtype=np.int64)
     steps = np.log(np.arange(1, k + 1, dtype=np.float64) / np.arange(k, 0, -1, dtype=np.float64))
     log_norms = np.empty(k + 1)
     log_norms[0] = math.log(BUNDLE_VOLUME) - math.log(k + 1.0)
     np.cumsum(steps, out=log_norms[1:])
     log_norms[1:] += log_norms[0]
-    return SectionBasis(k=int(k), exponents=a, log_norms=log_norms)
+    return SectionBasis(k=int(k), log_norms=log_norms)
 
 
 def _monomials(pts: np.ndarray, k: int) -> NDArray[np.complex128]:
@@ -141,7 +108,7 @@ def monomial_derivatives(b: SectionBasis, points: np.ndarray,
     w = np.atleast_2d(np.asarray(vectors, dtype=np.complex128))
     _require_sphere_tangent(pts, w)
     prod = _monomials(pts, b.k - 1)
-    a = b.exponents
+    a = np.arange(b.k + 1)
     # Column a: w0 * a P[:, a-1] (a > 0) + w1 * (k-a) P[:, a] (a < k), P the level-(k-1) monomials.
     out = np.zeros((pts.shape[0], b.k + 1), dtype=np.complex128)
     out[:, 1:] = w[:, [0]] * (a[1:] * prod)
@@ -149,16 +116,17 @@ def monomial_derivatives(b: SectionBasis, points: np.ndarray,
     return out
 
 
-def eval_section(b: SectionBasis, v: SectionVector, x) -> complex | NDArray[np.complex128]:
-    """Value of the equivariant function of v at bundle point(s) x."""
-    if v.k != b.k:
-        raise ContractViolation(f"level mismatch: basis {b.k}, vector {v.k}")
-    vals = monomial_values(b, x) @ v.coefficients
+def eval_section(b: SectionBasis, coefficients: np.ndarray, x) -> complex | NDArray[np.complex128]:
+    """Value at bundle point(s) x of the level-b.k section with these
+    coefficients in the monomial basis."""
+    if np.shape(coefficients) != (b.k + 1,):
+        raise ContractViolation(f"level-{b.k} basis needs {b.k + 1} coefficients, "
+                                f"got shape {np.shape(coefficients)}")
+    vals = monomial_values(b, x) @ coefficients
     if np.ndim(as_point_array(x)) == 1:
         return complex(vals[0])
     return vals
 
 
-def norm_sq(b: SectionBasis, v: SectionVector | np.ndarray) -> float:
-    cv = v.coefficients if isinstance(v, SectionVector) else np.asarray(v)
-    return float(np.sum(np.abs(cv) ** 2 * b.norms_sq))
+def norm_sq(b: SectionBasis, coefficients: np.ndarray) -> float:
+    return float(np.sum(np.abs(coefficients) ** 2 * b.norms_sq))

@@ -21,7 +21,6 @@ legs of a tangent pair on equal footing in the pullback asymptotics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -105,15 +104,6 @@ class HalfWeight:
     def is_nowhere_vanishing(self, tol: float = 1e-9) -> bool:
         return bool(np.min(np.abs(self.s_lambda)) > tol)
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.loop.n, "s_lambda": self.s_lambda.tolist()},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, loop: LagrangianLoop, text: str) -> "HalfWeight":
-        payload = json.loads(text)
-        return cls(loop, np.asarray(payload["s_lambda"], dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class LeafTangent:
@@ -136,16 +126,6 @@ class LeafTangent:
         r1 = _integrate_density(loop, self.f * hw.s_lambda ** 2)
         r2 = _integrate_density(loop, self.s_ell * hw.s_lambda)
         return abs(r1), abs(r2)
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.loop.n, "f": self.f.tolist(),
-                           "s_ell": self.s_ell.tolist()}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, loop: LagrangianLoop, text: str) -> "LeafTangent":
-        payload = json.loads(text)
-        return cls(loop, np.asarray(payload["f"], dtype=np.float64),
-                   np.asarray(payload["s_ell"], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -345,9 +325,9 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     # De-phasing the first circuit gives a smooth periodic gauge for the new
     # loop; node j+qN keeps its offset, so it is x_j turned by <x_j, x_{j+qN}>.
     base_pts = x * np.conj(lift.phases[: loop.n])[:, None]
-    new_loop = LagrangianLoop(base_pts, area_coordinate=loop.area_coordinate)
+    new_loop = LagrangianLoop(base_pts)
     new_pts = np.tile(base_pts, (lift.winding, 1)) * lift.phases[:, None]
-    new_lift = PlanckianLift(new_pts, new_loop, lift.winding, lift.holonomy_phase)
+    new_lift = PlanckianLift(new_pts, new_loop, lift.winding)
 
     # Half-weight transport: pull lambda + t*ell back through the
     # normal-geodesic retraction beta_t : L_t -> L.

@@ -99,10 +99,9 @@ def basis_norms_sq(k: int) -> np.ndarray:
 
 
 def inner(sec_basis, u, v) -> complex:
-    """L2 pairing of two coefficient vectors (arrays or SectionVectors) of the
-    level of `sec_basis`, conjugate-linear in the first slot."""
-    cu, cv = (np.asarray(getattr(x, "coefficients", x)) for x in (u, v))
-    return complex(np.sum(np.conj(cu) * cv * basis_norms_sq(sec_basis.k)))
+    """L2 pairing of two coefficient arrays of the level of `sec_basis`,
+    conjugate-linear in the first slot."""
+    return complex(np.sum(np.conj(u) * v * basis_norms_sq(sec_basis.k)))
 
 
 def lift_weights(lift, hw) -> np.ndarray:

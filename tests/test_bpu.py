@@ -119,8 +119,7 @@ def test_single_coefficient_below_the_alias_bound(request, setup, c):
 def test_projectivization_phase_invariance(half_setup):
     _, lift, hw = half_setup
     state = bpu_map(lift, hw, 8)
-    rotated = bpu_map(PlanckianLift(np.exp(0.37j) * lift.points, lift.base, lift.winding,
-                                    lift.holonomy_phase), hw, 8)
+    rotated = bpu_map(PlanckianLift(np.exp(0.37j) * lift.points, lift.base, lift.winding), hw, 8)
     b = state.sec_basis
     overlap = abs(inner(b, state.coefficients, rotated.coefficients))
     assert overlap / math.sqrt(state.norm_sq * rotated.norm_sq) == pytest.approx(1.0, abs=1e-10)

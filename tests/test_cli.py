@@ -202,7 +202,9 @@ def test_cli_malformed_config_exits_2(tmp_path):
                  "pairs": [[0, 0]]},
                 {"kind": "norm-sweep", "c": "1/2", "n": 64, "lmax": 6},
                 {"kind": "norm-sweep", "raw": {}},
-                {"kind": "decay", "c": "1/2", "n": 64, "k_values": [3]}):
+                {"kind": "decay", "c": "1/2", "n": 64, "k_values": [3]},
+                {"kind": "derivative-crosscheck", "seed": True},
+                {"kind": "theorem-check", "tangents": [{}, {}], "pairs": [[True, False]]}):
         cfg.write_text(json.dumps(bad))
         proc = run_cli("run", "--config", str(cfg))
         assert proc.returncode == 2, (bad, proc.stderr)

@@ -11,7 +11,6 @@ from bpu_lab.geometry import horizontal_lift, latitude_loop
 from bpu_lab.hardy import (
     EQUIVARIANCE_SIGN,
     SectionBasis,
-    SectionVector,
     basis,
     eval_section,
     monomial_derivatives,
@@ -28,9 +27,10 @@ from oracles import (
 )
 
 
-def random_vector(k: int, seed: int = 0) -> SectionVector:
+def random_vector(k: int, seed: int = 0) -> np.ndarray:
+    """Random coefficients of a level-k section."""
     rng = np.random.default_rng(seed)
-    return SectionVector(k, rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1))
+    return rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1)
 
 
 def random_bundle_point(seed: int = 0) -> np.ndarray:
@@ -39,9 +39,9 @@ def random_bundle_point(seed: int = 0) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def directional(b: SectionBasis, v: SectionVector, x: np.ndarray, w: np.ndarray) -> complex:
-    """Derivative of the section of v at the point x along w."""
-    return complex((monomial_derivatives(b, x, w) @ v.coefficients)[0])
+def directional(b: SectionBasis, v: np.ndarray, x: np.ndarray, w: np.ndarray) -> complex:
+    """Derivative of the section with coefficients v at the point x along w."""
+    return complex((monomial_derivatives(b, x, w) @ v)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,7 @@ def directional(b: SectionBasis, v: SectionVector, x: np.ndarray, w: np.ndarray)
 
 def test_level_one_has_two_equal_norms():
     b = basis(1)
-    assert b.dim == 2
+    assert b.log_norms.shape == (2,)
     assert b.log_norms[0] == pytest.approx(b.log_norms[1], abs=1e-14)
 
 
@@ -96,8 +96,8 @@ def test_log_domain_stability_at_large_level():
 
 def test_monomial_value_at_poles():
     b = basis(3)
-    top = SectionVector(3, np.eye(4)[3])   # z0^3
-    bottom = SectionVector(3, np.eye(4)[0])  # z1^3
+    top = np.eye(4)[3]     # z0^3
+    bottom = np.eye(4)[0]  # z1^3
     assert eval_section(b, top, np.array([1.0 + 0j, 0j])) == pytest.approx(1.0)
     assert eval_section(b, bottom, np.array([0j, 1.0 + 0j])) == pytest.approx(1.0)
 
@@ -148,6 +148,11 @@ def test_equivariance_winding_along_fiber_orbit():
 def test_eval_level_mismatch():
     with pytest.raises(ContractViolation):
         eval_section(basis(3), random_vector(4), random_bundle_point())
+
+
+def test_monomial_values_reject_points_not_in_c2():
+    with pytest.raises(DomainError):
+        hardy.monomial_values(basis(2), np.ones((4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +227,16 @@ def test_parseval_against_bundle_quadrature(k):
     b = basis(k)
     v = random_vector(k, seed=k)
     from_coeffs = norm_sq(b, v)
-    from_grid = bundle_integral_abs2(b, v.coefficients, n_theta=4)
+    from_grid = bundle_integral_abs2(b, v, n_theta=4)
     assert from_grid == pytest.approx(from_coeffs, rel=1e-8)
 
 
 def test_inner_is_conjugate_linear_in_first_slot():
     b = basis(5)
     u, v = random_vector(5, 20), random_vector(5, 21)
-    assert inner(b, SectionVector(5, 1j * u.coefficients), v) == pytest.approx(
+    assert inner(b, 1j * u, v) == pytest.approx(
         -1j * inner(b, u, v), rel=1e-12)
     assert inner(b, u, v) == pytest.approx(np.conj(inner(b, v, u)), rel=1e-12)
-
-
-def test_section_vector_json_roundtrip():
-    v = random_vector(4, seed=30)
-    back = SectionVector.from_json(v.to_json())
-    assert back.k == 4
-    assert np.abs(back.coefficients - v.coefficients).max() < 1e-15
 
 
 def test_every_basis_element_winds_exactly_k():

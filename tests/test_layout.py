@@ -1,5 +1,6 @@
 """Source layout rules: every import of the package sits at module level,
-and every name the benchmark tracer summarizes exists in the package."""
+every name a module exports exists, and every name the benchmark tracer
+summarizes exists in the package."""
 
 from __future__ import annotations
 
@@ -25,6 +26,16 @@ def test_no_imports_inside_functions():
     assert modules
     found = sorted(set().union(*(function_imports(p) for p in modules)))
     assert not found, f"imports inside function bodies: {', '.join(found)}"
+
+
+def test_every_exported_name_resolves():
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "bpu_lab" if path.stem == "__init__" else f"bpu_lab.{path.stem}"
+        mod = importlib.import_module(name)
+        missing += [f"{name}.{item}" for item in getattr(mod, "__all__", ())
+                    if not hasattr(mod, item)]
+    assert not missing, f"names in __all__ that the module lacks: {', '.join(missing)}"
 
 
 def traced_names(path: Path) -> set[tuple[str, str]]:

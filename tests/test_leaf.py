@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,15 +341,3 @@ def test_foot_newton_refuses_the_antipodal_minimum(monkeypatch):
     monkeypatch.setattr(geometry, "_FOOT_CURVATURE", -np.inf)
     feet = geometry._foot_newton(loop._interp_points, loop.points, seeds)[0]
     assert np.abs(np.exp(1j * feet) + np.exp(1j * loop.phi)).max() < 1e-12
-
-
-def test_halfweight_and_tangent_json_roundtrip(equator_setup):
-    loop, hw = equator_setup
-    # plain sample lists, the wire format of loops and section vectors
-    assert json.loads(hw.to_json())["s_lambda"] == hw.s_lambda.tolist()
-    back = HalfWeight.from_json(loop, hw.to_json())
-    assert np.abs(back.s_lambda - hw.s_lambda).max() < 1e-15
-    w = random_tangent(loop, hw, 17)
-    back_w = LeafTangent.from_json(loop, w.to_json())
-    assert np.abs(back_w.f - w.f).max() < 1e-15
-    assert np.abs(back_w.s_ell - w.s_ell).max() < 1e-15
