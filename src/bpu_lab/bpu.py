@@ -6,8 +6,8 @@ A half-weighted closed lift (P, lambda) defines the distributional pairing
     <delta_(P,lambda), gamma> = integral over P of S_lambda * gamma * dens_P,
 
 whose projection onto the level-k space has coefficients
-c_a = <delta, conj(s_a)> / ||s_a||^2.  The projection vanishes identically
-unless the winding number r divides k.
+c_a = <delta, conj(s_a)> / ||s_a||^2: r times the first circuit's pairings
+when the winding number r divides k, and exactly zero otherwise.
 
 Two derivative routes are implemented and cross-checked: the analytic
 pairing (function/half-density/transport/fiber terms, with the two
@@ -196,24 +196,26 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
 
 def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
                    ks: Sequence[int]):
-    """The level-moment kernel on a lift and a tangent frame."""
-    if hw.loop is not lift.base:
+    """The level-moment kernel on a lift and a tangent frame, over the first
+    circuit's N nodes.  Circuit q pairs at level k as the first one times
+    e^{-2 pi i q k turns/r}, so the weights carry the factor r, and each
+    level's outputs the deck selection rule's factor (k % r == 0)."""
+    loop, t = lift.base, len(tangents)
+    if hw.loop is not loop:
         raise ContractViolation("half-weight and lift live on different loops")
-    r, t = lift.winding, len(tangents)
-    weights = lift.speed * (TWO_PI / lift.base.n)
-    s_w = np.tile(hw.s_lambda, r) * weights
-    amp = np.column_stack([s_w] + [np.tile(hw.s_lambda * gamma_flow(lift.base, w.f), r) * weights
-                                   for w in tangents]
-                          + [np.tile(w.f, r) * s_w for w in tangents]
-                          + [np.tile(w.s_ell, r) * weights for w in tangents])
+    weights = lift.winding * loop.speed * (TWO_PI / loop.n)
+    s_w = hw.s_lambda * weights
+    amp = np.column_stack([s_w] + [hw.s_lambda * gamma_flow(loop, w.f) * weights for w in tangents]
+                          + [w.f * s_w for w in tangents] + [w.s_ell * weights for w in tangents])
     # Horizontal lifts ups_i of the Hamiltonian fields of the f_i, times s_w.
-    normal = np.zeros((len(s_w), 2, t), dtype=np.complex128)
+    normal = np.zeros((loop.n, 2, t), dtype=np.complex128)
     for i, w in enumerate(tangents):
-        a = hamiltonian_normal_components(lift.base, w.f)
-        field = np.tile(a[:, None] * normal_frame(lift.base), (r, 1))
-        _require_sphere_tangent(lift.points, lift.phases[:, None] * field)
+        field = hamiltonian_normal_components(loop, w.f)[:, None] * normal_frame(loop)
+        _require_sphere_tangent(lift.circuit, lift.phases[:, None] * field)
         normal[:, :, i] = (lift.phases * s_w)[:, None] * field
-    return _level_moments(lift.points, amp, normal, ks)
+    for k, (b, coeffs, blocks) in zip(ks, _level_moments(lift.circuit, amp, normal, ks)):
+        on = k % lift.winding == 0
+        yield b, on * coeffs, tuple(on * block for block in blocks)
 
 
 def _signed(blocks, signs: tuple[int, int]) -> NDArray[np.complex128]:
@@ -225,17 +227,18 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
     """Orthogonal projection of the half-weighted delta onto level k, the
     tangent-free case of the level-moment kernel.
 
-    Pairings below the quadrature floor (relative to their no-cancellation
-    bound) are exact zeros of the rotational selection rule: they are
-    snapped to zero before dividing by the basis norms, which keeps the
-    off-lattice vanishing exact.  The floor sits two orders above the lift
-    seam noise; a pairing that small contributes less than 1e-19 to any norm
-    or Gram quantity, while the mid-band basis norms are tiny enough that
-    leaving such noise in place would masquerade as O(1e-3) coefficients.
+    Levels the winding does not divide are exact zeros of the deck rule.
+    Within a level, pairings below the quadrature floor (relative to their
+    no-cancellation bound) are exact zeros of the rotational selection rule:
+    they are snapped to zero before dividing by the basis norms.  The floor
+    sits two orders above the lift seam noise; a pairing that small
+    contributes less than 1e-19 to any norm or Gram quantity, while the
+    mid-band basis norms are tiny enough that leaving such noise in place
+    would masquerade as O(1e-3) coefficients.
     Valid while the level-k integrand's loop frequencies stay below N, the
-    base nodes that an r-fold lift repeats: on a latitude of area c the
-    trapezoid rule aliases from k*max(c, 1-c) = N, not r*N; and below k = 1019,
-    where the basis norms go subnormal (norm_sq is NaN at k = 1024, c = 1/2).
+    nodes of the first circuit: on a latitude of area c the trapezoid rule
+    aliases from k*max(c, 1-c) = N, not r*N; and below k = 1019, where the
+    basis norms go subnormal (norm_sq is NaN at k = 1024, c = 1/2).
     """
     b, coeffs, _ = next(_frame_moments(lift, hw, (), [k]))
     return BpuState(k, b, coeffs, lift)
@@ -256,17 +259,12 @@ def d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
     CONVENTION_SIGNS.  A level the winding does not divide gets zero rows
     and a warning.
     """
-    r = lift.winding
-    moments = _frame_moments(lift, hw, tangents, [k for k in ks if k % r == 0])
-    out = []
     for k in ks:
-        if k % r:
-            warnings.warn(f"level {k} is not divisible by the winding {r}; "
+        if k % lift.winding:
+            warnings.warn(f"level {k} is not divisible by the winding {lift.winding}; "
                           "the projection is identically zero", stacklevel=2)
-            out.append(np.zeros((len(tangents), k + 1), dtype=np.complex128))
-            continue
-        out.append(_signed(next(moments)[2], CONVENTION_SIGNS))
-    return out
+    return [_signed(blocks, CONVENTION_SIGNS)
+            for _, _, blocks in _frame_moments(lift, hw, tangents, ks)]
 
 
 def sign_pair_derivatives(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
@@ -426,9 +424,10 @@ def pointwise_profile(state: BpuState, x, w_direction,
                         gaussian=np.exp(-w_perp ** 2))
 
 
-def decay_check(lift: PlanckianLift, hw: HalfWeight, x,
-                ks: Sequence[int]) -> asymptotics.DecayReport:
-    """Super-polynomial decay report for |u_k(x)| at an off-loop point.
+def decay_check(lift: PlanckianLift, hw: HalfWeight, x, ks: Sequence[int],
+                threshold: float) -> asymptotics.DecayReport:
+    """Super-polynomial decay report for |u_k(x)| at an off-loop point: it
+    passes when the last dyad's log-log slope is below `threshold`.
 
     Points closer than DECAY_MIN_DISTANCE to the loop yield an inconclusive
     report rather than a verdict.
@@ -438,7 +437,7 @@ def decay_check(lift: PlanckianLift, hw: HalfWeight, x,
     admissible = [k for k in ks if k % lift.winding == 0]
     values = [abs(complex(BpuState(k, b, coeffs, lift).evaluate(xv[None, :])[0]))
               for k, (b, coeffs, _) in zip(admissible, _frame_moments(lift, hw, (), admissible))]
-    report = asymptotics.superpoly_decay(list(zip(admissible, values)))
+    report = asymptotics.superpoly_decay(list(zip(admissible, values)), threshold)
     if dist < DECAY_MIN_DISTANCE:
         return replace(report, passed=False, inconclusive=True)
     return report

@@ -69,12 +69,12 @@ _TANGENT_FLOOR = 1e-12
 
 def _number(raw: Any, name: str, integer: bool = False) -> float | int:
     """`raw` as a finite float, or as an int when `integer`; ConfigError otherwise,
-    also for a JSON boolean."""
+    also for a JSON boolean or string."""
     try:
         value = float(raw)
-        ok = (not isinstance(raw, bool) and math.isfinite(value)
+        ok = (not isinstance(raw, (bool, str)) and math.isfinite(value)
               and (value.is_integer() or not integer))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}: {raw!r}")
@@ -103,6 +103,14 @@ def _checked(raw: Any, kind: type, name: str):
     return raw
 
 
+def _descriptor(raw: Any, keys: set[str], name: str) -> dict:
+    """`raw` as a JSON object whose keys all lie in `keys`; ConfigError otherwise."""
+    unknown = sorted(set(_checked(raw, dict, name)) - keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {unknown}")
+    return raw
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -120,11 +128,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration must be a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown configuration keys {unknown}")
+        _descriptor(raw, _CONFIG_KEYS, "configuration")
         kind = raw.get("kind")
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; "
@@ -154,7 +158,9 @@ class ExperimentConfig:
                     for k in _checked(raw.get("k_values", []), list, "k_values")]
         if any(k < 1 for k in k_values):
             raise ConfigError(f"k_values must be positive integers, got {k_values}")
-        tangents = [_checked(t, dict, "tangent")
+        if kind in ("profile", "decay") and len(k_values) > 1:
+            raise ConfigError(f"{kind} reads one level, got k_values {k_values}")
+        tangents = [_descriptor(t, {"f", "s_ell"}, "tangent")
                     for t in _checked(raw.get("tangents", []), list, "tangents")]
         pairs = [tuple(_number(i, "pair index", integer=True) for i in _checked(p, list, "pair"))
                  for p in _checked(raw.get("pairs", []), list, "pairs")]
@@ -167,11 +173,12 @@ class ExperimentConfig:
             n=n,
             l_max=l_max,
             seed=seed,
-            halfweight=_checked(raw.get("halfweight", {"type": "constant"}), dict, "halfweight"),
+            halfweight=_descriptor(raw.get("halfweight", {"type": "constant"}), {"type", "terms"},
+                                   "half-weight"),
             tangents=tangents,
             pairs=pairs,
             k_values=k_values,
-            points=[_checked(p, dict, "point")
+            points=[_descriptor(p, {"c", "psi"}, "point")
                     for p in _checked(raw.get("points", []), list, "points")],
             tolerances=tolerances,
             raw=raw,
@@ -214,7 +221,7 @@ class RunResult:
 def _fourier_samples(terms: list[dict], phi: np.ndarray) -> np.ndarray:
     out = np.zeros_like(phi)
     for term in _checked(terms, list, "Fourier terms"):
-        term = _checked(term, dict, "Fourier term")
+        term = _descriptor(term, {"mode", "amplitude", "kind"}, "Fourier term")
         mode = _number(term.get("mode", 1), "Fourier term mode", integer=True)
         amp = _number(term.get("amplitude", 1.0), "Fourier term amplitude")
         kind = term.get("kind", "cos")
@@ -439,7 +446,7 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
     verdicts = {}
     for p_idx, desc in enumerate(points):
         x = _point_from_descriptor(desc)
-        report = bpu.decay_check(lift, hw, x, ks)
+        report = bpu.decay_check(lift, hw, x, ks, config.tolerances["decay_slope"])
         for k, v in zip(report.ks, report.values):
             rows.append((int(k), int(k) // r, r, float(v), 0.0))
         dist = float(np.min(fs_distance(x[None, :], loop.points)))

@@ -188,19 +188,21 @@ class LagrangianLoop:
 
 
 class PlanckianLift:
-    """Horizontal closed lift of a loop, winding r times over the base."""
+    """Horizontal closed lift of a loop, winding r times over the base: the
+    first circuit over the N base nodes, and circuit q the first turned by
+    the deck phase exp(2*pi*i*q*turns/r), with gcd(turns, r) = 1."""
 
-    def __init__(self, points: np.ndarray, base: LagrangianLoop, winding: int):
-        self.points = np.asarray(points, dtype=np.complex128)
-        self.base = base
-        self.winding = int(winding)
-        if self.points.shape != (winding * base.n, 2):
-            raise ContractViolation("lift must hold winding * N bundle samples")
-        self.n = self.points.shape[0]
-        # Base quantities repeat along each circuit.
-        self.speed = np.tile(base.speed, winding)
-        # Fiber offset of each lift node over its base representative.
-        self.phases = _inner(np.tile(base.points, (winding, 1)), self.points)
+    def __init__(self, circuit: np.ndarray, base: LagrangianLoop, winding: int, turns: int):
+        self.circuit = np.asarray(circuit, dtype=np.complex128)
+        self.base, self.winding, self.turns = base, int(winding), int(turns)
+        if self.circuit.shape != (base.n, 2):
+            raise ContractViolation("the first circuit must hold one bundle sample per base node")
+        if self.winding < 1 or math.gcd(self.turns, self.winding) != 1:
+            raise ContractViolation(f"deck turns {turns} must be coprime to the winding {winding}")
+        deck = np.exp(1j * TWO_PI * self.turns * np.arange(self.winding) / self.winding)
+        self.points = (deck[:, None, None] * self.circuit).reshape(-1, 2)
+        # Fiber offset of each first-circuit node over its base representative.
+        self.phases = _inner(base.points, self.circuit)
 
     def legendrian_residual(self) -> float:
         """Largest per-node connection pairing of the curve tangent, relative
@@ -290,17 +292,27 @@ def _integrate_phase(rate: TrigInterpolator, n_steps: int, h: float) -> NDArray[
     return chi
 
 
-def _phase_path(loop: LagrangianLoop, circuits: int) -> NDArray[np.float64]:
-    """Richardson-refined lift phase chi at nodes spacing 2*pi/N over `circuits`."""
+def _phase_path(loop: LagrangianLoop) -> NDArray[np.float64]:
+    """Richardson-refined lift phase chi at the N + 1 nodes of one circuit."""
     rate = _connection_rate(loop)
-    n = loop.n * circuits
     h = TWO_PI / loop.n
-    coarse = _integrate_phase(rate, n, h)
-    fine = _integrate_phase(rate, 2 * n, 0.5 * h)
+    coarse = _integrate_phase(rate, loop.n, h)
+    fine = _integrate_phase(rate, 2 * loop.n, 0.5 * h)
     if abs(fine[-1] - coarse[-1]) > _CLOSURE_TOL:
         raise IntegrationAccuracyError(
             f"lift phase integration unstable: step-halving defect {abs(fine[-1] - coarse[-1]):.3e}")
     return (16.0 * fine[::2] - coarse) / 15.0
+
+
+def _phase_and_holonomy(loop: LagrangianLoop) -> tuple[NDArray[np.float64], HolonomyResult]:
+    """The lift phase over one circuit (`_phase_path`) and the holonomy it ends at."""
+    if loop.periodicity_residual() > 1e-6:
+        raise ContractViolation("loop samples are not smoothly periodic")
+    chi = _phase_path(loop)
+    phase = complex(np.exp(1j * chi[-1]))
+    order = next((r for r in range(1, MAX_HOLONOMY_ORDER + 1)
+                  if abs(phase ** r - 1.0) <= _HOLONOMY_TOL), None)
+    return chi, HolonomyResult(phase=phase, order=order)
 
 
 def holonomy(loop: LagrangianLoop) -> HolonomyResult:
@@ -310,39 +322,29 @@ def holonomy(loop: LagrangianLoop) -> HolonomyResult:
     the order is the smallest r <= MAX_HOLONOMY_ORDER with phase^r = 1
     within _HOLONOMY_TOL, or None when no such r exists.
     """
-    if loop.periodicity_residual() > 1e-6:
-        raise ContractViolation("loop samples are not smoothly periodic")
-    chi = _phase_path(loop, 1)
-    phase = complex(np.exp(1j * chi[-1]))
-    for r in range(1, MAX_HOLONOMY_ORDER + 1):
-        if abs(phase ** r - 1.0) <= _HOLONOMY_TOL:
-            return HolonomyResult(phase=phase, order=r)
-    return HolonomyResult(phase=phase, order=None)
+    return _phase_and_holonomy(loop)[1]
 
 
 def horizontal_lift(loop: LagrangianLoop) -> PlanckianLift:
     """Closed horizontal lift of the loop, winding `order` times.
 
-    Integrates the alpha-annihilating phase transport with a fixed-step
-    4th-order method (one step per node, step-halving check), closes the
-    residual seam exactly, and returns the sampled lift.
+    Integrates the alpha-annihilating phase transport over one circuit with
+    a fixed-step 4th-order method (one step per node, step-halving check).
+    The first circuit absorbs the seam r*chi(2*pi) - 2*pi*turns, so it ends
+    at the deck phase exp(2*pi*i*turns/r) that turns it into the others.
     """
-    hol = holonomy(loop)
+    chi, hol = _phase_and_holonomy(loop)
     if hol.order is None:
         raise BohrSommerfeldError(f"holonomy phase {hol.phase:.12f} has no order "
                                   f"<= {MAX_HOLONOMY_ORDER}; no closed lift exists")
     r = hol.order
-
-    chi = _phase_path(loop, r)
-    defect = chi[-1] - TWO_PI * round(chi[-1] / TWO_PI)
+    turns = round(r * chi[-1] / TWO_PI)
+    defect = r * chi[-1] - TWO_PI * turns
     if abs(defect) > _CLOSURE_TOL:
         raise IntegrationAccuracyError(
             f"lift fails to close after {r} circuits: seam {abs(defect):.3e}")
-    t = np.linspace(0.0, 1.0, loop.n * r + 1)
-    chi = chi - defect * t  # redistribute the O(1e-12) seam; keeps samples periodic
-    base = np.tile(loop.points, (r, 1))
-    lift_pts = np.exp(1j * chi[:-1])[:, None] * base
-    return PlanckianLift(lift_pts, loop, r)
+    chi = chi[:-1] - (defect / r) * np.linspace(0.0, 1.0, loop.n + 1)[:-1]
+    return PlanckianLift(np.exp(1j * chi)[:, None] * loop.points, loop, r, turns)
 
 
 def normal_frame(loop: LagrangianLoop) -> NDArray[np.complex128]:

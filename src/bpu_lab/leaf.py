@@ -313,7 +313,7 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
 
     steps = max(1, int(math.ceil(abs(t) / 2e-3)))  # RK4 steps of at most 2e-3
     h = t / steps
-    x = lift.points[: loop.n].copy()
+    x = lift.circuit.copy()
     for _ in range(steps):
         k1 = velocity(x)
         k2 = velocity(x + 0.5 * h * k1)
@@ -323,11 +323,10 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
         x /= np.linalg.norm(x, axis=1, keepdims=True)
 
     # De-phasing the first circuit gives a smooth periodic gauge for the new
-    # loop; node j+qN keeps its offset, so it is x_j turned by <x_j, x_{j+qN}>.
-    base_pts = x * np.conj(lift.phases[: loop.n])[:, None]
-    new_loop = LagrangianLoop(base_pts)
-    new_pts = np.tile(base_pts, (lift.winding, 1)) * lift.phases[:, None]
-    new_lift = PlanckianLift(new_pts, new_loop, lift.winding)
+    # loop; the flow commutes with the deck phase, so the later circuits stay
+    # the first one's deck turns.
+    new_loop = LagrangianLoop(x * np.conj(lift.phases)[:, None])
+    new_lift = PlanckianLift(x, new_loop, lift.winding, lift.turns)
 
     # Half-weight transport: pull lambda + t*ell back through the
     # normal-geodesic retraction beta_t : L_t -> L.

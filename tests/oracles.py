@@ -106,7 +106,7 @@ def inner(sec_basis, u, v) -> complex:
 
 def lift_weights(lift, hw) -> np.ndarray:
     """Trapezoid weights S_lambda * speed * (2 pi / N) at the r * N lift nodes."""
-    return np.tile(hw.s_lambda, lift.winding) * lift.speed * (2.0 * np.pi / lift.base.n)
+    return np.tile(hw.s_lambda * lift.base.speed, lift.winding) * (2.0 * np.pi / lift.base.n)
 
 
 def delta_pair(lift, hw, section_values):
@@ -201,7 +201,7 @@ def flow_all_circuits(lift, hw, w, t: float):
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x /= np.linalg.norm(x, axis=1, keepdims=True)
 
-    new_loop = LagrangianLoop(x[:n] * np.conj(lift.phases[:n])[:, None])
+    new_loop = LagrangianLoop(x[:n] * np.conj(lift.phases)[:, None])
     delta = np.angle(np.exp(1j * (foot_parameters(loop, new_loop.points) - loop.phi)))
     dfeet = 1.0 + spectral_derivative(delta)
     eta = TrigInterpolator(hw.s_lambda + t * w.s_ell)

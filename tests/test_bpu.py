@@ -28,6 +28,7 @@ from oracles import (
     delta_pair,
     inner,
     latitude_norm_sq,
+    lift_weights,
     monomial_derivative_oracle,
     polar_monomials,
 )
@@ -119,7 +120,8 @@ def test_single_coefficient_below_the_alias_bound(request, setup, c):
 def test_projectivization_phase_invariance(half_setup):
     _, lift, hw = half_setup
     state = bpu_map(lift, hw, 8)
-    rotated = bpu_map(PlanckianLift(np.exp(0.37j) * lift.points, lift.base, lift.winding), hw, 8)
+    turned = PlanckianLift(np.exp(0.37j) * lift.circuit, lift.base, lift.winding, lift.turns)
+    rotated = bpu_map(turned, hw, 8)
     b = state.sec_basis
     overlap = abs(inner(b, state.coefficients, rotated.coefficients))
     assert overlap / math.sqrt(state.norm_sq * rotated.norm_sq) == pytest.approx(1.0, abs=1e-10)
@@ -143,18 +145,23 @@ def third_setup():
 @pytest.mark.parametrize("setup, ks", [("half_setup", (2, 8, 40, 160)),
                                        ("third_setup", (3, 9, 60, 300))])
 def test_projection_pairings_match_delta_pair_quadrature(request, setup, ks):
+    # The kept pairing is r times the first circuit's sum, here with
+    # long-double monomials: the stored later circuits carry the deck
+    # phase's rounding, which the degree-k monomials multiply by k.
     _, lift, hw = request.getfixturevalue(setup)
+    r, weights = lift.winding, lift_weights(lift, hw)[:N].astype(np.longdouble)
     for k in ks:
         state = bpu_map(lift, hw, k)
         pairings = state.coefficients * state.sec_basis.norms_sq
         b = basis(k)
-        quadrature = delta_pair(lift, hw, lambda pts: np.conj(monomial_values(b, pts)))
-        bound = delta_pair(lift, hw, lambda pts: np.abs(monomial_values(b, pts))).real
+        re, im = (r * (weights @ part) for part in polar_monomials(lift.circuit, k))
         kept = pairings != 0.0
         assert np.count_nonzero(kept) == 1
-        assert (np.linalg.norm(pairings[kept] - quadrature[kept])
-                <= 1e-13 * np.linalg.norm(quadrature[kept]))
+        gap = np.hypot(pairings[kept].real - re[kept], pairings[kept].imag + im[kept])
+        assert float(gap[0]) <= 1e-13 * float(np.hypot(re[kept], im[kept])[0]), k
         # The snapped pairings are seam noise under the floor of the selection rule.
+        quadrature = delta_pair(lift, hw, lambda pts: np.conj(monomial_values(b, pts)))
+        bound = delta_pair(lift, hw, lambda pts: np.abs(monomial_values(b, pts))).real
         assert np.all(np.abs(quadrature[~kept]) <= 1e-10 * bound[~kept])
 
 
@@ -230,12 +237,15 @@ def test_decay_far_point_passes_and_near_point_inconclusive(half_setup):
     loop, lift, hw = half_setup
     ks = list(range(2, 81, 2))
     far = latitude_loop(0.9, 64).points[3]
-    report = decay_check(lift, hw, far, ks)
+    report = decay_check(lift, hw, far, ks, -10.0)
     assert report.passed and not report.inconclusive
+    # The verdict reads the threshold it is given.
+    strict = decay_check(lift, hw, far, ks, -1000.0)
+    assert not strict.passed and strict.threshold == -1000.0
     sl = report.slopes
     assert np.all(np.diff(sl[len(sl) // 2:]) < 0)  # slopes keep decreasing
     near = latitude_loop(0.52, 64).points[0]
-    near_report = decay_check(lift, hw, near, ks)
+    near_report = decay_check(lift, hw, near, ks, -10.0)
     assert near_report.inconclusive
 
 

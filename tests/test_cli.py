@@ -40,6 +40,8 @@ def test_config_rejects_bad_grid_and_kind():
         ExperimentConfig.from_dict({"kind": "norm-sweep", "n": 32})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "mystery"})
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig.from_dict({"kind": "norm-sweep", "seed": 10 ** 400})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "norm-sweep",
                                     "tolerances": {"leading_rel": -1.0}})
@@ -204,7 +206,19 @@ def test_cli_malformed_config_exits_2(tmp_path):
                 {"kind": "norm-sweep", "raw": {}},
                 {"kind": "decay", "c": "1/2", "n": 64, "k_values": [3]},
                 {"kind": "derivative-crosscheck", "seed": True},
-                {"kind": "theorem-check", "tangents": [{}, {}], "pairs": [[True, False]]}):
+                {"kind": "theorem-check", "tangents": [{}, {}], "pairs": [[True, False]]},
+                {"kind": "norm-sweep", "n": "256"},
+                {"kind": "norm-sweep", "l_max": "1e1"},
+                {"kind": "norm-sweep", "tolerances": {"leading_rel": "0.5"}},
+                {"kind": "decay", "points": [{"c": "0.9"}]},
+                {"kind": "norm-sweep", "halfweight": {"type": "fourier", "term": [{"mode": 1}]}},
+                {"kind": "norm-sweep", "n": 64,
+                 "halfweight": {"type": "fourier", "terms": [{"mode": 1, "amp": 0.1}]}},
+                {"kind": "theorem-check", "pairs": [[0, 0]],
+                 "tangents": [{"f": [{"mode": 1}], "sell": [{"mode": 1}]}]},
+                {"kind": "decay", "points": [{"c": 0.5, "psy": 2.0}]},
+                {"kind": "profile", "k_values": [80, 160]},
+                {"kind": "decay", "k_values": [40, 80]}):
         cfg.write_text(json.dumps(bad))
         proc = run_cli("run", "--config", str(cfg))
         assert proc.returncode == 2, (bad, proc.stderr)
@@ -214,6 +228,22 @@ def test_cli_malformed_config_exits_2(tmp_path):
     assert proc.returncode == 2
     proc = run_cli("run", "--config", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
+
+
+def test_cli_decay_threshold_is_read(tmp_path):
+    # The shipped decay run passes at the default -10; no point reaches a
+    # final dyad slope of -1000.
+    raw = json.loads((CONFIG_DIR / "decay_far_points.json").read_text())
+    raw["tolerances"] = {"decay_slope": -1000}
+    cfg = tmp_path / "strict_decay.json"
+    cfg.write_text(json.dumps(raw))
+    proc = run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    manifest = json.loads((tmp_path / "out" / "decay.json").read_text())
+    assert manifest["tolerances"]["decay_slope"] == -1000
+    reports = [p["report"] for p in manifest["fits"]["points"]]
+    assert len(reports) == 3
+    assert all(rep["threshold"] == -1000 and not rep["passed"] for rep in reports)
 
 
 def test_cli_tolerance_failure_exits_1(tmp_path):

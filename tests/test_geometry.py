@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from bpu_lab import fourier, geometry, leaf
-from bpu_lab.errors import BohrSommerfeldError, DomainError, TubeStepError
+from bpu_lab.errors import BohrSommerfeldError, ContractViolation, DomainError, TubeStepError
 from bpu_lab.fourier import TrigInterpolator, grid_nodes, spectral_derivative, trapezoid
 from bpu_lab.geometry import (
+    PlanckianLift,
     foot_parameters,
     fs_distance,
     fs_inner,
@@ -289,3 +290,31 @@ def test_lift_holonomy_power_closes():
         loop = latitude_loop(c, 128)
         assert horizontal_lift(loop).winding == r
         assert abs(holonomy(loop).phase ** r - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("c, r", [(0.5, 2), (1.0 / 3.0, 3), (0.2, 5)])
+def test_lift_circuits_are_deck_turns_of_the_first(c, r):
+    loop = latitude_loop(c, 128)
+    lift = horizontal_lift(loop)
+    assert lift.winding == r and math.gcd(lift.turns, r) == 1
+    deck = np.exp(2j * np.pi * lift.turns / r)
+    assert abs(deck - holonomy(loop).phase) < 1e-10
+    assert lift.points.shape == (r * 128, 2)
+    for q in range(r):
+        circuit = lift.points[q * 128:(q + 1) * 128]
+        assert np.abs(circuit - deck ** q * lift.circuit).max() <= 8 * np.finfo(float).eps
+    # The first circuit ends at the deck phase, so the r-fold samples stay
+    # smooth across every seam.
+    assert fourier.tail_fraction(lift.points) < 1e-12
+    assert lift.legendrian_residual() < 1e-8
+
+
+def test_lift_rejects_turns_that_do_not_close_after_the_winding():
+    loop = latitude_loop(0.25, 64)
+    lift = horizontal_lift(loop)
+    assert (lift.winding, lift.turns % 4) in ((4, 1), (4, 3))
+    for winding, turns in ((4, 2), (4, 0), (2, 4), (0, 1)):
+        with pytest.raises(ContractViolation, match="coprime"):
+            PlanckianLift(lift.circuit, loop, winding, turns)
+    with pytest.raises(ContractViolation, match="first circuit"):
+        PlanckianLift(lift.points, loop, 4, lift.turns)

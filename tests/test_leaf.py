@@ -317,6 +317,15 @@ def test_flow_of_one_circuit_matches_all_circuit_oracle(c, r, t, tol):
     assert np.abs(new_hw.s_lambda - s_lambda).max() <= tol
 
 
+@pytest.mark.parametrize("c", [0.5, 1 / 3])
+def test_flow_keeps_the_deck_turns(c):
+    lift, hw, w = _latitude_state(c)
+    new_lift, _ = flow_state(lift, hw, w, 1e-3)
+    assert (new_lift.winding, new_lift.turns) == (lift.winding, lift.turns)
+    assert np.array_equal(new_lift.points[:N], new_lift.circuit)
+    assert np.abs(new_lift.circuit - lift.circuit).max() > 1e-4
+
+
 def test_flow_keeps_each_node_foot_at_its_node():
     # The warm start's premise: the field is tangent to the level sets of the
     # foot parameter.  A multi-step flow of a non-latitude state leaves
