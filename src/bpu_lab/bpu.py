@@ -287,7 +287,7 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
     one kernel pass; at every level the central differences of the projected
     states are Richardson-combined into d_f and d_ell, and row i of the
     level-k array is d_f + k*d_ell, as in d_bpu.  A leg that is identically
-    zero moves nothing and is skipped.
+    zero is skipped; the (0, ell) leg keeps the lift and moves only lambda.
     """
     loop = lift.base
     zero = np.zeros(loop.n)

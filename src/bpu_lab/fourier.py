@@ -8,6 +8,8 @@ long before quadrature error matters.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -47,9 +49,7 @@ def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
         factor[n // 2] = 0.0
     shape = (n,) + (1,) * (samples.ndim - 1)
     out = np.fft.ifft(np.fft.fft(samples, axis=0) * factor.reshape(shape), axis=0)
-    if np.isrealobj(samples):
-        return out.real
-    return out
+    return out.real if np.isrealobj(samples) else out
 
 
 def _powers(z: np.ndarray, n: int, into: np.ndarray | None = None) -> NDArray[np.complex128]:
@@ -116,7 +116,7 @@ class TrigInterpolator:
     """
 
     def __init__(self, samples: np.ndarray):
-        samples = np.asarray(samples)
+        self._samples = samples = np.asarray(samples)
         self._real = np.isrealobj(samples)
         self.n = samples.shape[0]
         self._shape = samples.shape[1:]
@@ -127,6 +127,12 @@ class TrigInterpolator:
         shared = np.where((m == 0) | (2 * m == self.n), 0.5, 1.0)[:, None]
         self._pos = shared * coeffs[m]
         self._neg = shared * coeffs[-m % self.n]
+
+    @cached_property
+    def node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values and first two derivatives at grid_nodes(n), built once by FFT;
+        its odd-order Nyquist zero is d/dphi cos(N/2*phi) = 0 at the nodes."""
+        return (self._samples, *(spectral_derivative(self._samples, p) for p in (1, 2)))
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
         return self._eval(phi, (0,))[0]

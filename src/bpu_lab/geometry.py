@@ -131,8 +131,8 @@ class LagrangianLoop:
     ``points`` holds canonical unit representatives with a smooth phase
     gauge along the parameter (required for spectral differentiation).
     Derived per-node data: horizontal tangents dL/dphi, the metric speed
-    (the length density coefficient against |dphi|), and trigonometric
-    interpolators for off-node evaluation.
+    (the length density coefficient against |dphi|), and a trigonometric
+    interpolator of the points for off-node evaluation.
     """
 
     def __init__(self, points: np.ndarray):
@@ -154,7 +154,6 @@ class LagrangianLoop:
             raise ContractViolation("loop tangent degenerates at a node")
 
         self._interp_points = TrigInterpolator(self.points)
-        self._interp_speed = TrigInterpolator(self.speed)
 
     # -- basic quantities ---------------------------------------------------
 
@@ -182,9 +181,6 @@ class LagrangianLoop:
     def tangent_at(self, phi) -> NDArray[np.complex128]:
         p, d = self._interp_points.derivative(phi, (0, 1))
         return project_tangent(p / np.linalg.norm(p, axis=-1, keepdims=True), d)
-
-    def speed_at(self, phi) -> NDArray[np.float64]:
-        return self._interp_speed(phi)
 
 
 class PlanckianLift:
@@ -396,17 +392,19 @@ _FOOT_TOL = 1e-13
 _FOOT_CURVATURE = 1e-6
 
 
-def _foot_newton(interp: TrigInterpolator, points: np.ndarray, phi: np.ndarray):
-    """Newton iteration for the feet of `points`, started at the parameters `phi`.
+def _foot_newton(interp: TrigInterpolator, points: np.ndarray, seeds: np.ndarray):
+    """Newton iteration for the feet of `points`, started at the node indices `seeds`.
 
     `interp` holds the loop samples in its first two columns; more columns
-    ride along.  Returns the feet, the values of `interp` and its first two
+    ride along.  The first iterate reads `interp.node_table`; later ones build
+    a basis.  Returns the feet, the values of `interp` and its first two
     derivatives at the last iterate, and u = <L, m>, u1 = <L', m> and the
     curvature of |u|^2 there.  TubeStepError signals departure from the tube.
     """
     step_cap = TWO_PI / interp.n
-    for _ in range(_FOOT_MAX_ITER):
-        vals = interp.derivative(phi, (0, 1, 2))
+    phi = grid_nodes(interp.n)[seeds]
+    for it in range(_FOOT_MAX_ITER):
+        vals = interp.derivative(phi, (0, 1, 2)) if it else tuple(t[seeds] for t in interp.node_table)
         u, u1, u2 = (_inner(v[:, :2], points) for v in vals)
         grad = 2.0 * np.real(np.conj(u) * u1)
         curv = 2.0 * (np.abs(u1) ** 2 + np.real(np.conj(u) * u2))
@@ -423,13 +421,12 @@ def foot_parameters(loop: LagrangianLoop, points: np.ndarray) -> NDArray[np.floa
     """Parameters of the normal-geodesic feet of tube points on the loop.
 
     For each point m, finds phi maximizing |<L(phi), m>| (equivalently
-    minimizing geodesic distance) by vectorized Newton iteration seeded at
-    the sample node of largest overlap, an O(M*N) search for points with no
+    minimizing geodesic distance) by vectorized Newton iteration from the
+    node-table row of largest overlap, an O(M*N) search for points with no
     better seed (`leaf.flow_state` seeds its own feet at the nodes).  Raises
     if any point fails to converge to a maximum, which signals departure
     from the tube of unique projection.
     """
     pts = np.atleast_2d(as_point_array(points))
-    overlaps = np.abs(pts @ np.conj(loop.points).T)  # (M, N)
-    phi = loop.phi[np.argmax(overlaps, axis=1)]
-    return np.mod(_foot_newton(loop._interp_points, pts, phi)[0], TWO_PI)
+    seeds = np.argmax(np.abs(pts @ np.conj(loop.points).T), axis=1)  # over (M, N) overlaps
+    return np.mod(_foot_newton(loop._interp_points, pts, seeds)[0], TWO_PI)

@@ -222,14 +222,14 @@ def hamiltonian_field(loop: LagrangianLoop, f: np.ndarray):
     normal geodesic through node j, to the horizontal representatives of
     upsilon_f there and the extension values f(beta(m)).  The field is
     tangent to the level sets of the foot parameter, so Newton starts at
-    loop.phi.  One interpolant of the columns [L, f] serves Newton, and its
-    last basis also gives the foot gradient (the implicit derivative of
-    the stationarity of |<L(phi), m>|^2), f and f'.
+    the nodes, from the node table of one interpolant of the columns [L, f];
+    its last iterate's values also give the foot gradient (the implicit
+    derivative of the stationarity of |<L(phi), m>|^2), f and f'.
     """
     interp = TrigInterpolator(np.column_stack([loop.points, np.asarray(f, dtype=np.float64)]))
 
     def field(points: np.ndarray):
-        _, (v, v1, _), u, u1, curv = _foot_newton(interp, points, loop.phi)
+        _, (v, v1, _), u, u1, curv = _foot_newton(interp, points, np.arange(loop.n))
         gvec = -(2.0 / curv)[:, None] * (u1[:, None] * v[:, :2] + u[:, None] * v1[:, :2])
         grad_phi = np.pi * project_tangent(points, gvec)
         upsilon = -HAMILTONIAN_SCALE * v1[:, 2:].real * (1j * grad_phi)
@@ -291,12 +291,15 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     pullback of lambda + t*ell.  The pair is the differentiable path with
     velocity (f, ell) used as the finite-difference ground truth.  The flow
     is fiber-equivariant, V(e^{ia} x) = e^{ia} V(x), so only the first
-    circuit is integrated; every foot projection starts at the nodes, where
-    the feet of the transported nodes stay.
+    circuit is integrated.  Every foot projection starts at the nodes, where
+    the transported nodes' feet stay; the retraction's last Newton iterate
+    gives the pulled-back lambda + t*ell and speed.  f = 0 moves no lift point.
     """
     loop = lift.base
     if hw.loop is not loop or w.loop is not loop:
         raise ContractViolation("lift, half-weight and tangent must share one loop")
+    if not np.any(w.f):
+        return lift, HalfWeight(loop, hw.s_lambda + t * w.s_ell)
 
     a = hamiltonian_normal_components(loop, w.f)
     max_speed = float(np.max(np.abs(a)))
@@ -330,12 +333,11 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
 
     # Half-weight transport: pull lambda + t*ell back through the
     # normal-geodesic retraction beta_t : L_t -> L.
-    feet = _foot_newton(loop._interp_points, new_loop.points, loop.phi)[0]
+    pulled = TrigInterpolator(np.column_stack([loop.points, hw.s_lambda + t * w.s_ell, loop.speed]))
+    feet, (v, _, _), *_ = _foot_newton(pulled, new_loop.points, np.arange(loop.n))
     delta = np.mod(feet - loop.phi + np.pi, TWO_PI) - np.pi
     dfeet = 1.0 + spectral_derivative(delta)
     if np.any(dfeet <= 0.0):
         raise TubeStepError("retraction reversed orientation; step too large")
-    eta = TrigInterpolator(hw.s_lambda + t * w.s_ell)
-    s_new = eta(loop.phi + delta) * np.sqrt(
-        loop.speed_at(loop.phi + delta) * dfeet / new_loop.speed)
+    s_new = v[:, 2].real * np.sqrt(v[:, 3].real * dfeet / new_loop.speed)
     return new_lift, HalfWeight(new_loop, s_new)

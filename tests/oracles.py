@@ -205,5 +205,6 @@ def flow_all_circuits(lift, hw, w, t: float):
     delta = np.angle(np.exp(1j * (foot_parameters(loop, new_loop.points) - loop.phi)))
     dfeet = 1.0 + spectral_derivative(delta)
     eta = TrigInterpolator(hw.s_lambda + t * w.s_ell)
-    s_new = eta(loop.phi + delta) * np.sqrt(loop.speed_at(loop.phi + delta) * dfeet / new_loop.speed)
+    speed = TrigInterpolator(loop.speed)
+    s_new = eta(loop.phi + delta) * np.sqrt(speed(loop.phi + delta) * dfeet / new_loop.speed)
     return x, s_new

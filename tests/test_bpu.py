@@ -303,6 +303,16 @@ def test_d_bpu_matches_fd_for_reference_tangent(half_setup):
     assert np.linalg.norm(ana - fd) / np.linalg.norm(fd) < 1e-4
 
 
+def test_d_bpu_matches_fd_for_a_pure_half_weight_tangent(half_setup):
+    # With f = 0 the transport is lambda + t*ell on the fixed lift, so the
+    # finite differences of the projection leave only rounding.
+    loop, lift, hw = half_setup
+    w = constrained(loop, hw, np.zeros(N), np.cos(PHI) + 0.5 * np.sin(3 * PHI))
+    ks = [4, 8, 16]
+    for k, ana, fd in zip(ks, d_bpu(lift, hw, [w], ks), fd_d_bpu(lift, hw, [w], ks)):
+        assert np.linalg.norm(ana - fd) <= 1e-8 * np.linalg.norm(fd), k
+
+
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_d_bpu_matches_fd_across_levels(half_setup, k):
     loop, lift, hw = half_setup

@@ -109,28 +109,44 @@ def test_trig_interpolator_orders_match_closed_form(n, real):
     assert np.abs(interp(xs[3]) - values[0][3]).max() <= 1e-14 * scale[0]
 
 
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("real", [True, False])
+def test_node_table_matches_basis_evaluation_at_the_nodes(n, real):
+    # The samples carry every mode of the grid, the Nyquist term cos(n/2 phi)
+    # included, whose first derivative vanishes at the nodes.
+    samples, _, _ = _trig_polynomial(n, real, seed=n + 1)
+    interp = TrigInterpolator(samples)
+    table = interp.node_table
+    assert interp.node_table is table
+    for got, want in zip(table, interp.derivative(grid_nodes(n), (0, 1, 2))):
+        assert np.isrealobj(got) == real and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_foot_projection_builds_one_basis_per_newton_step(monkeypatch):
     loop = latitude_loop(0.5, 64)
     off_node = loop.point_at(loop.phi + 0.3 * (2 * np.pi / loop.n))
     builds = []
     real_powers = fourier._powers
     monkeypatch.setattr(fourier, "_powers", lambda z, n: builds.append(n) or real_powers(z, n))
-    # On the nodes the nearest-node seed is already the foot: one step.
+    # On the nodes the nearest-node seed is already the foot: one step, read
+    # from the node table, so no basis.  Every later step builds one.
     feet = foot_parameters(loop, loop.points)
     assert np.abs(np.exp(1j * feet) - np.exp(1j * loop.phi)).max() < 1e-12
-    assert len(builds) == 1
+    assert len(builds) == 0
     for steps in (1, 2):
         builds.clear()
         monkeypatch.setattr(geometry, "_FOOT_MAX_ITER", steps)
         with pytest.raises(TubeStepError):
             foot_parameters(loop, off_node)
-        assert len(builds) == steps
+        assert len(builds) == steps - 1
 
 
 def test_flow_step_builds_one_basis_per_newton_step(monkeypatch):
     # One RK4 step: four field calls and the retraction, each one Newton run.
-    # Every basis of the step is a Newton step's, plus two for the pulled-back
-    # half-weight and speed; the field reuses its last Newton basis.
+    # Every basis of the step is a Newton step's after the first, which reads
+    # the node table; the pulled-back half-weight and speed, like the field,
+    # come from the last Newton iterate's values.
     loop = latitude_loop(1 / 3, 64)
     hw = leaf.HalfWeight.constant(loop)
     w = leaf.project_constraints(loop, np.cos(2 * loop.phi), np.sin(loop.phi) * hw.s_lambda, hw)
@@ -155,7 +171,7 @@ def test_flow_step_builds_one_basis_per_newton_step(monkeypatch):
     steps = [newton_steps(args) for args in runs]
     # Started at the nodes, each run converges within two steps.
     assert max(steps) <= 2
-    assert total == sum(steps) + 2
+    assert total == sum(steps) - len(runs)
 
 
 def test_quadrature_grid_kills_pure_modes():

@@ -317,6 +317,23 @@ def test_flow_of_one_circuit_matches_all_circuit_oracle(c, r, t, tol):
     assert np.abs(new_hw.s_lambda - s_lambda).max() <= tol
 
 
+@pytest.mark.parametrize("c, t", [(0.5, 1e-3), (1 / 3, -1e-3), (1 / 3, 0.025)])
+def test_flow_of_zero_f_moves_only_the_half_weight(c, t):
+    # f = 0 has no Hamiltonian field and no fiber rate: the lift stays, and
+    # the half-weight is lambda + t*ell on the same loop.  The oracle's
+    # half-weight is off by its own rounding: its feet carry the ~3e-14
+    # rounding of the spectral L', which the derivative of the feet scales
+    # by about N/2 (3.7e-12 on these states).
+    lift, hw, w = _latitude_state(c)
+    w = LeafTangent(lift.base, np.zeros(N), w.s_ell)
+    new_lift, new_hw = flow_state(lift, hw, w, t)
+    assert new_lift is lift and new_hw.loop is lift.base
+    assert np.array_equal(new_hw.s_lambda, hw.s_lambda + t * w.s_ell)
+    points, s_lambda = flow_all_circuits(lift, hw, w, t)
+    assert np.abs(new_lift.points - points).max() <= 1e-13
+    assert np.abs(new_hw.s_lambda - s_lambda).max() <= 1e-11
+
+
 @pytest.mark.parametrize("c", [0.5, 1 / 3])
 def test_flow_keeps_the_deck_turns(c):
     lift, hw, w = _latitude_state(c)
@@ -342,9 +359,9 @@ def test_flow_keeps_each_node_foot_at_its_node():
 
 def test_foot_newton_refuses_the_antipodal_minimum(monkeypatch):
     # On a latitude phi_j + pi is stationary for |<L(phi), L(phi_j)>|^2 with
-    # curvature +2c(1-c); seeded there, Newton must raise, not return it.
+    # curvature +2c(1-c); seeded at that node, Newton must raise, not return it.
     loop = latitude_loop(1 / 3, N)
-    seeds = loop.phi + np.pi
+    seeds = (np.arange(N) + N // 2) % N
     with pytest.raises(TubeStepError, match="not at a maximum"):
         geometry._foot_newton(loop._interp_points, loop.points, seeds)
     monkeypatch.setattr(geometry, "_FOOT_CURVATURE", -np.inf)
