@@ -56,7 +56,6 @@ __all__ = [
     "fs_norm",
     "project_tangent",
     "fs_distance",
-    "exp_map",
     "foot_parameters",
     "pole_clearance",
 ]
@@ -98,21 +97,6 @@ def fs_distance(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.arccos(ov) / SQRT_PI
 
 
-def exp_map(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Geodesic exponential: v is a horizontal representative at z.
-
-    The geodesic is the projected horizontal great circle; arc length is the
-    area-1 metric norm of v.
-    """
-    amp = np.linalg.norm(v, axis=-1)          # C^2 magnitude = sqrt(pi) * |v|_g
-    small = amp < 1e-300
-    safe = np.where(small, 1.0, amp)
-    vhat = v / safe[..., None]
-    theta = amp  # C^2 angle equals sqrt(pi) * (g-distance)
-    out = np.cos(theta)[..., None] * z + np.sin(theta)[..., None] * vhat
-    return np.where(small[..., None], z, out)
-
-
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
@@ -131,7 +115,8 @@ class LagrangianLoop:
     ``points`` holds canonical unit representatives with a smooth phase
     gauge along the parameter (required for spectral differentiation).
     Derived per-node data: horizontal tangents dL/dphi, the metric speed
-    (the length density coefficient against |dphi|), and a trigonometric
+    (the length density coefficient against |dphi|), the phase rate
+    m = Im<L, dL/dphi> of the representatives, and a trigonometric
     interpolator of the points for off-node evaluation.
     """
 
@@ -149,6 +134,7 @@ class LagrangianLoop:
 
         raw = spectral_derivative(self.points)
         self.tangents = project_tangent(self.points, raw)
+        self.phase_rate = np.imag(_inner(self.points, raw))
         self.speed = fs_norm(self.tangents)
         if np.any(self.speed < 1e-13):
             raise ContractViolation("loop tangent degenerates at a node")
@@ -261,6 +247,8 @@ class HolonomyResult:
     order: int | None  # None encodes "infinite" (no order up to the search cap)
 
 
+# Largest seam r*chi(2*pi) - 2*pi*turns that horizontal_lift spreads over the
+# first circuit; the phase is exact, so this guards only the seam.
 _CLOSURE_TOL = 1e-8
 
 # Holonomy orders are searched up to this cap; phase^r must be 1 within
@@ -269,39 +257,21 @@ MAX_HOLONOMY_ORDER = 64
 _HOLONOMY_TOL = 1e-9
 
 
-def _connection_rate(loop: LagrangianLoop) -> TrigInterpolator:
-    """Interpolator of m(phi) = Im<L, dL/dphi>, the phase rate of the lift."""
-    raw = spectral_derivative(loop.points)
-    return TrigInterpolator(np.imag(_inner(loop.points, raw)))
-
-
-def _integrate_phase(rate: TrigInterpolator, n_steps: int, h: float) -> NDArray[np.float64]:
-    """RK4 cumulative integral of chi' = -m(phi) from 0, returned at each node."""
-    chi = np.empty(n_steps + 1)
-    chi[0] = 0.0
-    phi0 = h * np.arange(n_steps)
-    k1 = -rate(phi0)
-    kmid = -rate(phi0 + 0.5 * h)
-    k4 = -rate(phi0 + h)
-    increments = (h / 6.0) * (k1 + 4.0 * kmid + k4)
-    np.cumsum(increments, out=chi[1:])
-    return chi
-
-
 def _phase_path(loop: LagrangianLoop) -> NDArray[np.float64]:
-    """Richardson-refined lift phase chi at the N + 1 nodes of one circuit."""
-    rate = _connection_rate(loop)
-    h = TWO_PI / loop.n
-    coarse = _integrate_phase(rate, loop.n, h)
-    fine = _integrate_phase(rate, 2 * loop.n, 0.5 * h)
-    if abs(fine[-1] - coarse[-1]) > _CLOSURE_TOL:
-        raise IntegrationAccuracyError(
-            f"lift phase integration unstable: step-halving defect {abs(fine[-1] - coarse[-1]):.3e}")
-    return (16.0 * fine[::2] - coarse) / 15.0
+    """Lift phase chi at the N + 1 nodes of one circuit: chi' = -m with
+    m = loop.phase_rate, integrated exactly for the trigonometric interpolant
+    of m by dividing its spectrum by (i j).  The Nyquist term cos(N/2*phi)
+    integrates to zero at the nodes, so chi(2*pi) = -trapezoid(m)."""
+    spectrum = np.fft.rfft(loop.phase_rate)
+    spectrum[1:-1] /= 1j * np.arange(1, spectrum.size - 1)
+    spectrum[[0, -1]] = 0.0
+    periodic = np.fft.irfft(spectrum, loop.n)
+    periodic = np.append(periodic, periodic[0]) - periodic[0]
+    return -(trapezoid(loop.phase_rate) * np.linspace(0.0, 1.0, loop.n + 1) + periodic)
 
 
 def _phase_and_holonomy(loop: LagrangianLoop) -> tuple[NDArray[np.float64], HolonomyResult]:
-    """The lift phase over one circuit (`_phase_path`) and the holonomy it ends at."""
+    """The exact lift phase over one circuit (`_phase_path`) and the holonomy it ends at."""
     if loop.periodicity_residual() > 1e-6:
         raise ContractViolation("loop samples are not smoothly periodic")
     chi = _phase_path(loop)
@@ -324,10 +294,11 @@ def holonomy(loop: LagrangianLoop) -> HolonomyResult:
 def horizontal_lift(loop: LagrangianLoop) -> PlanckianLift:
     """Closed horizontal lift of the loop, winding `order` times.
 
-    Integrates the alpha-annihilating phase transport over one circuit with
-    a fixed-step 4th-order method (one step per node, step-halving check).
-    The first circuit absorbs the seam r*chi(2*pi) - 2*pi*turns, so it ends
-    at the deck phase exp(2*pi*i*turns/r) that turns it into the others.
+    The alpha-annihilating phase transport over one circuit is the exact
+    antiderivative of the trigonometric interpolant of -Im<L, dL/dphi>, by
+    one FFT (`_phase_path`).  The first circuit absorbs the seam
+    r*chi(2*pi) - 2*pi*turns, so it ends at the deck phase
+    exp(2*pi*i*turns/r) that turns it into the others.
     """
     chi, hol = _phase_and_holonomy(loop)
     if hol.order is None:

@@ -5,9 +5,11 @@ from polygonal chord sums, bundle integrals from a dense product grid,
 derivatives from central finite differences or exact per-entry monomial
 arithmetic, monomial values from a long-double polar form, basis norms and latitude norms from closed forms, and delta
 pairings from a plain quadrature sum, so they can certify the closed-form /
-spectral paths and the level-moment kernel.  The one exception is the
-all-circuit transport, which reuses the package's tube field but none of
-the shortcuts of `leaf.flow_state`.
+spectral paths and the level-moment kernel.  The lift phase is integrated
+by RK4 on the interpolated connection rate, and the half-density
+derivative by finite differences of geodesically displaced loops.  The
+exception is the all-circuit transport, which reuses the package's tube
+field but none of the shortcuts of `leaf.flow_state`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 import numpy as np
 
 from bpu_lab.fourier import TrigInterpolator, spectral_derivative
-from bpu_lab.geometry import LagrangianLoop, foot_parameters, fs_distance
+from bpu_lab.geometry import LagrangianLoop, foot_parameters, fs_distance, normal_frame
 from bpu_lab.hardy import BUNDLE_VOLUME, monomial_values
-from bpu_lab.leaf import hamiltonian_field
+from bpu_lab.leaf import hamiltonian_field, hamiltonian_normal_components
 
 
 def polygonal_length(point_fn, m: int = 20000) -> float:
@@ -70,6 +72,20 @@ def bundle_gram(sec_basis, n_c: int = 256, n_psi: int = 256) -> np.ndarray:
     w2 = (wc[:, None] * np.full(len(psi), 1.0 / len(psi))[None, :]).reshape(-1)
     vals = monomial_values(sec_basis, flat)
     return BUNDLE_VOLUME * (np.conj(vals.T) * w2) @ vals
+
+
+def exp_map(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Geodesic exponential: v is a horizontal representative at z.
+
+    The geodesic is the projected horizontal great circle; arc length is the
+    area-1 metric norm of v.
+    """
+    amp = np.linalg.norm(v, axis=-1)          # C^2 magnitude = sqrt(pi) * |v|_g
+    small = amp < 1e-300
+    safe = np.where(small, 1.0, amp)
+    vhat = v / safe[..., None]
+    out = np.cos(amp)[..., None] * z + np.sin(amp)[..., None] * vhat
+    return np.where(small[..., None], z, out)
 
 
 def log_map(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -208,3 +224,33 @@ def flow_all_circuits(lift, hw, w, t: float):
     speed = TrigInterpolator(loop.speed)
     s_new = eta(loop.phi + delta) * np.sqrt(speed(loop.phi + delta) * dfeet / new_loop.speed)
     return x, s_new
+
+
+def phase_path_rk4(loop) -> np.ndarray:
+    """Lift phase chi at the N + 1 nodes of one circuit by RK4 on chi' = -m,
+    m = Im<L, dL/dphi> interpolated off the nodes, one step per node and one
+    per half node, Richardson-combined."""
+    rate = TrigInterpolator(np.imag(np.sum(np.conj(loop.points) * spectral_derivative(loop.points),
+                                           axis=-1)))
+
+    def integrate(steps: int) -> np.ndarray:
+        h = 2.0 * np.pi / steps
+        phi0 = h * np.arange(steps)
+        increments = (h / 6.0) * -(rate(phi0) + 4.0 * rate(phi0 + 0.5 * h) + rate(phi0 + h))
+        return np.concatenate([[0.0], np.cumsum(increments)])
+
+    return (16.0 * integrate(2 * loop.n)[::2] - integrate(loop.n)) / 15.0
+
+
+def gamma_fd(loop, f, step: float = 1e-3) -> np.ndarray:
+    """t-derivative of sqrt(speed_t / speed) for the loop moved along the
+    geodesics of t * (Hamiltonian normal velocity of f): central differences
+    at t = step/2 and step/4, Richardson-combined."""
+    a = hamiltonian_normal_components(loop, f)
+    nf = normal_frame(loop)
+
+    def g_at(t: float) -> np.ndarray:
+        return np.sqrt(LagrangianLoop(exp_map(loop.points, (t * a)[:, None] * nf)).speed / loop.speed)
+
+    central = [(g_at(h) - g_at(-h)) / (2.0 * h) for h in (0.5 * step, 0.25 * step)]
+    return (4.0 * central[1] - central[0]) / 3.0

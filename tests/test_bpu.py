@@ -313,6 +313,21 @@ def test_d_bpu_matches_fd_for_a_pure_half_weight_tangent(half_setup):
         assert np.linalg.norm(ana - fd) <= 1e-8 * np.linalg.norm(fd), k
 
 
+@pytest.mark.parametrize("c, ks", [(1.0 / 3.0, [9, 18, 36]), (0.2, [10, 20, 40])])
+def test_d_bpu_matches_fd_off_the_equator(c, ks):
+    # Off the geodesic equator the half-density derivative Gamma is nonzero,
+    # so this checks the term that the c = 1/2 cross-checks cannot see.
+    loop = latitude_loop(c, N)
+    lift = horizontal_lift(loop)
+    hw = HalfWeight.from_samples(loop, 1.0 + 0.3 * np.cos(PHI) + 0.1 * np.sin(3 * PHI))
+    frame = [constrained(loop, hw, np.cos(2 * PHI) + 0.5 * np.sin(3 * PHI), np.cos(PHI)),
+             constrained(loop, hw, np.sin(PHI), np.zeros(N))]
+    ana, fd = d_bpu(lift, hw, frame, ks), fd_d_bpu(lift, hw, frame, ks)
+    worst = max(np.linalg.norm(a - d) / np.linalg.norm(d)
+                for rows_a, rows_d in zip(ana, fd) for a, d in zip(rows_a, rows_d))
+    assert worst <= 1e-6
+
+
 @pytest.mark.parametrize("k", [2, 4, 8])
 def test_d_bpu_matches_fd_across_levels(half_setup, k):
     loop, lift, hw = half_setup

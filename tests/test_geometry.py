@@ -22,7 +22,7 @@ from bpu_lab.geometry import (
 )
 
 from conftest import wavy_loop
-from oracles import polygonal_length
+from oracles import exp_map, phase_path_rk4, polygonal_length
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,21 @@ def test_holonomy_area_relation_on_random_loops():
         loop = wavy_loop(c0=0.45 + 0.02 * (seed % 3), n=256, seed=seed)
         area = signed_area(loop)
         res = holonomy(loop)
-        assert abs(res.phase - np.exp(2j * np.pi * area)) < 1e-8
+        assert abs(res.phase - np.exp(2j * np.pi * area)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("c", [0.05, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9])
+def test_latitude_phase_is_exact(c, n):
+    # On |z0|^2 = c the connection rate Im<L, L'> is the constant 1 - c.
+    chi = geometry._phase_path(latitude_loop(c, n))
+    assert np.abs(chi + (1.0 - c) * np.linspace(0.0, 2.0 * np.pi, n + 1)).max() < 1e-14
+
+
+def test_phase_matches_rk4_oracle_on_wavy_loops():
+    for seed in range(5):
+        loop = wavy_loop(c0=0.4 + 0.05 * seed, n=256, seed=seed)
+        assert np.abs(geometry._phase_path(loop) - phase_path_rk4(loop)).max() < 1e-12
 
 
 def test_signed_area_of_latitude_is_area_coordinate():
@@ -291,7 +305,6 @@ def test_normal_frame_orthonormal(equator):
 
 def test_equator_normal_points_along_latitude_gradient(equator):
     # Moving along the normal changes the area coordinate c = |z0|^2, not psi.
-    from bpu_lab.geometry import exp_map
     nf = normal_frame(equator)
     moved = exp_map(equator.points, 0.05 * nf)
     dc = np.abs(moved[:, 0]) ** 2 - np.abs(equator.points[:, 0]) ** 2

@@ -31,7 +31,8 @@ from bpu_lab.leaf import (
     psi_pushforward,
 )
 
-from oracles import flow_all_circuits, log_map
+from conftest import wavy_loop
+from oracles import flow_all_circuits, gamma_fd, log_map
 
 
 N = 256
@@ -249,7 +250,29 @@ def test_gamma_linear():
     f1, f2 = np.cos(PHI), np.sin(2 * PHI)
     lin = gamma_flow(loop, 2.0 * f1 + 0.5 * f2)
     direct = 2.0 * gamma_flow(loop, f1) + 0.5 * gamma_flow(loop, f2)
-    assert np.abs(lin - direct).max() < 1e-6
+    assert np.abs(lin - direct).max() < 1e-11
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("c", [0.05, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9])
+def test_gamma_is_exact_on_latitudes(c, n):
+    # A latitude moved normally stays a latitude: its half-density changes at
+    # rate -(1 - 2c) / (4c(1 - c)) * f'.
+    phi = grid_nodes(n)
+    f = np.cos(2 * phi) + 0.4 * np.sin(3 * phi)
+    df = -2.0 * np.sin(2 * phi) + 1.2 * np.cos(3 * phi)
+    scale = 1.0 / (4.0 * c * (1.0 - c))
+    gam = gamma_flow(latitude_loop(c, n), f)
+    assert np.abs(gam + (1.0 - 2.0 * c) * scale * df).max() <= 1e-10 * scale * np.abs(df).max()
+
+
+def test_gamma_matches_finite_difference_oracle_off_latitudes():
+    f = np.cos(2 * PHI) + 0.4 * np.sin(3 * PHI)
+    loops = [geometry.perturbed_latitude(0.3, N, amplitude=0.08, seed=11)]
+    loops += [wavy_loop(c0=0.4 + 0.05 * seed, n=N, seed=seed) for seed in range(5)]
+    for loop in loops:
+        oracle = gamma_fd(loop, f)
+        assert np.abs(gamma_flow(loop, f) - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
 
 # ---------------------------------------------------------------------------
