@@ -43,15 +43,6 @@ class ExpansionFit:
     def leading(self) -> float:
         return float(self.coefficients[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "m": self.m,
-            "coefficients": [float(c) for c in self.coefficients],
-            "residual_norm": self.residual_norm,
-            "condition": self.condition,
-        }
-
 
 @dataclass(frozen=True)
 class LadderReport:
@@ -62,16 +53,6 @@ class LadderReport:
     inconclusive: bool
     residual_scale: float
 
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "predicted": self.predicted,
-            "consistent": self.consistent,
-            "matches": self.matches,
-            "inconclusive": self.inconclusive,
-            "residual_scale": self.residual_scale,
-        }
-
 
 @dataclass(frozen=True)
 class DecayReport:
@@ -80,17 +61,8 @@ class DecayReport:
     dyad_ks: NDArray[np.float64]
     slopes: NDArray[np.float64]
     passed: bool
-    threshold: float = -10.0
-    inconclusive: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "dyad_ks": [float(k) for k in self.dyad_ks],
-            "slopes": [float(s) for s in self.slopes],
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "inconclusive": self.inconclusive,
-        }
+    threshold: float
+    inconclusive: bool
 
 
 def _as_arrays(samples) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -185,7 +157,7 @@ def ladder_residual_check(samples, alpha: float, m: int,
     )
 
 
-def superpoly_decay(samples, threshold: float = -10.0) -> DecayReport:
+def superpoly_decay(samples, threshold: float) -> DecayReport:
     """Per-dyad log-log slopes of a positive sequence; passes when the final
     dyad slope has dropped below the threshold."""
     ks, ys = _as_arrays(samples)
@@ -215,4 +187,5 @@ def superpoly_decay(samples, threshold: float = -10.0) -> DecayReport:
         slopes=slopes_arr,
         passed=bool(slopes_arr[-1] < threshold),
         threshold=threshold,
+        inconclusive=False,
     )

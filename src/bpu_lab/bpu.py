@@ -375,8 +375,7 @@ def norm_sweep(lift: PlanckianLift, hw: HalfWeight, ks: Sequence[int]) -> list[d
 # Pointwise structure
 # ---------------------------------------------------------------------------
 
-def pointwise_profile(state: BpuState, x, w_direction,
-                      samples: np.ndarray | None = None) -> ProfileTable:
+def pointwise_profile(state: BpuState, x, w_direction, samples: np.ndarray) -> ProfileTable:
     """Modulus profile under transverse displacements x + w/sqrt(k).
 
     `x` must lie on the circle orbit of the lift; `w_direction` is a
@@ -386,8 +385,6 @@ def pointwise_profile(state: BpuState, x, w_direction,
     (TRANSVERSE_SCALE times the FS norm), the unit in which the predicted
     leading profile is exp(-|w_perp|^2).
     """
-    if samples is None:
-        samples = np.linspace(0.0, 1.5, 16)
     samples = np.asarray(samples, dtype=np.float64)
     xv = as_point_array(x)
     loop = state.lift.base

@@ -49,10 +49,6 @@ class Calibration:
     sigma_p: int
     fd_relative_error: float
 
-    def to_dict(self) -> dict:
-        return {"sigma_theta": self.sigma_theta, "sigma_p": self.sigma_p,
-                "fd_relative_error": self.fd_relative_error}
-
 
 @dataclass(frozen=True)
 class MeasuredConstants:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -301,18 +301,16 @@ def _run_norm_sweep(config: ExperimentConfig) -> _Outcome:
     ks = [r * l for l in range(1, config.l_max + 1)]
     table = bpu.norm_sweep(lift, hw, ks)
     rows = [(row["k"], row["l"], row["r"], row["norm_sq"], 0.0) for row in table]
-    samples = [(row["k"], row["norm_sq"]) for row in table]
-    fit = asymptotics.fit_leading(samples, alpha=0.5, m=3)
-    ladder = asymptotics.ladder_residual_check(samples, alpha=0.5, m=1,
-                                               band=config.tolerances["ladder_band"])
+    fit, ladder = _expansion([(row["k"], row["norm_sq"]) for row in table], 0.5,
+                             config.tolerances["ladder_band"])
     target = math.sqrt(2.0 / math.pi) * r * r
     deviation = abs(fit.leading / target - 1.0)
     smallest = min((row["k"] for row in table if row["admissible"]), default=None)
     fits = {
-        "leading": fit.to_dict(),
+        "leading": fit,
         "target": target,
         "deviation": deviation,
-        "ladder": ladder.to_dict(),
+        "ladder": ladder,
         "smallest_admissible_k": smallest,
     }
     verdicts = {
@@ -320,6 +318,14 @@ def _run_norm_sweep(config: ExperimentConfig) -> _Outcome:
         "ladder_residual": ladder.consistent or ladder.inconclusive,
     }
     return rows, fits, verdicts
+
+
+def _expansion(samples, alpha: float, band: float, floor: float | None = None):
+    """The three-term leading fit of a sampled series and the one-term ladder
+    check of its remainder: the policy by which every series is judged."""
+    return (asymptotics.fit_leading(samples, alpha=alpha, m=3),
+            asymptotics.ladder_residual_check(samples, alpha=alpha, m=1, band=band,
+                                              floor=floor))
 
 
 def _pair_deviation(fitted: float, constant: float, target: float, scale: float) -> float:
@@ -336,49 +342,30 @@ def _run_theorem_check(config: ExperimentConfig) -> _Outcome:
     consts = calibration.measured_constants()
     ks = [r * l for l in range(1, config.l_max + 1)]
     rows = []
-    fits: dict[str, Any] = {"c_omega": bpu.C_OMEGA, "c_g": bpu.C_G,
-                            "c_omega_raw": consts.c_omega_raw, "c_g_raw": consts.c_g_raw,
+    fits: dict[str, Any] = {"c_omega": bpu.C_OMEGA, "c_g": bpu.C_G, **asdict(consts),
                             "pairs": []}
     verdicts: dict[str, bool] = {}
     forms = bpu.fs_pullback(lift, hw, tangents, ks)
     for idx, (i, j) in enumerate(config.pairs):
         w, wp = tangents[i], tangents[j]
-        omega_target = leaf.omega(w, wp, hw)
-        g_target = leaf.metric_g(w, wp, hw)
         scale = math.sqrt(leaf.metric_g(w, w, hw) * leaf.metric_g(wp, wp, hw))
         values = forms[:, i, j]
         rows.extend((k, k // r, r, float(v.real), float(v.imag)) for k, v in zip(ks, values))
-        im_samples = list(zip(ks, values.imag))
-        re_samples = list(zip(ks, values.real))
-        im_fit = asymptotics.fit_leading(im_samples, alpha=2.0, m=3)
-        re_fit = asymptotics.fit_leading(re_samples, alpha=2.0, m=3)
         # Pullback values are Gram ratios of k^2-sized products; cancellation
         # noise below this scale supports no ladder-slope estimate.
         noise_floor = 1e-10 * scale * max(ks) ** 2
-        im_ladder = asymptotics.ladder_residual_check(im_samples, alpha=2.0, m=1,
-                                                      band=config.tolerances["ladder_band"],
-                                                      floor=noise_floor)
-        re_ladder = asymptotics.ladder_residual_check(re_samples, alpha=2.0, m=1,
-                                                      band=config.tolerances["ladder_band"],
-                                                      floor=noise_floor)
-        dev_omega = _pair_deviation(im_fit.leading, bpu.C_OMEGA, omega_target, scale)
-        dev_g = _pair_deviation(re_fit.leading, bpu.C_G, g_target, scale)
-        fits["pairs"].append({
-            "pair": [i, j],
-            "omega_target": omega_target,
-            "g_target": g_target,
-            "omega_fit": im_fit.to_dict(),
-            "g_fit": re_fit.to_dict(),
-            "omega_deviation": dev_omega,
-            "g_deviation": dev_g,
-            "omega_ladder": im_ladder.to_dict(),
-            "g_ladder": re_ladder.to_dict(),
-        })
-        tol = config.tolerances["pair_rel"]
-        verdicts[f"pair{idx}_omega"] = dev_omega < tol
-        verdicts[f"pair{idx}_g"] = dev_g < tol
-        verdicts[f"pair{idx}_omega_ladder"] = im_ladder.consistent or im_ladder.inconclusive
-        verdicts[f"pair{idx}_g_ladder"] = re_ladder.consistent or re_ladder.inconclusive
+        pair: dict[str, Any] = {"pair": [i, j]}
+        for part, series, constant, target in (
+                ("omega", values.imag, bpu.C_OMEGA, leaf.omega(w, wp, hw)),
+                ("g", values.real, bpu.C_G, leaf.metric_g(w, wp, hw))):
+            fit, ladder = _expansion(list(zip(ks, series)), 2.0,
+                                     config.tolerances["ladder_band"], noise_floor)
+            deviation = _pair_deviation(fit.leading, constant, target, scale)
+            pair.update({f"{part}_target": target, f"{part}_fit": fit,
+                         f"{part}_deviation": deviation, f"{part}_ladder": ladder})
+            verdicts[f"pair{idx}_{part}"] = deviation < config.tolerances["pair_rel"]
+            verdicts[f"pair{idx}_{part}_ladder"] = ladder.consistent or ladder.inconclusive
+        fits["pairs"].append(pair)
     return rows, fits, verdicts
 
 
@@ -423,9 +410,9 @@ def _run_profile(config: ExperimentConfig) -> _Outcome:
     deviation = table.max_abs_deviation()
     fits = {
         "k": k,
-        "w_norm": [float(v) for v in table.w_norm],
-        "ratio": [float(v) for v in table.ratio],
-        "gaussian": [float(v) for v in table.gaussian],
+        "w_norm": table.w_norm,
+        "ratio": table.ratio,
+        "gaussian": table.gaussian,
         "max_abs_deviation": deviation,
     }
     verdicts = {"gaussian_profile": deviation < config.tolerances["gaussian_abs"]}
@@ -449,9 +436,9 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
         report = bpu.decay_check(lift, hw, x, ks, config.tolerances["decay_slope"])
         for k, v in zip(report.ks, report.values):
             rows.append((int(k), int(k) // r, r, float(v), 0.0))
-        dist = float(np.min(fs_distance(x[None, :], loop.points)))
+        dist = np.min(fs_distance(x[None, :], loop.points))
         fits["points"].append({"descriptor": desc, "distance": dist,
-                               "report": report.to_dict()})
+                               "report": report})
         verdicts[f"point{p_idx}_decay"] = bool(report.passed and not report.inconclusive)
     return rows, fits, verdicts
 
@@ -491,7 +478,7 @@ def _run_identity_suite(config: ExperimentConfig) -> _Outcome:
             f_bwd = bpu.f_integrand(wp, w, hw)
             record("f_hermitian", abs(f_fwd - np.conj(f_bwd)))
     rows = []
-    fits = {"worst_defects": {k: float(v) for k, v in sorted(worst.items())}}
+    fits = {"worst_defects": worst}
     verdicts = {name: bool(v < tol) for name, v in sorted(worst.items())}
     return rows, fits, verdicts
 
@@ -541,7 +528,7 @@ def emit_report(result: RunResult, outdir: Path | str) -> tuple[Path, Path]:
         "config": result.config.raw,
         "config_sha256": result.config.config_hash(),
         "kind": result.kind,
-        "calibrated_signs": result.signs.to_dict(),
+        "calibrated_signs": result.signs,
         "c_omega": bpu.C_OMEGA,
         "c_g": bpu.C_G,
         "tolerances": result.config.tolerances,
@@ -555,6 +542,8 @@ def emit_report(result: RunResult, outdir: Path | str) -> tuple[Path, Path]:
 
 
 def _json_default(obj):
+    if is_dataclass(obj):
+        return asdict(obj)
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):

@@ -137,12 +137,10 @@ class TrigInterpolator:
     def __call__(self, phi: np.ndarray) -> np.ndarray:
         return self._eval(phi, (0,))[0]
 
-    def derivative(self, phi: np.ndarray, order: int | tuple[int, ...] = 1):
-        """d^order/dphi^order at phi; a tuple of orders gives one array per
-        order, all from one basis."""
-        if isinstance(order, tuple):
-            return self._eval(phi, order)
-        return self._eval(phi, (order,))[0]
+    def derivative(self, phi: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """d^p/dphi^p at phi for each p in `orders`, one array per order, all
+        from one basis."""
+        return self._eval(phi, orders)
 
     def _eval(self, phi: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         scalar = np.ndim(phi) == 0

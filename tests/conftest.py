@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bpu_lab.geometry import perturbed_latitude
+from bpu_lab.geometry import latitude_loop, perturbed_latitude
 
 
 def wavy_loop(c0: float = 0.5, n: int = 256, seed: int = 0, amplitude: float = 0.05,
@@ -17,7 +17,6 @@ def wavy_loop(c0: float = 0.5, n: int = 256, seed: int = 0, amplitude: float = 0
 
 @pytest.fixture(scope="session")
 def equator():
-    from bpu_lab.geometry import latitude_loop
     return latitude_loop(0.5, 256)
 
 

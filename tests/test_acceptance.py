@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from bpu_lab import asymptotics, bpu, hardy, leaf
-from bpu_lab.geometry import holonomy, horizontal_lift, latitude_loop, normal_frame, perturbed_latitude
+from bpu_lab.geometry import (
+    fs_distance,
+    holonomy,
+    horizontal_lift,
+    latitude_loop,
+    normal_frame,
+    perturbed_latitude,
+)
 from bpu_lab.leaf import HalfWeight, flow_state, project_constraints
 
 from oracles import delta_pair
@@ -130,7 +137,6 @@ def test_rapid_decay_off_locus(leaves):
               latitude_loop(0.92, 64).points[13]]
     final_slopes = []
     for x in points:
-        from bpu_lab.geometry import fs_distance
         assert float(np.min(fs_distance(x[None, :], loop.points))) >= 0.2
         rep = bpu.decay_check(lift, hw, x, ks, -10.0)
         assert rep.passed and not rep.inconclusive

@@ -125,17 +125,17 @@ def test_ladder_reports_off_prediction_but_consistent_slope():
 # ---------------------------------------------------------------------------
 
 def test_decay_exponential_passes():
-    rep = superpoly_decay([(k, np.exp(-k)) for k in KS])
+    rep = superpoly_decay([(k, np.exp(-k)) for k in KS], -10.0)
     assert rep.passed
     assert np.all(np.diff(rep.slopes) < 0)
 
 
 def test_decay_power_law_fails():
-    rep = superpoly_decay([(k, k ** -3.0) for k in KS])
+    rep = superpoly_decay([(k, k ** -3.0) for k in KS], -10.0)
     assert not rep.passed
     assert np.abs(rep.slopes + 3.0).max() < 1e-9
 
 
 def test_decay_requires_nonnegative():
     with pytest.raises(DomainError):
-        superpoly_decay([(2, 1.0), (4, -1.0)])
+        superpoly_decay([(2, 1.0), (4, -1.0)], -10.0)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bpu_lab import bpu, hardy, leaf
+from bpu_lab import asymptotics, bpu, hardy, leaf
 from bpu_lab.bpu import (
     bpu_map,
     d_bpu,
@@ -230,7 +230,7 @@ def test_profile_rejects_off_locus_point(half_setup):
     state = bpu_map(lift, hw, 20)
     far = latitude_loop(0.9, 64).points[0]
     with pytest.raises(ContractViolation):
-        pointwise_profile(state, far, normal_frame(loop)[0])
+        pointwise_profile(state, far, normal_frame(loop)[0], samples=np.array([0.0, 1.0]))
 
 
 def test_decay_far_point_passes_and_near_point_inconclusive(half_setup):
@@ -602,7 +602,6 @@ def test_hermitian_product_reproduces_f_integral(half_setup):
 
 def test_norm_sweep_constant_scales_with_winding_squared(half_setup):
     _, lift2, hw2 = half_setup
-    from bpu_lab import asymptotics as asym
     loop4 = latitude_loop(0.25, N)
     lift4 = horizontal_lift(loop4)
     assert lift4.winding == 4
@@ -611,8 +610,8 @@ def test_norm_sweep_constant_scales_with_winding_squared(half_setup):
     for r, lift, hw in ((2, lift2, hw2), (4, lift4, hw4)):
         ks = [r * l for l in range(1, 21)]
         rows = norm_sweep(lift, hw, ks)
-        fits[r] = asym.fit_leading([(row["k"], row["norm_sq"]) for row in rows],
-                                   alpha=0.5, m=3).leading
+        fits[r] = asymptotics.fit_leading([(row["k"], row["norm_sq"]) for row in rows],
+                                          alpha=0.5, m=3).leading
     assert fits[4] / fits[2] == pytest.approx(4.0, rel=2e-2)
 
 
@@ -620,9 +619,8 @@ def test_norm_sweep_ladder_slope_is_minus_half(half_setup):
     # frozen from the sweep: the first correction term sits at k^0... k^(-1/2)
     # relative, i.e. the residual after the leading term decays like k^(-1/2)
     _, lift, hw = half_setup
-    from bpu_lab import asymptotics as asym
     rows = norm_sweep(lift, hw, [2 * l for l in range(1, 41)])
-    rep = asym.ladder_residual_check([(r["k"], r["norm_sq"]) for r in rows],
-                                     alpha=0.5, m=1)
+    rep = asymptotics.ladder_residual_check([(r["k"], r["norm_sq"]) for r in rows],
+                                            alpha=0.5, m=1)
     assert rep.consistent
     assert rep.slope == pytest.approx(-0.5, abs=0.15)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bpu_lab import bpu, calibration
+from bpu_lab import bpu, calibration, cli
 from bpu_lab.errors import ConfigError
 from bpu_lab.experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment
 
@@ -178,18 +178,28 @@ def test_cli_run_pass_and_artifacts(tmp_path):
     assert (tmp_path / "out" / "norm-sweep.json").exists()
 
 
-def test_cli_malformed_config_exits_2(tmp_path):
+def test_cli_malformed_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/0"}))
+
+    def run_bad(text):
+        cfg.write_text(text)
+        code = cli.main(["run", "--config", str(cfg)])
+        return code, capsys.readouterr().err
+
+    # One case through a real process pins the process-level contract: a bad
+    # number exits 2 with a one-line error and no traceback.
+    cfg.write_text(json.dumps({"kind": "norm-sweep", "n": "abc"}))
     proc = run_cli("run", "--config", str(cfg))
     assert proc.returncode == 2
-    cfg.write_text(json.dumps({"kind": "derivative-crosscheck", "k_values": [0]}))
-    proc = run_cli("run", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert "k_values" in proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    # The rest run in process; an escaping exception fails the test directly.
+    code, err = run_bad(json.dumps({"kind": "norm-sweep", "c": "1/0"}))
+    assert code == 2
+    code, err = run_bad(json.dumps({"kind": "derivative-crosscheck", "k_values": [0]}))
+    assert code == 2
+    assert "k_values" in err
     fourier_hw = {"type": "fourier", "terms": [{"mode": "q"}]}
-    for bad in ({"kind": "norm-sweep", "n": "abc"},
-                {"kind": "norm-sweep", "l_max": None},
+    for bad in ({"kind": "norm-sweep", "l_max": None},
                 {"kind": "norm-sweep", "l_max": 5.7},
                 {"kind": "derivative-crosscheck", "k_values": ["x"]},
                 {"kind": "theorem-check", "tangents": [{"f": []}], "pairs": [[0]]},
@@ -219,15 +229,12 @@ def test_cli_malformed_config_exits_2(tmp_path):
                 {"kind": "decay", "points": [{"c": 0.5, "psy": 2.0}]},
                 {"kind": "profile", "k_values": [80, 160]},
                 {"kind": "decay", "k_values": [40, 80]}):
-        cfg.write_text(json.dumps(bad))
-        proc = run_cli("run", "--config", str(cfg))
-        assert proc.returncode == 2, (bad, proc.stderr)
-        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    cfg.write_text("{not json")
-    proc = run_cli("run", "--config", str(cfg))
-    assert proc.returncode == 2
-    proc = run_cli("run", "--config", str(tmp_path / "missing.json"))
-    assert proc.returncode == 2
+        code, err = run_bad(json.dumps(bad))
+        assert code == 2, (bad, err)
+        assert err.startswith("error: ") and "Traceback" not in err
+    code, _ = run_bad("{not json")
+    assert code == 2
+    assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
 def test_cli_decay_threshold_is_read(tmp_path):

@@ -245,8 +245,7 @@ def test_every_basis_element_winds_exactly_k():
     theta = np.linspace(0.0, 2.0 * np.pi, 129)
     x = random_bundle_point(seed=40)
     orbit = np.exp(1j * theta)[:, None] * x[None, :]
-    from bpu_lab.hardy import monomial_values
-    vals = monomial_values(b, orbit)
+    vals = hardy.monomial_values(b, orbit)
     for a in range(k + 1):
         winding = (np.unwrap(np.angle(vals[:, a]))[-1] - np.angle(vals[0, a])) / (2 * np.pi)
         assert round(winding) == EQUIVARIANCE_SIGN * k
