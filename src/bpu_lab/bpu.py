@@ -171,7 +171,8 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
     each is a row of conj(P V), V = [conj(z1) amp, conj(ups0) s_w,
     conj(ups1) s_w] built once for all levels, but for the row a = k, which
     pairs conj(P[k-1]) with conj(z0) amp.  Valid for k*max(c, 1-c) < N on a
-    latitude of area c over N base nodes, and k < 1019 (see `bpu_map`).
+    latitude of area c over N base nodes, and while norm_sq stays finite
+    (see `bpu_map`).
     """
     z0, z1 = points[:, 0], points[:, 1]
     t = normal.shape[2]
@@ -237,8 +238,9 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
     would masquerade as O(1e-3) coefficients.
     Valid while the level-k integrand's loop frequencies stay below N, the
     nodes of the first circuit: on a latitude of area c the trapezoid rule
-    aliases from k*max(c, 1-c) = N, not r*N; and below k = 1019, where the
-    basis norms go subnormal (norm_sq is NaN at k = 1024, c = 1/2).
+    aliases from k*max(c, 1-c) = N, not r*N; and while norm_sq stays
+    finite, which it first fails to be at k = 1014 on c = 1/2 (inf) and at
+    k = 1023 on c = 1/3 (NaN), as the mid-band basis norms near 1e-307.
     """
     b, coeffs, _ = next(_frame_moments(lift, hw, (), [k]))
     return BpuState(k, b, coeffs, lift)
@@ -282,28 +284,29 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
              ks: Sequence[int]) -> list[NDArray[np.complex128]]:
     """Finite-difference ground truth for d_bpu via the contact transport.
 
-    Each tangent's legs (f, 0) and (0, ell) are transported once, to +-FD_STEP
-    and +-FD_STEP/2, and each transported state is projected at all levels in
-    one kernel pass; at every level the central differences of the projected
-    states are Richardson-combined into d_f and d_ell, and row i of the
-    level-k array is d_f + k*d_ell, as in d_bpu.  A leg that is identically
-    zero is skipped; the (0, ell) leg keeps the lift and moves only lambda.
+    Each tangent's legs (f, 0) and (0, ell) are transported by one
+    `flow_state` call to +-FD_STEP and +-FD_STEP/2, and each transported
+    state is projected at all levels in one kernel pass; at every level the
+    central differences of the projected states are Richardson-combined
+    into d_f and d_ell, and row i of the level-k array is d_f + k*d_ell, as
+    in d_bpu.  A leg that is identically zero is skipped; the (0, ell) leg
+    keeps the lift and moves only lambda.
     """
     loop = lift.base
     zero = np.zeros(loop.n)
     steps = (FD_STEP, 0.5 * FD_STEP)
+    times = [t for h in steps for t in (h, -h)]
     out = [np.zeros((len(tangents), k + 1), dtype=np.complex128) for k in ks]
     for i, w in enumerate(tangents):
         for leg, rescaled in ((LeafTangent(loop, w.f, zero), False),
                               (LeafTangent(loop, zero, w.s_ell), True)):
             if not (np.any(leg.f) or np.any(leg.s_ell)):
                 continue
-            states = [(flow_state(lift, hw, leg, +h), flow_state(lift, hw, leg, -h)) for h in steps]
-            moved = [[[c for _, c, _ in _frame_moments(*state, (), ks)] for state in pair]
-                     for pair in states]
+            moved = [[c for _, c, _ in _frame_moments(*state, (), ks)]
+                     for state in flow_state(lift, hw, leg, times)]
             for n, (k, rows) in enumerate(zip(ks, out)):
                 d1, d2 = ((plus[n] - minus[n]) / (2.0 * h)
-                          for h, (plus, minus) in zip(steps, moved))
+                          for h, plus, minus in zip(steps, moved[::2], moved[1::2]))
                 rows[i] += (float(k) if rescaled else 1.0) * ((4.0 * d2 - d1) / 3.0)
     return out
 

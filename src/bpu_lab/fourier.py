@@ -8,8 +8,6 @@ long before quadrature error matters.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -108,50 +106,45 @@ def tail_fraction(samples: np.ndarray, band: float = 1.0 / 6.0) -> float:
 class TrigInterpolator:
     """Trigonometric interpolant of periodic samples (axis 0 is the node axis).
 
-    Evaluation and derivatives at arbitrary angles use the full centered
-    spectrum; the single unpaired Nyquist mode is realized as cos(N/2*phi)
-    so real samples interpolate to real values.  One table of e^{i m phi},
-    m = 0..N/2, serves every requested order: the negative modes are its
-    conjugate, and derivatives scale the coefficients by (i m)^order.
+    Off the nodes every order is a Taylor series about the nearest node,
+    f^(q)(phi_j + d) = sum_p d^p/p! f^(q+p)(phi_j), over node derivatives
+    that `spectral_derivative` computes once per order on first use.  Their
+    odd-order Nyquist zero makes the single unpaired Nyquist mode
+    cos(N/2*phi), so real samples interpolate to real values.  Since
+    |d| <= pi/N, the terms past p are below (N/2*|d|)^p/p! times the
+    spectrum's scale; the series stops once that falls below 1e-17, after
+    about 23 terms at worst and one at the nodes.
     """
 
     def __init__(self, samples: np.ndarray):
-        self._samples = samples = np.asarray(samples)
-        self._real = np.isrealobj(samples)
-        self.n = samples.shape[0]
-        self._shape = samples.shape[1:]
-        coeffs = np.fft.fft(samples, axis=0).reshape(self.n, -1) / self.n
-        # Coefficients of e^{+i m phi} and of e^{-i m phi}, m = 0..N/2; the
-        # constant and the Nyquist term cos(N/2 phi) go half to each.
-        m = np.arange(self.n // 2 + 1)
-        shared = np.where((m == 0) | (2 * m == self.n), 0.5, 1.0)[:, None]
-        self._pos = shared * coeffs[m]
-        self._neg = shared * coeffs[-m % self.n]
-
-    @cached_property
-    def node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values and first two derivatives at grid_nodes(n), built once by FFT;
-        its odd-order Nyquist zero is d/dphi cos(N/2*phi) = 0 at the nodes."""
-        return (self._samples, *(spectral_derivative(self._samples, p) for p in (1, 2)))
+        self._nodes = [np.asarray(samples)]  # node derivatives by order
+        self.n = self._nodes[0].shape[0]
+        self._shape = self._nodes[0].shape[1:]
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
-        return self._eval(phi, (0,))[0]
+        return self.derivative(phi, (0,))[0]
 
     def derivative(self, phi: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """d^p/dphi^p at phi for each p in `orders`, one array per order, all
-        from one basis."""
-        return self._eval(phi, orders)
-
-    def _eval(self, phi: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        from one gather of node derivatives."""
         scalar = np.ndim(phi) == 0
         phi = np.ravel(np.asarray(phi, dtype=np.float64))
-        basis = _powers(np.cos(phi) + 1j * np.sin(phi), self.n // 2)
-        m = 1j * np.arange(self.n // 2 + 1)[:, None]
-        coef = np.hstack([c for p in orders
-                          for c in (self._pos * m ** p, np.conj(self._neg * (-m) ** p))])
-        vals = (basis @ coef).reshape(phi.size, len(orders), 2, -1)
-        vals = vals[:, :, 0] + np.conj(vals[:, :, 1])
-        if self._real:
-            vals = vals.real
-        out = tuple(vals[:, i].reshape(phi.shape + self._shape) for i in range(len(orders)))
-        return tuple(v[0] for v in out) if scalar else out
+        j = np.rint(phi * (self.n / TWO_PI))
+        delta = phi - TWO_PI * j / self.n
+        x = 0.5 * self.n * float(np.max(np.abs(delta), initial=0.0))
+        terms, bound = 1, x  # bound = x^terms / terms!, the first omitted term's
+        while bound >= 1e-17:
+            terms += 1
+            bound *= x / terms
+        while len(self._nodes) < max(orders) + terms:
+            self._nodes.append(spectral_derivative(self._nodes[0], len(self._nodes)))
+        rows = j.astype(np.int64) % self.n
+        table = [d[rows] for d in self._nodes[:max(orders) + terms]]
+        delta = delta.reshape((-1,) + (1,) * len(self._shape))
+        out = []
+        for q in orders:
+            acc = table[q + terms - 1]
+            for p in range(terms - 2, -1, -1):
+                acc = table[q + p] + acc * (delta / (p + 1))
+            out.append(acc)
+        return tuple(v[0] for v in out) if scalar else tuple(out)

@@ -35,7 +35,6 @@ from .errors import (
     BohrSommerfeldError,
     ContractViolation,
     DomainError,
-    IntegrationAccuracyError,
     TubeStepError,
 )
 from .fourier import TWO_PI, TrigInterpolator, grid_nodes, spectral_derivative, tail_fraction, trapezoid
@@ -51,7 +50,6 @@ __all__ = [
     "holonomy",
     "horizontal_lift",
     "normal_frame",
-    "signed_area",
     "fs_inner",
     "fs_norm",
     "project_tangent",
@@ -247,10 +245,6 @@ class HolonomyResult:
     order: int | None  # None encodes "infinite" (no order up to the search cap)
 
 
-# Largest seam r*chi(2*pi) - 2*pi*turns that horizontal_lift spreads over the
-# first circuit; the phase is exact, so this guards only the seam.
-_CLOSURE_TOL = 1e-8
-
 # Holonomy orders are searched up to this cap; phase^r must be 1 within
 # _HOLONOMY_TOL.  Loops with no order up to the cap have no closed lift.
 MAX_HOLONOMY_ORDER = 64
@@ -298,7 +292,8 @@ def horizontal_lift(loop: LagrangianLoop) -> PlanckianLift:
     antiderivative of the trigonometric interpolant of -Im<L, dL/dphi>, by
     one FFT (`_phase_path`).  The first circuit absorbs the seam
     r*chi(2*pi) - 2*pi*turns, so it ends at the deck phase
-    exp(2*pi*i*turns/r) that turns it into the others.
+    exp(2*pi*i*turns/r) that turns it into the others.  The holonomy search
+    already bounds that seam by about _HOLONOMY_TOL.
     """
     chi, hol = _phase_and_holonomy(loop)
     if hol.order is None:
@@ -307,9 +302,6 @@ def horizontal_lift(loop: LagrangianLoop) -> PlanckianLift:
     r = hol.order
     turns = round(r * chi[-1] / TWO_PI)
     defect = r * chi[-1] - TWO_PI * turns
-    if abs(defect) > _CLOSURE_TOL:
-        raise IntegrationAccuracyError(
-            f"lift fails to close after {r} circuits: seam {abs(defect):.3e}")
     chi = chi[:-1] - (defect / r) * np.linspace(0.0, 1.0, loop.n + 1)[:-1]
     return PlanckianLift(np.exp(1j * chi)[:, None] * loop.points, loop, r, turns)
 
@@ -317,24 +309,6 @@ def horizontal_lift(loop: LagrangianLoop) -> PlanckianLift:
 def normal_frame(loop: LagrangianLoop) -> NDArray[np.complex128]:
     """Per-node unit normal J * (unit tangent), as horizontal representatives."""
     return 1j * loop.unit_tangents()
-
-
-def signed_area(loop: LagrangianLoop) -> float:
-    """Signed area enclosed by the loop, by flux of the area form.
-
-    Uses the potential A = -c d(arg z1 - arg z0) / (2*pi) with c = |z0|^2,
-    whose exterior derivative is the area-1 form; the loop must avoid both
-    coordinate poles.  For a latitude circle the result is its area
-    coordinate c, and exp(2*pi*i*signed_area) is the connection holonomy.
-    """
-    z0 = loop.points[:, 0]
-    z1 = loop.points[:, 1]
-    if np.min(np.abs(z0)) < 1e-8 or np.min(np.abs(z1)) < 1e-8:
-        raise DomainError("signed_area requires the loop to avoid the coordinate poles")
-    raw = spectral_derivative(loop.points)
-    dpsi = np.imag(raw[:, 0] / z0) - np.imag(raw[:, 1] / z1)
-    c = np.abs(z0) ** 2
-    return float(-trapezoid(c * dpsi) / TWO_PI)
 
 
 def pole_clearance(loop: LagrangianLoop) -> float:
@@ -367,15 +341,16 @@ def _foot_newton(interp: TrigInterpolator, points: np.ndarray, seeds: np.ndarray
     """Newton iteration for the feet of `points`, started at the node indices `seeds`.
 
     `interp` holds the loop samples in its first two columns; more columns
-    ride along.  The first iterate reads `interp.node_table`; later ones build
-    a basis.  Returns the feet, the values of `interp` and its first two
-    derivatives at the last iterate, and u = <L, m>, u1 = <L', m> and the
-    curvature of |u|^2 there.  TubeStepError signals departure from the tube.
+    ride along.  Each iterate is one `interp.derivative` call; at the seed
+    nodes that reads the node derivatives alone.  Returns the feet, the
+    values of `interp` and its first two derivatives at the last iterate,
+    and u = <L, m>, u1 = <L', m> and the curvature of |u|^2 there.
+    TubeStepError signals departure from the tube.
     """
     step_cap = TWO_PI / interp.n
     phi = grid_nodes(interp.n)[seeds]
-    for it in range(_FOOT_MAX_ITER):
-        vals = interp.derivative(phi, (0, 1, 2)) if it else tuple(t[seeds] for t in interp.node_table)
+    for _ in range(_FOOT_MAX_ITER):
+        vals = interp.derivative(phi, (0, 1, 2))
         u, u1, u2 = (_inner(v[:, :2], points) for v in vals)
         grad = 2.0 * np.real(np.conj(u) * u1)
         curv = 2.0 * (np.abs(u1) ** 2 + np.real(np.conj(u) * u2))
@@ -393,7 +368,7 @@ def foot_parameters(loop: LagrangianLoop, points: np.ndarray) -> NDArray[np.floa
 
     For each point m, finds phi maximizing |<L(phi), m>| (equivalently
     minimizing geodesic distance) by vectorized Newton iteration from the
-    node-table row of largest overlap, an O(M*N) search for points with no
+    node of largest overlap, an O(M*N) search for points with no
     better seed (`leaf.flow_state` seeds its own feet at the nodes).  Raises
     if any point fails to converge to a maximum, which signals departure
     from the tube of unique projection.

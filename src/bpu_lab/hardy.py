@@ -60,9 +60,10 @@ def basis(k: int) -> SectionBasis:
     ||s_{a+1}||^2 / ||s_a||^2 = (a+1)/(k-a) from the closed-form anchor at
     a = 0, which keeps neighboring log-differences exact to rounding.
 
-    Valid range: the log norms hold for k up to thousands, but `norms_sq`
-    goes subnormal from k = 1019 (1.2e-308), and a projection's norm_sq is NaN
-    at k = 1024 on the c = 1/2 latitude.  A lift quadrature over N base nodes
+    Valid range: the log norms hold for k up to thousands, but a
+    projection's norm_sq is first non-finite at k = 1014 on the c = 1/2
+    latitude (inf) and at k = 1023 on c = 1/3 (NaN), and `norms_sq` goes
+    subnormal from k = 1019 (1.2e-308).  A lift quadrature over N base nodes
     needs k*max(c, 1-c) < N on a latitude of area c, whatever the winding.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:

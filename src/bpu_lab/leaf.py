@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -211,20 +212,21 @@ def hamiltonian_normal_components(loop: LagrangianLoop, f: np.ndarray) -> NDArra
 
 
 def hamiltonian_field(loop: LagrangianLoop, f: np.ndarray):
-    """Tube vector field of the extension of f, on one circuit of nodes.
+    """Tube vector field of the extension of f, on copies of one circuit of nodes.
 
-    Returns a function mapping (N, 2) representatives, point j near the
-    normal geodesic through node j, to the horizontal representatives of
-    upsilon_f there and the extension values f(beta(m)).  The field is
+    Returns a function mapping (M, 2) representatives, point i near the
+    normal geodesic through node i mod N, to the horizontal representatives
+    of upsilon_f there and the extension values f(beta(m)).  The field is
     tangent to the level sets of the foot parameter, so Newton starts at
-    the nodes, from the node table of one interpolant of the columns [L, f];
-    its last iterate's values also give the foot gradient (the implicit
-    derivative of the stationarity of |<L(phi), m>|^2), f and f'.
+    those nodes, on one interpolant of the columns [L, f]; its last
+    iterate's values also give the foot gradient (the implicit derivative
+    of the stationarity of |<L(phi), m>|^2), f and f'.
     """
     interp = TrigInterpolator(np.column_stack([loop.points, np.asarray(f, dtype=np.float64)]))
 
     def field(points: np.ndarray):
-        _, (v, v1, _), u, u1, curv = _foot_newton(interp, points, np.arange(loop.n))
+        seeds = np.arange(len(points)) % loop.n
+        _, (v, v1, _), u, u1, curv = _foot_newton(interp, points, seeds)
         gvec = -(2.0 / curv)[:, None] * (u1[:, None] * v[:, :2] + u[:, None] * v1[:, :2])
         grad_phi = np.pi * project_tangent(points, gvec)
         upsilon = -HAMILTONIAN_SCALE * v1[:, 2:].real * (1j * grad_phi)
@@ -258,8 +260,8 @@ def tube_margin(loop: LagrangianLoop) -> float:
 
 
 def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
-               t: float) -> tuple[PlanckianLift, HalfWeight]:
-    """Transport (lift, half-weight) a time t along the tangent (f, ell).
+               ts: Sequence[float]) -> list[tuple[PlanckianLift, HalfWeight]]:
+    """Transport (lift, half-weight) along the tangent (f, ell), one state per time in ts.
 
     The bundle samples follow the contact transport (horizontal Hamiltonian
     velocity plus fiber rate -f), so the transported lift stays Legendrian
@@ -267,22 +269,24 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     pullback of lambda + t*ell.  The pair is the differentiable path with
     velocity (f, ell) used as the finite-difference ground truth.  The flow
     is fiber-equivariant, V(e^{ia} x) = e^{ia} V(x), so only the first
-    circuit is integrated.  Every foot projection starts at the nodes, where
-    the transported nodes' feet stay; the retraction's last Newton iterate
-    gives the pulled-back lambda + t*ell and speed.  f = 0 moves no lift point.
+    circuit is integrated, for all times at once: ceil(max|t| / 2e-3) RK4
+    steps of t/steps each on the stacked circuits.  Every foot projection
+    starts at the nodes, where the transported nodes' feet stay; the
+    retraction's last Newton iterate gives the pulled-back lambda, ell and
+    speed.  f = 0 moves no lift point.
     """
     loop = lift.base
     if hw.loop is not loop or w.loop is not loop:
         raise ContractViolation("lift, half-weight and tangent must share one loop")
+    ts = np.asarray(ts, dtype=np.float64)
     if not np.any(w.f):
-        return lift, HalfWeight(loop, hw.s_lambda + t * w.s_ell)
+        return [(lift, HalfWeight(loop, hw.s_lambda + t * w.s_ell)) for t in ts]
 
-    a = hamiltonian_normal_components(loop, w.f)
-    max_speed = float(np.max(np.abs(a)))
-    if abs(t) * max_speed > tube_margin(loop):
-        raise TubeStepError(
-            f"flow step {t:g} displaces up to {abs(t) * max_speed:.3e}, "
-            f"beyond the tube margin {tube_margin(loop):.3e}")
+    t_max = float(np.max(np.abs(ts)))
+    reach = t_max * float(np.max(np.abs(hamiltonian_normal_components(loop, w.f))))
+    if reach > tube_margin(loop):
+        raise TubeStepError(f"flow times {ts} displace up to {reach:.3e}, "
+                            f"beyond the tube margin {tube_margin(loop):.3e}")
 
     field = hamiltonian_field(loop, w.f)
 
@@ -290,9 +294,9 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
         upsilon, fval = field(x)
         return upsilon - (fval[:, None] * 1j) * x
 
-    steps = max(1, int(math.ceil(abs(t) / 2e-3)))  # RK4 steps of at most 2e-3
-    h = t / steps
-    x = lift.circuit.copy()
+    steps = max(1, math.ceil(t_max / 2e-3))  # RK4 steps of at most 2e-3
+    h = np.repeat(ts / steps, loop.n)[:, None]
+    x = np.tile(lift.circuit, (len(ts), 1))
     for _ in range(steps):
         k1 = velocity(x)
         k2 = velocity(x + 0.5 * h * k1)
@@ -304,16 +308,19 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     # De-phasing the first circuit gives a smooth periodic gauge for the new
     # loop; the flow commutes with the deck phase, so the later circuits stay
     # the first one's deck turns.
-    new_loop = LagrangianLoop(x * np.conj(lift.phases)[:, None])
-    new_lift = PlanckianLift(x, new_loop, lift.winding, lift.turns)
+    circuits = x.reshape(len(ts), loop.n, 2)
+    loops = [LagrangianLoop(c * np.conj(lift.phases)[:, None]) for c in circuits]
 
     # Half-weight transport: pull lambda + t*ell back through the
     # normal-geodesic retraction beta_t : L_t -> L.
-    pulled = TrigInterpolator(np.column_stack([loop.points, hw.s_lambda + t * w.s_ell, loop.speed]))
-    feet, (v, _, _), *_ = _foot_newton(pulled, new_loop.points, np.arange(loop.n))
-    delta = np.mod(feet - loop.phi + np.pi, TWO_PI) - np.pi
-    dfeet = 1.0 + spectral_derivative(delta)
+    pulled = TrigInterpolator(np.column_stack([loop.points, hw.s_lambda, w.s_ell, loop.speed]))
+    feet, (v, _, _), *_ = _foot_newton(pulled, np.concatenate([lp.points for lp in loops]),
+                                       np.tile(np.arange(loop.n), len(ts)))
+    delta = np.mod(feet.reshape(len(ts), loop.n) - loop.phi + np.pi, TWO_PI) - np.pi
+    dfeet = 1.0 + spectral_derivative(delta.T).T
     if np.any(dfeet <= 0.0):
         raise TubeStepError("retraction reversed orientation; step too large")
-    s_new = v[:, 2].real * np.sqrt(v[:, 3].real * dfeet / new_loop.speed)
-    return new_lift, HalfWeight(new_loop, s_new)
+    v = v.real.reshape(len(ts), loop.n, 5)
+    return [(PlanckianLift(c, new_loop, lift.winding, lift.turns),
+             HalfWeight(new_loop, (vt[:, 2] + t * vt[:, 3]) * np.sqrt(vt[:, 4] * d / new_loop.speed)))
+            for t, c, new_loop, vt, d in zip(ts, circuits, loops, v, dfeet)]

@@ -8,8 +8,10 @@ pairings from a plain quadrature sum, so they can certify the closed-form /
 spectral paths and the level-moment kernel.  The lift phase is integrated
 by RK4 on the interpolated connection rate, and the half-density
 derivative by finite differences of geodesically displaced loops.  The
-exception is the all-circuit transport, which reuses the package's tube
-field but none of the shortcuts of `leaf.flow_state`.
+trigonometric interpolant is summed densely over its modes, and the
+enclosed area is a flux of the area form.  The exception is the
+all-circuit transport, which reuses the package's tube field but none of
+the shortcuts of `leaf.flow_state`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,50 @@ import math
 
 import numpy as np
 
-from bpu_lab.fourier import TrigInterpolator, spectral_derivative
+from bpu_lab.fourier import TrigInterpolator, _powers, spectral_derivative, trapezoid
 from bpu_lab.geometry import LagrangianLoop, foot_parameters, fs_distance, normal_frame
 from bpu_lab.hardy import BUNDLE_VOLUME, monomial_values
 from bpu_lab.leaf import hamiltonian_field, hamiltonian_normal_components
+
+
+def trig_dense(samples, phi, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """d^p/dphi^p of the trigonometric interpolant of periodic `samples` (axis
+    0 the node axis) at angles phi, for each p in `orders`, by the dense sum
+    over the centered spectrum.  The Nyquist mode is cos(N/2*phi); one table
+    of e^{i m phi}, m = 0..N/2, built by products, serves every order, and
+    the negative modes are its conjugate."""
+    samples = np.asarray(samples)
+    n, shape = samples.shape[0], samples.shape[1:]
+    coeffs = np.fft.fft(samples, axis=0).reshape(n, -1) / n
+    # Coefficients of e^{+i m phi} and of e^{-i m phi}, m = 0..N/2; the
+    # constant and the Nyquist term go half to each.
+    m = np.arange(n // 2 + 1)
+    shared = np.where((m == 0) | (2 * m == n), 0.5, 1.0)[:, None]
+    pos, neg = shared * coeffs[m], shared * coeffs[-m % n]
+    phi = np.ravel(np.asarray(phi, dtype=np.float64))
+    basis = _powers(np.cos(phi) + 1j * np.sin(phi), n // 2)
+    im = 1j * m[:, None]
+    coef = np.hstack([c for p in orders for c in (pos * im ** p, np.conj(neg * (-im) ** p))])
+    vals = (basis @ coef).reshape(phi.size, len(orders), 2, -1)
+    vals = vals[:, :, 0] + np.conj(vals[:, :, 1])
+    if np.isrealobj(samples):
+        vals = vals.real
+    return tuple(vals[:, i].reshape(phi.shape + shape) for i in range(len(orders)))
+
+
+def signed_area(loop: LagrangianLoop) -> float:
+    """Signed area enclosed by the loop, by flux of the area form.
+
+    Uses the potential A = -c d(arg z1 - arg z0) / (2*pi) with c = |z0|^2,
+    whose exterior derivative is the area-1 form; the loop must avoid both
+    coordinate poles.  For a latitude circle the result is its area
+    coordinate c, and exp(2*pi*i*signed_area) is the connection holonomy.
+    """
+    z0, z1 = loop.points[:, 0], loop.points[:, 1]
+    assert min(np.abs(z0).min(), np.abs(z1).min()) >= 1e-8, "loop passes a coordinate pole"
+    raw = spectral_derivative(loop.points)
+    dpsi = np.imag(raw[:, 0] / z0) - np.imag(raw[:, 1] / z1)
+    return float(-trapezoid(np.abs(z0) ** 2 * dpsi) / (2.0 * np.pi))
 
 
 def polygonal_length(point_fn, m: int = 20000) -> float:

@@ -305,7 +305,7 @@ def test_isodrastic_invariance_of_order():
     orders = []
     for _ in range(10):
         w = project_constraints(loop, np.cos(2 * loop.phi), np.zeros(loop.n), hw)
-        lift, hw = flow_state(lift, hw, w, 1e-3)
+        lift, hw = flow_state(lift, hw, w, [1e-3])[0]
         loop = lift.base
         orders.append(holonomy(loop).order)
     ok = orders == [2] * 10

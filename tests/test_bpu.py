@@ -275,7 +275,7 @@ def test_d_delta_pair_matches_fd_oracle(half_setup):
     analytic = d_pair(lift, hw, w, b, 3)
 
     def pairing_at(t):
-        lift_t, hw_t = flow_state(lift, hw, w, t)
+        lift_t, hw_t = flow_state(lift, hw, w, [t])[0]
         return delta_pair(lift_t, hw_t, conj_monomial(b, 3))
 
     vals = {h: (pairing_at(h) - pairing_at(-h)) / (2 * h) for h in (1e-3, 5e-4)}
@@ -377,16 +377,19 @@ def test_fd_d_bpu_transports_each_leg_once(monkeypatch):
     f_only = constrained(loop, hw, np.cos(2 * phi), np.zeros(64))
     calls = []
 
-    def counting(lift_, hw_, w, t):
-        calls.append(w)
-        return flow_state(lift_, hw_, w, t)
+    def counting(lift_, hw_, w, ts):
+        calls.append((w, list(ts)))
+        return flow_state(lift_, hw_, w, ts)
 
     monkeypatch.setattr(bpu, "flow_state", counting)
     out = fd_d_bpu(lift, hw, [both, f_only], [4, 8, 16])
     assert [arr.shape for arr in out] == [(2, 5), (2, 9), (2, 17)]
-    # Both legs of `both` at +-FD_STEP and +-FD_STEP/2, the f-leg of `f_only`.
-    assert len(calls) == 8 + 4
-    assert all(np.array_equal(w.f, f_only.f) for w in calls[8:])
+    # Both legs of `both` and the f-leg of `f_only`, each once, at
+    # +-FD_STEP and +-FD_STEP/2.
+    assert len(calls) == 2 + 1
+    h = bpu.FD_STEP
+    assert all(sorted(ts) == [-h, -h / 2, h / 2, h] for _, ts in calls)
+    assert np.array_equal(calls[2][0].f, f_only.f)
 
 
 # ---------------------------------------------------------------------------

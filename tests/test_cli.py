@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -269,3 +270,19 @@ def test_cli_rerun_byte_identical(tmp_path):
     run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "b"))
     for name in ("norm-sweep.csv", "norm-sweep.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("config", ["derivative_crosscheck.json", "norm_sweep_r2.json"])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(config, tmp_path):
+    # No result may rest on a multithreaded matrix product: the transport
+    # path sums Taylor series, not a dense trig basis.
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-m", "bpu_lab.cli", "run", "--config",
+                               str(CONFIG_DIR / config), "--output", str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]

@@ -18,11 +18,10 @@ from bpu_lab.geometry import (
     horizontal_lift,
     latitude_loop,
     normal_frame,
-    signed_area,
 )
 
 from conftest import wavy_loop
-from oracles import exp_map, phase_path_rk4, polygonal_length
+from oracles import exp_map, phase_path_rk4, polygonal_length, signed_area, trig_dense
 
 
 # ---------------------------------------------------------------------------
@@ -112,52 +111,86 @@ def test_trig_interpolator_orders_match_closed_form(n, real):
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("real", [True, False])
 def test_node_table_matches_basis_evaluation_at_the_nodes(n, real):
+    # At the nodes the series is its first term, the FFT node derivatives.
     # The samples carry every mode of the grid, the Nyquist term cos(n/2 phi)
-    # included, whose first derivative vanishes at the nodes.
+    # included, whose odd derivatives vanish at the nodes.
     samples, _, _ = _trig_polynomial(n, real, seed=n + 1)
     interp = TrigInterpolator(samples)
-    table = interp.node_table
-    assert interp.node_table is table
-    for got, want in zip(table, interp.derivative(grid_nodes(n), (0, 1, 2))):
+    got_all = interp.derivative(grid_nodes(n), (0, 1, 2))
+    assert len(interp._nodes) == 3 and got_all[0] is not interp._nodes[0]
+    for got, want in zip(got_all, trig_dense(samples, grid_nodes(n), (0, 1, 2))):
         assert np.isrealobj(got) == real and got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("reach", [5.3e-6, np.pi])
+def test_taylor_series_matches_the_dense_sum(n, real, reach):
+    # Offsets up to 5.3e-6 rad are where Newton's feet sit (t = 2e-2); up to
+    # pi/N is the farthest any angle lies from its nearest node.  Smooth loop
+    # samples are compared relative to the values; random node samples, whose
+    # interpolant carries every mode of the grid (Nyquist included), relative
+    # to their spectral scale sum |c_m| |m|^order.
+    rng = np.random.default_rng(n)
+    offsets = rng.uniform(-1.0, 1.0, 64) * (reach / n if reach == np.pi else reach)
+    phi = grid_nodes(n)[rng.integers(0, n, 64)] + offsets
+    points = wavy_loop(c0=0.5, n=n, seed=n).points
+    smooth = (points[:, 1] * points[:, 0].conj()).real if real else points
+    full = rng.normal(size=smooth.shape) + (0.0 if real else 1j * rng.normal(size=smooth.shape))
+    spectrum = np.abs(np.fft.fft(full, axis=0)).T / n
+    for samples, scale in ((smooth, None), (full, [spectrum @ np.abs(fourier.mode_numbers(n)) ** p
+                                                   for p in range(4)])):
+        got = TrigInterpolator(samples).derivative(phi, (0, 1, 2, 3))
+        want = trig_dense(samples, phi, (0, 1, 2, 3))
+        for order, (g, v) in enumerate(zip(got, want)):
+            assert np.isrealobj(g) == real and g.shape == v.shape
+            ref = np.abs(v).max() if scale is None else np.max(scale[order])
+            assert np.abs(g - v).max() <= 1e-13 * ref
+
+
+def _count_derivative_calls(monkeypatch) -> list:
+    calls = []
+    original = TrigInterpolator.derivative
+    monkeypatch.setattr(TrigInterpolator, "derivative",
+                        lambda self, phi, orders: calls.append(orders) or original(self, phi, orders))
+    return calls
+
+
 def test_foot_projection_builds_one_basis_per_newton_step(monkeypatch):
+    # One interpolant evaluation per Newton step, of the orders (0, 1, 2).
     loop = latitude_loop(0.5, 64)
     off_node = loop.point_at(loop.phi + 0.3 * (2 * np.pi / loop.n))
-    builds = []
-    real_powers = fourier._powers
-    monkeypatch.setattr(fourier, "_powers", lambda z, n: builds.append(n) or real_powers(z, n))
-    # On the nodes the nearest-node seed is already the foot: one step, read
-    # from the node table, so no basis.  Every later step builds one.
+    calls = _count_derivative_calls(monkeypatch)
+    # On the nodes the nearest-node seed is already the foot: one step.
     feet = foot_parameters(loop, loop.points)
     assert np.abs(np.exp(1j * feet) - np.exp(1j * loop.phi)).max() < 1e-12
-    assert len(builds) == 0
+    assert calls == [(0, 1, 2)]
     for steps in (1, 2):
-        builds.clear()
+        calls.clear()
         monkeypatch.setattr(geometry, "_FOOT_MAX_ITER", steps)
         with pytest.raises(TubeStepError):
             foot_parameters(loop, off_node)
-        assert len(builds) == steps - 1
+        assert calls == [(0, 1, 2)] * steps
 
 
 def test_flow_step_builds_one_basis_per_newton_step(monkeypatch):
-    # One RK4 step: four field calls and the retraction, each one Newton run.
-    # Every basis of the step is a Newton step's after the first, which reads
-    # the node table; the pulled-back half-weight and speed, like the field,
-    # come from the last Newton iterate's values.
+    # One RK4 step: four field calls and the retraction, each one Newton run
+    # over the stacked circuits of every time.  Each Newton step evaluates
+    # its interpolant once; the pulled-back half-weight and speed, like the
+    # field, come from the last Newton iterate's values.
     loop = latitude_loop(1 / 3, 64)
     hw = leaf.HalfWeight.constant(loop)
     w = leaf.project_constraints(loop, np.cos(2 * loop.phi), np.sin(loop.phi) * hw.s_lambda, hw)
     lift = horizontal_lift(loop)
-    builds, runs = [], []
-    real_powers, real_newton = fourier._powers, geometry._foot_newton
-    monkeypatch.setattr(fourier, "_powers", lambda z, n: builds.append(n) or real_powers(z, n))
+    runs = []
+    real_newton = geometry._foot_newton
     monkeypatch.setattr(leaf, "_foot_newton", lambda *args: runs.append(args) or real_newton(*args))
-    leaf.flow_state(lift, hw, w, 1e-3)
-    total = len(builds)
+    calls = _count_derivative_calls(monkeypatch)
+    leaf.flow_state(lift, hw, w, [1e-3, -5e-4])
+    total = len(calls)
     assert len(runs) == 5
+    assert all(len(args[1]) == 2 * loop.n for args in runs)
 
     def newton_steps(args, max_iter=geometry._FOOT_MAX_ITER):
         for cap in range(1, max_iter + 1):
@@ -171,7 +204,7 @@ def test_flow_step_builds_one_basis_per_newton_step(monkeypatch):
     steps = [newton_steps(args) for args in runs]
     # Started at the nodes, each run converges within two steps.
     assert max(steps) <= 2
-    assert total == sum(steps) - len(runs)
+    assert total == sum(steps)
 
 
 def test_quadrature_grid_kills_pure_modes():

@@ -219,7 +219,7 @@ def test_normal_components_match_flow_displacement_oracle(equator_setup):
     lift = horizontal_lift(loop)
     w = LeafTangent(loop, f, np.zeros(N))
     t = 1e-4
-    moved, _ = flow_state(lift, hw, w, t)
+    moved, _ = flow_state(lift, hw, w, [t])[0]
     rate = fs_inner(log_map(loop.points, moved.base.points), normal_frame(loop)) / t
     a = hamiltonian_normal_components(loop, f)
     assert np.abs(rate - a).max() / np.abs(a).max() < 1e-6
@@ -282,7 +282,7 @@ def test_gamma_matches_finite_difference_oracle_off_latitudes():
 def test_flow_path_identity_at_zero(equator_setup):
     loop, hw = equator_setup
     w = random_tangent(loop, hw, 4)
-    new_lift, new_hw = flow_state(horizontal_lift(loop), hw, w, 0.0)
+    new_lift, new_hw = flow_state(horizontal_lift(loop), hw, w, [0.0])[0]
     assert np.abs(new_lift.base.points - loop.points).max() < 1e-12
     assert np.abs(new_hw.s_lambda - hw.s_lambda).max() < 1e-10
 
@@ -290,7 +290,7 @@ def test_flow_path_identity_at_zero(equator_setup):
 def test_flow_preserves_holonomy_order(equator_setup):
     loop, hw = equator_setup
     w = project_constraints(loop, np.cos(2 * PHI), np.zeros(N), hw)
-    new_lift, _ = flow_state(horizontal_lift(loop), hw, w, 1e-3)
+    new_lift, _ = flow_state(horizontal_lift(loop), hw, w, [1e-3])[0]
     res = holonomy(new_lift.base)
     assert res.order == 2
 
@@ -301,9 +301,9 @@ def test_flow_mass_defect_is_quadratic(equator_setup):
     lift = horizontal_lift(loop)
     defects = {}
     for t in (1e-3, 5e-4):
-        _, hw_t = flow_state(lift, hw, w, t)
+        _, hw_t = flow_state(lift, hw, w, [t])[0]
         defects[t] = abs(hw_t.mass() - 1.0)
-        _, hw_m = flow_state(lift, hw, w, -t)
+        _, hw_m = flow_state(lift, hw, w, [-t])[0]
         # quadratic defect: same sign and size under t -> -t
         assert abs(hw_m.mass() - 1.0) == pytest.approx(defects[t], rel=1e-2)
     assert defects[1e-3] / defects[5e-4] == pytest.approx(4.0, rel=5e-2)
@@ -316,7 +316,7 @@ def test_flow_rejects_large_steps(equator_setup):
     loop, hw = equator_setup
     w = project_constraints(loop, np.cos(2 * PHI), np.zeros(N), hw)
     with pytest.raises(TubeStepError):
-        flow_state(horizontal_lift(loop), hw, w, 5.0)
+        flow_state(horizontal_lift(loop), hw, w, [5.0])
 
 
 def _latitude_state(c):
@@ -334,7 +334,7 @@ def test_flow_of_one_circuit_matches_all_circuit_oracle(c, r, t, tol):
     # the retraction's feet from scratch.  t = 0.025 takes 13 RK4 steps.
     lift, hw, w = _latitude_state(c)
     assert lift.winding == r
-    new_lift, new_hw = flow_state(lift, hw, w, t)
+    new_lift, new_hw = flow_state(lift, hw, w, [t])[0]
     points, s_lambda = flow_all_circuits(lift, hw, w, t)
     assert np.abs(new_lift.points - points).max() <= tol
     assert np.abs(new_hw.s_lambda - s_lambda).max() <= tol
@@ -349,7 +349,7 @@ def test_flow_of_zero_f_moves_only_the_half_weight(c, t):
     # by about N/2 (3.7e-12 on these states).
     lift, hw, w = _latitude_state(c)
     w = LeafTangent(lift.base, np.zeros(N), w.s_ell)
-    new_lift, new_hw = flow_state(lift, hw, w, t)
+    new_lift, new_hw = flow_state(lift, hw, w, [t])[0]
     assert new_lift is lift and new_hw.loop is lift.base
     assert np.array_equal(new_hw.s_lambda, hw.s_lambda + t * w.s_ell)
     points, s_lambda = flow_all_circuits(lift, hw, w, t)
@@ -358,9 +358,21 @@ def test_flow_of_zero_f_moves_only_the_half_weight(c, t):
 
 
 @pytest.mark.parametrize("c", [0.5, 1 / 3])
+def test_flow_of_several_times_matches_one_time_each(c):
+    # The times share the RK4 stages and each stage's Newton run, so their
+    # states agree with separate transports to rounding, in the given order.
+    lift, hw, w = _latitude_state(c)
+    ts = [1e-3, -1e-3, 5e-4, -5e-4]
+    for (new_lift, new_hw), t in zip(flow_state(lift, hw, w, ts), ts, strict=True):
+        one_lift, one_hw = flow_state(lift, hw, w, [t])[0]
+        assert np.abs(new_lift.points - one_lift.points).max() <= 1e-14
+        assert np.abs(new_hw.s_lambda - one_hw.s_lambda).max() <= 1e-12
+
+
+@pytest.mark.parametrize("c", [0.5, 1 / 3])
 def test_flow_keeps_the_deck_turns(c):
     lift, hw, w = _latitude_state(c)
-    new_lift, _ = flow_state(lift, hw, w, 1e-3)
+    new_lift, _ = flow_state(lift, hw, w, [1e-3])[0]
     assert (new_lift.winding, new_lift.turns) == (lift.winding, lift.turns)
     assert np.array_equal(new_lift.points[:N], new_lift.circuit)
     assert np.abs(new_lift.circuit - lift.circuit).max() > 1e-4
@@ -371,10 +383,10 @@ def test_flow_keeps_each_node_foot_at_its_node():
     # foot parameter.  A multi-step flow of a non-latitude state leaves
     # node j's foot at phi_j, found here from the node of largest overlap.
     lift, hw, w = _latitude_state(1 / 3)
-    lift, hw = flow_state(lift, hw, w, 1e-3)
+    lift, hw = flow_state(lift, hw, w, [1e-3])[0]
     loop = lift.base
     w = project_constraints(loop, np.cos(3 * PHI), np.sin(2 * PHI) * hw.s_lambda, hw)
-    new_lift, _ = flow_state(lift, hw, w, 0.025)
+    new_lift, _ = flow_state(lift, hw, w, [0.025])[0]
     assert np.abs(new_lift.base.points - loop.points).max() > 1e-3
     feet = foot_parameters(loop, new_lift.base.points)
     assert np.abs(np.angle(np.exp(1j * (feet - loop.phi)))).max() <= 1e-10
