@@ -167,15 +167,10 @@ def superpoly_decay(samples, threshold: float) -> DecayReport:
     slopes = []
     for i, k in enumerate(ks):
         j = np.nonzero(np.isclose(ks, 2.0 * k, rtol=1e-9))[0]
-        if j.size == 0:
+        if j.size == 0 or ys[i] <= 0.0:
             continue
-        hi = ys[j[0]]
-        lo = ys[i]
-        if lo <= 0.0:
-            continue
-        slope = math.log2(max(hi, 1e-300) / lo)
         dyad_ks.append(2.0 * k)
-        slopes.append(slope)
+        slopes.append(math.log2(max(ys[j[0]], 1e-300) / ys[i]))
     if not slopes:
         return DecayReport(ks=ks, values=ys, dyad_ks=np.array([]), slopes=np.array([]),
                            passed=False, threshold=threshold, inconclusive=True)

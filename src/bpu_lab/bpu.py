@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 
 from . import asymptotics, hardy
 from .errors import ContractViolation, DomainError, OutsideAdmissibleSetError
-from .fourier import TWO_PI
+from .fourier import TWO_PI, _powers
 from .geometry import (
     PlanckianLift,
     SQRT_PI,
@@ -39,7 +39,7 @@ from .geometry import (
     fs_distance,
     normal_frame,
 )
-from .hardy import SectionBasis, _monomials, _require_sphere_tangent, basis as hardy_basis
+from .hardy import SectionBasis, _require_sphere_tangent, basis as hardy_basis
 from .leaf import HalfWeight, LeafTangent, flow_state, gamma_flow, hamiltonian_normal_components
 
 __all__ = [
@@ -133,27 +133,25 @@ class ProfileTable:
 # Level-moment kernel: projection and derivative pairings
 # ---------------------------------------------------------------------------
 
-def _level_monomials(points: np.ndarray, ks: Sequence[int]):
-    """Per k in ks, the level-(k-1) monomials z0^a z1^(k-1-a) at `points` as
-    rows a < k of one (max(ks), M) buffer, with their moduli in a second one.
-    A higher level k1 extends the rows of k0: with mono the degree-(k1-k0)
-    monomials, it appends mono[1:] times row k0-1 (z0^(k0-1)), then scales
-    the old rows by mono[0] = z1^(k1-k0).  A level at or below the previous
-    one restarts from row 0 = 1.  Each level overwrites the previous views.
-    """
-    rows = np.empty((max(ks, default=0), len(points)), dtype=np.complex128)
-    mods = np.empty(rows.shape)
-    held = 0  # rows[:held] hold the level-(held-1) monomials
-    for k in ks:
-        if not 0 < held < k:
-            rows[0], mods[0], held = 1.0, 1.0, 1
-        if k > held:
-            mono = _monomials(points, k - held)
-            for buf, m in ((rows, mono), (mods, np.abs(mono))):
-                np.multiply(m[:, 1:].T, buf[held - 1], out=buf[held:k])
-                buf[:held] *= m[:, 0]
-            held = k
-        yield rows[:k], mods[:k]
+def _ratio_table(points: np.ndarray, rows: int):
+    """Monomials z0^a z1^(d-a), d < rows, at points (M, 2) as rho^a lead^d: the
+    row-contiguous (rows, M) table of rho^a, the second family's mask, and lead.
+    Nodes with |z0| <= |z1| have rho = z0/z1, lead = z1; the second family has
+    rho = z1/z0, lead = z0 and reads the rows reversed.  rho is rounded once."""
+    second = np.abs(points[:, 0]) > np.abs(points[:, 1])
+    lead = np.where(second, points[:, 0], points[:, 1])
+    rho = np.where(second, points[:, 1], points[:, 0]).astype(np.clongdouble) / lead
+    table = np.ones((rows, len(points)), dtype=np.complex128)
+    _powers(rho.astype(np.complex128), rows - 1, into=table.T)
+    return table, second, lead
+
+
+def _power(z: np.ndarray, n: int) -> NDArray[np.complex128]:
+    """z^n elementwise for an integer n >= 0, by binary powering."""
+    out = np.ones_like(z)
+    for bit in bin(n)[2:]:
+        out = out * out * z if bit == "1" else out * out
+    return out
 
 
 def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
@@ -165,26 +163,38 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
     `points` (M, 2) carry real amplitudes `amp` (M, 1 + 3T): the delta
     weights s_w, then per tangent the transport, fiber (per unit k) and
     half-density ones; `normal` (M, 2, T) holds the fields ups_i times s_w.
-    All pairings read the rows P[a] = z0^a z1^(k-1-a), a < k, that
-    `_level_monomials` extends over the levels: s_a = z1 P[a] (a < k),
+    All pairings read P[a] = z0^a z1^(k-1-a), a < k: s_a = z1 P[a] (a < k),
     s_k = z0 P[k-1] and ds_a(ups) = a ups0 P[a-1] + (k-a) ups1 P[a].  So
     each is a row of conj(P V), V = [conj(z1) amp, conj(ups0) s_w,
     conj(ups1) s_w] built once for all levels, but for the row a = k, which
-    pairs conj(P[k-1]) with conj(z0) amp.  Valid for k*max(c, 1-c) < N on a
-    latitude of area c over N base nodes, and while norm_sq stays finite
-    (see `bpu_map`).
+    pairs conj(P[k-1]) with conj(z0) amp.  P is the first k rows of one
+    `_ratio_table` per pass times lead^(k-1): per node family, a level makes
+    one product of those rows with the family's conj(V) times lead^(k-1),
+    and one of their moduli for the snapping bound.  Valid for
+    k*max(c, 1-c) < N on a latitude of area c over N base nodes, and while
+    norm_sq stays finite (see `bpu_map`).
     """
-    z0, z1 = points[:, 0], points[:, 1]
     t = normal.shape[2]
-    head = np.hstack([z1[:, None] * amp, normal[:, 0], normal[:, 1]])  # conj(V)
-    tail = z0[:, None] * amp
-    reach = np.abs(z1) * np.abs(amp[:, 0]), np.abs(z0) * np.abs(amp[:, 0])
-    for k, (p, p_mod) in zip(ks, _level_monomials(points, ks)):
+    head = np.hstack([points[:, 1:] * amp, normal[:, 0], normal[:, 1]])  # conj(V)
+    table, second, lead = _ratio_table(points, max([1, *ks]))
+    mods = np.abs(table)
+    families = [(np.where((second == flip)[:, None], head, 0), flip)  # conj(V) per family
+                for flip in (False, True) if np.any(second == flip)]
+
+    def paired(rows, columns):
+        # One product per node family, summed over all N nodes of the row-contiguous
+        # table: BLAS sums a transposed view or a node subset in a thread-dependent order.
+        return sum((rows @ columns(part))[::-1 if flip else 1] for part, flip in families)
+
+    for k in ks:
         b = hardy_basis(k)
-        g = np.conj(p @ head)
-        values = np.vstack([g[:, :1 + 3 * t], np.conj(p[-1] @ tail)])
+        scale = _power(lead, k - 1)
+        last = np.where(second, scale, table[k - 1] * scale) * points[:, 0]  # z0 P[k-1]
+        g = np.conj(paired(table[:k], lambda part: scale[:, None] * part))
+        values = np.vstack([g[:, :1 + 3 * t], np.conj(last @ amp)])
         # Snap pairings below the quadrature floor of their no-cancellation bound.
-        bound = np.append(p_mod @ reach[0], p_mod[-1] @ reach[1])
+        bound = np.append(paired(mods[:k], lambda part: np.abs(scale * part[:, 0])),
+                          np.abs(last) @ np.abs(amp[:, 0]))
         values[np.abs(values[:, 0]) <= 1e-10 * bound, 0] = 0.0
         deriv = np.zeros((k + 1, t), dtype=np.complex128)
         deriv[1:] = np.arange(1, k + 1)[:, None] * g[:, 1 + 3 * t:1 + 4 * t]

@@ -225,12 +225,9 @@ def _fourier_samples(terms: list[dict], phi: np.ndarray) -> np.ndarray:
         mode = _number(term.get("mode", 1), "Fourier term mode", integer=True)
         amp = _number(term.get("amplitude", 1.0), "Fourier term amplitude")
         kind = term.get("kind", "cos")
-        if kind == "cos":
-            out = out + amp * np.cos(mode * phi)
-        elif kind == "sin":
-            out = out + amp * np.sin(mode * phi)
-        else:
+        if kind not in ("cos", "sin"):
             raise ConfigError(f"unknown Fourier term kind {kind!r}")
+        out = out + amp * (np.cos if kind == "cos" else np.sin)(mode * phi)
     return out
 
 

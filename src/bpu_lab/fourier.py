@@ -79,9 +79,7 @@ def trapezoid(values: np.ndarray, axis: int = 0) -> np.ndarray | float:
     Spectrally accurate for smooth periodic integrands and exact (to
     rounding) for trigonometric polynomials of degree < N.
     """
-    n = values.shape[axis]
-    res = values.sum(axis=axis) * (TWO_PI / n)
-    return res
+    return values.sum(axis=axis) * (TWO_PI / values.shape[axis])
 
 
 def tail_fraction(samples: np.ndarray, band: float = 1.0 / 6.0) -> float:

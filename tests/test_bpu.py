@@ -20,7 +20,8 @@ from bpu_lab.bpu import (
 )
 from bpu_lab.errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from bpu_lab.fourier import grid_nodes
-from bpu_lab.geometry import PlanckianLift, horizontal_lift, latitude_loop, normal_frame
+from bpu_lab.geometry import (PlanckianLift, horizontal_lift, latitude_loop, normal_frame,
+                              perturbed_latitude)
 from bpu_lab.hardy import basis, monomial_values
 from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
 
@@ -142,6 +143,15 @@ def third_setup():
     return loop, lift, HalfWeight.constant(loop)
 
 
+@pytest.fixture(scope="module")
+def two_thirds_setup():
+    # Every node has |z0| > |z1|: the kernel reads only the second node family.
+    loop = latitude_loop(2.0 / 3.0, N)
+    lift = horizontal_lift(loop)
+    assert lift.winding == 3
+    return loop, lift, HalfWeight.constant(loop)
+
+
 @pytest.mark.parametrize("setup, ks", [("half_setup", (2, 8, 40, 160)),
                                        ("third_setup", (3, 9, 60, 300))])
 def test_projection_pairings_match_delta_pair_quadrature(request, setup, ks):
@@ -165,7 +175,8 @@ def test_projection_pairings_match_delta_pair_quadrature(request, setup, ks):
         assert np.all(np.abs(quadrature[~kept]) <= 1e-10 * bound[~kept])
 
 
-@pytest.mark.parametrize("setup, c", [("half_setup", 0.5), ("third_setup", 1.0 / 3.0)])
+@pytest.mark.parametrize("setup, c", [("half_setup", 0.5), ("third_setup", 1.0 / 3.0),
+                                      ("two_thirds_setup", 2.0 / 3.0)])
 def test_latitude_norm_matches_exact_oracle_up_to_k600(request, setup, c):
     _, lift, hw = request.getfixturevalue(setup)
     r = lift.winding
@@ -184,12 +195,35 @@ def test_norm_sweep_over_the_ladder_matches_exact_oracle(third_setup):
     for row in rows:
         exact = latitude_norm_sq(lift, hw, 1.0 / 3.0, row["k"])
         assert row["norm_sq"] == pytest.approx(exact, rel=1e-11), row["k"]
-    # The rows extended over the whole sweep hold the level-599 monomials.
-    *_, (rows_599, mods_599) = bpu._level_monomials(lift.points, ks)
+    # The sweep's ratio table times lead^599 gives the monomials of degree 599
+    # that level 600 reads, and their moduli.
+    table, second, lead = bpu._ratio_table(lift.points, ks[-1])
+    rows, scale = np.where(second, table[::-1], table), bpu._power(lead, 599)
     re, im = (part.T for part in polar_monomials(lift.points, 599))
     mag = np.hypot(re, im)
-    assert np.all(np.hypot(rows_599.real - re, rows_599.imag - im) <= 1e-13 * mag)
-    assert np.all(np.abs(mods_599 - mag) <= 1e-13 * mag)
+    assert np.all(np.hypot((rows * scale).real - re, (rows * scale).imag - im) <= 1e-13 * mag)
+    assert np.all(np.abs(np.abs(rows) * np.abs(scale) - mag) <= 1e-13 * mag)
+
+
+def test_mixed_node_families_match_long_double_quadrature():
+    # The perturbed loop crosses |z0| = |z1|: every level's product holds both
+    # node families, and the second one reads the table's rows reversed.
+    loop = perturbed_latitude(0.5, N, amplitude=0.04, seed=1)
+    lift = horizontal_lift(loop)
+    hw = HalfWeight.constant(loop)
+    second = np.abs(lift.circuit[:, 0]) > np.abs(lift.circuit[:, 1])
+    assert sorted([np.count_nonzero(second), np.count_nonzero(~second)]) == [115, 141]
+    r, weights = lift.winding, lift_weights(lift, hw)[:N].astype(np.longdouble)
+    for k in (2, 40, 160, 300):
+        state = bpu_map(lift, hw, k)
+        pairings = state.coefficients * state.sec_basis.norms_sq
+        re, im = (r * (weights @ part) for part in polar_monomials(lift.circuit, k))
+        bound = r * (weights @ np.hypot(*polar_monomials(lift.circuit, k)))
+        kept = pairings != 0.0
+        gap = np.hypot(pairings.real - re, pairings.imag + im)
+        assert np.all(gap[kept] <= 1e-14 * bound[kept]), k
+        # High levels snap the pairings far out in the band, under their floor.
+        assert np.all(np.hypot(re, im)[~kept] <= 1e-10 * bound[~kept]), k
 
 
 def test_kernel_restarts_below_the_held_level(half_setup):
@@ -204,7 +238,8 @@ def test_kernel_restarts_below_the_held_level(half_setup):
     assert [row["norm_sq"] for row in sweep] == pytest.approx(
         [bpu_map(lift, hw, k).norm_sq for k in ks], rel=1e-13)
     # An empty level list never reaches max([]).
-    assert list(bpu._level_monomials(lift.points, [])) == []
+    amp = np.ones((N, 1 + 3 * len(frame)))
+    assert list(bpu._level_moments(lift.circuit, amp, np.zeros((N, 2, len(frame))), [])) == []
     assert d_bpu(lift, hw, frame, []) == [] and norm_sweep(lift, hw, []) == []
 
 
@@ -422,32 +457,27 @@ def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):
     frame = [constrained(loop, hw, np.cos(phi), np.cos(phi)),
              constrained(loop, hw, np.sin(phi), np.cos(phi)),
              constrained(loop, hw, np.cos(2 * phi), np.zeros(64))]
-    ks = [2, 4, 8, 16]
-    builds, powers, gammas = [], [], []
-    real_monomials, real_powers, real_gamma = bpu._monomials, hardy._powers, bpu.gamma_flow
-    monkeypatch.setattr(bpu, "_monomials",
-                        lambda pts, d: builds.append(d + 1) or real_monomials(pts, d))
-    monkeypatch.setattr(hardy, "_powers",
-                        lambda z, n, into=None: powers.append(n) or real_powers(z, n, into))
+    builds, gammas = [], []
+    real_powers, real_gamma = bpu._powers, bpu.gamma_flow
+    monkeypatch.setattr(bpu, "_powers",
+                        lambda z, n, into=None: builds.append(n) or real_powers(z, n, into))
     monkeypatch.setattr(bpu, "gamma_flow", lambda lp, f: gammas.append(1) or real_gamma(lp, f))
 
-    def no_derivative_basis(*args):
-        raise AssertionError("monomial_derivatives called")
+    def no_monomial_matrix(*args):
+        raise AssertionError("a monomial matrix was built")
 
-    monkeypatch.setattr(hardy, "monomial_derivatives", no_derivative_basis)
-    assert not hasattr(bpu, "monomial_derivatives")
-    forms = fs_pullback(lift, hw, frame, ks)
-    assert forms.shape == (len(ks), 3, 3)
-    # One pass extends the rows level by level: no level rebuilds those below it.
-    assert len(builds) == len(ks) and sum(builds) <= max(ks) + len(ks)
-    assert len(powers) == 2 * len(ks)
-    assert len(gammas) == len(frame)
-    for log in (builds, powers, gammas):
-        log.clear()
-    d_bpu(lift, hw, frame, ks)
-    assert len(builds) == len(ks) and sum(builds) <= max(ks) + len(ks)
-    assert len(powers) == 2 * len(ks)
-    assert len(gammas) == len(frame)
+    for name in ("_monomials", "monomial_values", "monomial_derivatives"):
+        monkeypatch.setattr(hardy, name, no_monomial_matrix)
+        assert not hasattr(bpu, name)
+    # One ratio table per kernel pass, of max(ks) rows, however many levels it serves.
+    for ks in ([2, 4, 8, 16], [16, 2], [8]):
+        forms = fs_pullback(lift, hw, frame, ks)
+        assert forms.shape == (len(ks), 3, 3)
+        d_bpu(lift, hw, frame, ks)
+        assert builds == [max(ks) - 1] * 2
+        assert len(gammas) == 2 * len(frame)
+        builds.clear()
+        gammas.clear()
 
 
 @pytest.mark.parametrize("radial", [1.0, 1e-8])

@@ -272,10 +272,12 @@ def test_cli_rerun_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-@pytest.mark.parametrize("config", ["derivative_crosscheck.json", "norm_sweep_r2.json"])
+@pytest.mark.parametrize("config", ["derivative_crosscheck.json", "norm_sweep_r2.json",
+                                    "theorem_check_r2.json"])
 def test_artifacts_do_not_depend_on_the_blas_thread_count(config, tmp_path):
     # No result may rest on a multithreaded matrix product: the transport
-    # path sums Taylor series, not a dense trig basis.
+    # path sums Taylor series, not a dense trig basis, and every product of
+    # the projection kernel sums over all nodes of its row-contiguous table.
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
