@@ -209,8 +209,8 @@ def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafT
                    ks: Sequence[int]):
     """The level-moment kernel on a lift and a tangent frame, over the first
     circuit's N nodes.  Circuit q pairs at level k as the first one times
-    e^{-2 pi i q k turns/r}, so the weights carry the factor r, and each
-    level's outputs the deck selection rule's factor (k % r == 0)."""
+    e^{-2 pi i q k turns/r}, so the weights carry the factor r, and the deck
+    selection rule makes levels r does not divide exact zeros, never computed."""
     loop, t = lift.base, len(tangents)
     if hw.loop is not loop:
         raise ContractViolation("half-weight and lift live on different loops")
@@ -224,9 +224,11 @@ def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafT
         field = hamiltonian_normal_components(loop, w.f)[:, None] * normal_frame(loop)
         _require_sphere_tangent(lift.circuit, lift.phases[:, None] * field)
         normal[:, :, i] = (lift.phases * s_w)[:, None] * field
-    for k, (b, coeffs, blocks) in zip(ks, _level_moments(lift.circuit, amp, normal, ks)):
-        on = k % lift.winding == 0
-        yield b, on * coeffs, tuple(on * block for block in blocks)
+    lattice = _level_moments(lift.circuit, amp, normal, [k for k in ks if k % lift.winding == 0])
+    for k in ks:
+        if k % lift.winding:
+            b, zero = hardy_basis(k), np.zeros((t + 1, k + 1), dtype=np.complex128)
+        yield (b, zero[0], (zero[1:],) * 3) if k % lift.winding else next(lattice)
 
 
 def _signed(blocks, signs: tuple[int, int]) -> NDArray[np.complex128]:

@@ -10,11 +10,18 @@ a tolerance, 2 for configuration or usage errors.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
+import os
 import sys
 from pathlib import Path
 
-from .errors import BpuLabError, ConfigError
-from .experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment
+# One OpenBLAS thread unless the user sets one; frozen objects skip teardown's GC.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+atexit.register(gc.freeze)
+
+from .errors import BpuLabError, ConfigError  # noqa: E402
+from .experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment  # noqa: E402
 
 __all__ = ["main"]
 
@@ -75,9 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, ok in sorted(result.verdicts.items()):
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
     print(f"wrote {csv_path} and {json_path}")
-    if not result.passed:
-        return 1
-    return 0
+    return 0 if result.passed else 1
 
 
 if __name__ == "__main__":

@@ -390,6 +390,22 @@ def test_d_bpu_warns_off_lattice(half_setup):
     assert any("divisible" in str(c.message) for c in caught)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_off_lattice_levels_are_exact_zeros_where_coefficients_would_overflow(third_setup):
+    # At k = 1021 and 1022 on c = 1/3 the mid-band basis norms near the
+    # subnormal range, so a computed coefficient can be inf; the deck rule's
+    # zeros must not be formed as 0 * inf.
+    loop, lift, hw = third_setup
+    w = constrained(loop, hw, np.cos(PHI), np.zeros(N))
+    for k in (1021, 1022):
+        state = bpu_map(lift, hw, k)
+        assert state.coefficients.shape == (k + 1,)
+        assert not np.any(state.coefficients) and state.norm_sq == 0.0
+        with pytest.warns(UserWarning, match="divisible"):
+            rows = d_bpu(lift, hw, [w], [k])[0]
+        assert rows.shape == (1, k + 1) and not np.any(rows)
+
+
 def test_d_bpu_frame_rows_match_single_tangent_calls(half_setup):
     loop, lift, hw = half_setup
     frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),

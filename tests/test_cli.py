@@ -272,19 +272,59 @@ def test_cli_rerun_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def blas_env(threads):
+    """The test process's environment with OPENBLAS_NUM_THREADS set to
+    `threads`, or removed for None (importing bpu_lab.cli here set it)."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    return env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+
+
 @pytest.mark.parametrize("config", ["derivative_crosscheck.json", "norm_sweep_r2.json",
                                     "theorem_check_r2.json"])
 def test_artifacts_do_not_depend_on_the_blas_thread_count(config, tmp_path):
     # No result may rest on a multithreaded matrix product: the transport
     # path sums Taylor series, not a dense trig basis, and every product of
     # the projection kernel sums over all nodes of its row-contiguous table.
+    # Unset means the CLI's default of one thread.
     outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
+    for threads in (None, "1", "2"):
+        out = tmp_path / str(threads)
         proc = subprocess.run([sys.executable, "-m", "bpu_lab.cli", "run", "--config",
                                str(CONFIG_DIR / config), "--output", str(out)],
-                              capture_output=True, text=True,
-                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+                              capture_output=True, text=True, env=blas_env(threads))
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/<pid>/task")
+def test_cli_import_defaults_to_one_blas_thread_and_respects_the_user():
+    # Importing bpu_lab.cli before numpy sets the default; OpenBLAS starts its
+    # worker threads when numpy loads, at most one per usable CPU.
+    probe = ("import os, bpu_lab.cli, numpy; "
+             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    cpus = len(os.sched_getaffinity(0))
+    for threads, expected in ((None, ("1", 1)), ("2", ("2", min(2, cpus)))):
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=blas_env(threads))
+        assert proc.returncode == 0, proc.stderr
+        variable, count = proc.stdout.split()
+        assert (variable, int(count)) == expected
+
+
+def test_cli_freezes_the_heap_before_teardown(tmp_path):
+    # atexit runs handlers last in, first out: a probe registered before the
+    # import runs after the CLI's gc.freeze, so the interpreter's final
+    # collections skip what the freeze holds.
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/2", "n": 64, "l_max": 10}))
+    probe = ("import atexit, gc, sys; "
+             "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0)); "
+             "import bpu_lab.cli; sys.exit(bpu_lab.cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", probe, "run", "--config", str(cfg),
+                           "--output", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "leading_coefficient: PASS" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "frozen: True"
+    assert (tmp_path / "out" / "norm-sweep.csv").exists()
+    assert (tmp_path / "out" / "norm-sweep.json").exists()
