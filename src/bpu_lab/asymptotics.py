@@ -31,7 +31,7 @@ __all__ = [
 _CONDITION_CAP = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpansionFit:
     alpha: float
     m: int
@@ -54,7 +54,7 @@ class LadderReport:
     residual_scale: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayReport:
     ks: NDArray[np.float64]
     values: NDArray[np.float64]

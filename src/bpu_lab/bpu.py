@@ -94,7 +94,7 @@ DECAY_MIN_DISTANCE = 0.2 * SPHERE_DIAMETER
 # States
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BpuState:
     """Level-k projection of the delta distribution of (P, lambda)."""
 
@@ -116,7 +116,7 @@ class BpuState:
         return hardy.eval_section(self.sec_basis, self.coefficients, points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileTable:
     """Transverse profile |u(x + w/sqrt(k))| / |u(x)| against the Gaussian."""
 

@@ -2,16 +2,18 @@
 
 Each experiment kind consumes a single JSON configuration document,
 produces a CSV data table (columns k, l, r, value_re, value_im), a JSON
-manifest carrying the configuration hash, the pinned convention constants
+manifest carrying the configuration verbatim, the pinned convention constants
 and their checks, the fits and the PASS/FAIL verdicts, and reports an
 overall verdict.  Given identical configurations the emitted bytes are equal.
+Seeded draws come from `random.Random(seed).random()` alone, whose sequence
+Python keeps stable for a given seed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import random
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -21,13 +23,14 @@ import numpy as np
 
 from . import asymptotics, bpu, calibration, leaf
 from .errors import ConfigError
+from .fourier import grid_nodes
 from .geometry import (
     MAX_HOLONOMY_ORDER,
     fs_distance,
+    graph_loop,
     horizontal_lift,
     latitude_loop,
     normal_frame,
-    perturbed_latitude,
 )
 from .leaf import HalfWeight, LeafTangent, project_constraints
 
@@ -192,10 +195,6 @@ class ExperimentConfig:
             raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
-    def config_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"raw"}
 
@@ -257,14 +256,15 @@ def _build_tangent(loop, hw: HalfWeight, descriptor: dict, index: int) -> LeafTa
     return w
 
 
-def _random_tangent(loop, hw: HalfWeight, rng: np.random.Generator) -> LeafTangent:
+def _random_tangent(loop, hw: HalfWeight, rng: random.Random) -> LeafTangent:
+    """The constrained tangent whose f and s_ell / s_lambda each sum two
+    cosines, drawn per term as amplitude in [0.5, 1.5), mode in {1, 2, 3} and
+    phase in [0, 2*pi)."""
     phi = loop.phi
-    f = np.zeros(loop.n)
-    s = np.zeros(loop.n)
-    for m in rng.integers(1, 4, size=2):
-        f = f + rng.uniform(0.5, 1.5) * np.cos(int(m) * phi + rng.uniform(0, 2 * np.pi))
-    for m in rng.integers(1, 4, size=2):
-        s = s + rng.uniform(0.5, 1.5) * np.cos(int(m) * phi + rng.uniform(0, 2 * np.pi))
+    f, s = (sum((0.5 + rng.random()) * np.cos((1 + int(3 * rng.random())) * phi
+                                              + 2 * np.pi * rng.random())
+                for _ in range(2))
+            for _ in range(2))
     return project_constraints(loop, f, s * hw.s_lambda, hw)
 
 
@@ -370,10 +370,10 @@ def _run_derivative_crosscheck(config: ExperimentConfig) -> _Outcome:
     loop, lift, hw = _setup(config)
     r = lift.winding
     ks = config.k_values or [4 * r, 8 * r, 16 * r]
-    rng = np.random.default_rng(config.seed)
     if config.tangents:
         tangents = [_build_tangent(loop, hw, d, i) for i, d in enumerate(config.tangents)]
     else:
+        rng = random.Random(config.seed)
         tangents = [_random_tangent(loop, hw, rng) for _ in range(5)]
     off_lattice = [k for k in ks if k % r]
     if off_lattice:
@@ -442,10 +442,16 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
 
 def _run_identity_suite(config: ExperimentConfig) -> _Outcome:
     tol = config.tolerances["identity_abs"]
-    rng = np.random.default_rng(config.seed)
-    loops = [latitude_loop(float(config.c), config.n),
-             perturbed_latitude(float(config.c), config.n, amplitude=0.04,
-                                seed=config.seed)]
+    rng = random.Random(config.seed)
+    c = float(config.c)
+    phi = grid_nodes(config.n)
+    # The second loop's area coordinate adds modes 1..3 of amplitude
+    # 0.04 * [0.3, 1) / m and random phase; its mean stays c.
+    area = np.full(config.n, c)
+    for m in (1, 2, 3):
+        area = area + (0.04 * (0.3 + 0.7 * rng.random()) / m
+                       * np.cos(m * phi + 2 * np.pi * rng.random()))
+    loops = [latitude_loop(c, config.n), graph_loop(area)]
     worst: dict[str, float] = {}
 
     def record(name: str, value: float):
@@ -523,7 +529,6 @@ def emit_report(result: RunResult, outdir: Path | str) -> tuple[Path, Path]:
 
     manifest = {
         "config": result.config.raw,
-        "config_sha256": result.config.config_hash(),
         "kind": result.kind,
         "calibrated_signs": result.signs,
         "c_omega": bpu.C_OMEGA,

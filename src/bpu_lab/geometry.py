@@ -46,7 +46,7 @@ __all__ = [
     "PlanckianLift",
     "HolonomyResult",
     "latitude_loop",
-    "perturbed_latitude",
+    "graph_loop",
     "holonomy",
     "horizontal_lift",
     "normal_frame",
@@ -196,23 +196,17 @@ class PlanckianLift:
 # Loop constructors
 # ---------------------------------------------------------------------------
 
-def perturbed_latitude(c: float, n: int = 256, amplitude: float = 0.05,
-                       seed: int = 0, max_mode: int = 3) -> LagrangianLoop:
-    """Smooth random graph-type perturbation of a latitude circle.
+def graph_loop(area) -> LagrangianLoop:
+    """Graph loop z = (sqrt(c(phi)), sqrt(1 - c(phi)) e^{i phi}) through the
+    samples of the area coordinate c(phi) on grid_nodes(len(area)).
 
-    The area coordinate is modulated by a few low Fourier modes drawn from
-    the seed; amplitudes are kept small enough to stay clear of both poles.
+    It encloses area equal to the mean of c(phi), so its holonomy is that of
+    the latitude at the mean.
     """
-    if not 0.0 < c < 1.0:
-        raise DomainError(f"area fraction must lie in (0, 1), got {c}")
-    rng = np.random.default_rng(seed)
-    phi = grid_nodes(n)
-    cs = np.full(n, float(c))
-    for m in range(1, max_mode + 1):
-        amp = amplitude * rng.uniform(0.3, 1.0) / m
-        cs = cs + amp * np.cos(m * phi + rng.uniform(0.0, TWO_PI))
+    cs = np.asarray(area, dtype=np.float64)
     if cs.min() <= 1e-3 or cs.max() >= 1.0 - 1e-3:
-        raise DomainError("perturbation amplitude drives the loop into a pole")
+        raise DomainError("the area coordinate must stay 1e-3 clear of both poles")
+    phi = grid_nodes(cs.size)
     pts = np.stack([np.sqrt(cs).astype(np.complex128),
                     np.sqrt(1.0 - cs) * np.exp(1j * phi)], axis=1)
     return LagrangianLoop(pts)

@@ -41,7 +41,7 @@ BUNDLE_VOLUME = math.sqrt(math.pi)
 EQUIVARIANCE_SIGN = +1  # eval(e^{i theta} x) = e^{+i k theta} eval(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectionBasis:
     """Orthogonal monomial basis of the level-k space (dimension k+1)."""
 

@@ -70,7 +70,7 @@ def _integrate_density(loop: LagrangianLoop, coeff: np.ndarray) -> float:
     return float(trapezoid(np.asarray(coeff) * loop.speed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfWeight:
     """Half-density coefficient S_lambda with unit total weight."""
 
@@ -101,7 +101,7 @@ class HalfWeight:
         return bool(np.min(np.abs(self.s_lambda)) > tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafTangent:
     """Constrained tangent pair (f, ell = S_ell * dens^(1/2)) on a loop."""
 
@@ -124,7 +124,7 @@ class LeafTangent:
         return abs(r1), abs(r2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedTangent:
     """Tangent pair (f, phi) on the weighted leaf; phi is a density sampled
     as a coefficient against |dphi| on the parameter circle."""

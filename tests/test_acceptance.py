@@ -18,10 +18,10 @@ from bpu_lab.geometry import (
     horizontal_lift,
     latitude_loop,
     normal_frame,
-    perturbed_latitude,
 )
 from bpu_lab.leaf import HalfWeight, flow_state, project_constraints
 
+from conftest import wavy_loop
 from oracles import delta_pair
 
 N = 256
@@ -262,7 +262,7 @@ def test_algebraic_identity_suite():
     tol = 1e-9
     rng = np.random.default_rng(99)
     worst = 0.0
-    for loop in (latitude_loop(0.5, N), perturbed_latitude(0.5, N, amplitude=0.04, seed=3)):
+    for loop in (latitude_loop(0.5, N), wavy_loop(0.5, N, seed=3, amplitude=0.04)):
         hw = HalfWeight.constant(loop)
         phi = loop.phi
         for _ in range(10):

@@ -20,11 +20,11 @@ from bpu_lab.bpu import (
 )
 from bpu_lab.errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from bpu_lab.fourier import grid_nodes
-from bpu_lab.geometry import (PlanckianLift, horizontal_lift, latitude_loop, normal_frame,
-                              perturbed_latitude)
+from bpu_lab.geometry import PlanckianLift, horizontal_lift, latitude_loop, normal_frame
 from bpu_lab.hardy import basis, monomial_values
 from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
 
+from conftest import wavy_loop
 from oracles import (
     delta_pair,
     inner,
@@ -89,6 +89,18 @@ def test_bpu_vanishes_off_divisibility_lattice(half_setup):
         state = bpu_map(lift, hw, k)
         assert np.abs(state.coefficients).max() < 1e-11
         assert not state.is_admissible
+
+
+def test_array_holding_states_compare_and_hash_by_identity(half_setup):
+    # A field-wise == would compare arrays (ValueError) and a field-wise
+    # hash would hash them (TypeError); both classes use object identity.
+    loop, lift, hw = half_setup
+    state = bpu_map(lift, hw, 4)
+    for obj, twin in ((hw, HalfWeight(loop, hw.s_lambda)),
+                      (state, bpu.BpuState(state.k, state.sec_basis, state.coefficients, lift))):
+        assert obj == obj and obj != twin
+        assert hash(obj) == object.__hash__(obj)
+        assert len({obj, twin}) == 2
 
 
 def test_bpu_single_coefficient_at_matching_weight(half_setup):
@@ -208,7 +220,7 @@ def test_norm_sweep_over_the_ladder_matches_exact_oracle(third_setup):
 def test_mixed_node_families_match_long_double_quadrature():
     # The perturbed loop crosses |z0| = |z1|: every level's product holds both
     # node families, and the second one reads the table's rows reversed.
-    loop = perturbed_latitude(0.5, N, amplitude=0.04, seed=1)
+    loop = wavy_loop(0.5, N, seed=1, amplitude=0.04)
     lift = horizontal_lift(loop)
     hw = HalfWeight.constant(loop)
     second = np.abs(lift.circuit[:, 0]) > np.abs(lift.circuit[:, 1])

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bpu_lab import bpu, calibration, cli
+from bpu_lab import bpu, calibration, cli, experiments
 from bpu_lab.errors import ConfigError
 from bpu_lab.experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment
+from bpu_lab.geometry import graph_loop, holonomy
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -76,11 +78,51 @@ def test_crosscheck_rejects_off_lattice_level_before_any_work(monkeypatch):
         run_experiment(config)
 
 
-def test_config_hash_is_stable():
-    raw = {"kind": "norm-sweep", "c": "1/2", "n": 64, "l_max": 6}
-    a = ExperimentConfig.from_dict(raw).config_hash()
-    b = ExperimentConfig.from_dict(json.loads(json.dumps(raw))).config_hash()
-    assert a == b and len(a) == 64
+class Drawn(Exception):
+    """Stops a run once the seeded object under test is built."""
+
+
+def crosscheck_tangents(monkeypatch, seed):
+    def capture(lift, hw, tangents, ks):
+        raise Drawn(tangents)
+
+    monkeypatch.setattr(bpu, "d_bpu", capture)
+    config = ExperimentConfig.from_dict({"kind": "derivative-crosscheck", "c": "1/2",
+                                         "n": 64, "seed": seed})
+    with pytest.raises(Drawn) as caught:
+        run_experiment(config)
+    return caught.value.args[0]
+
+
+def identity_loop(monkeypatch, c, seed):
+    def capture(area):
+        raise Drawn(graph_loop(area))
+
+    monkeypatch.setattr(experiments, "graph_loop", capture)
+    config = ExperimentConfig.from_dict({"kind": "identity-suite", "c": c, "n": 256,
+                                         "seed": seed})
+    with pytest.raises(Drawn) as caught:
+        run_experiment(config)
+    return caught.value.args[0]
+
+
+def test_seed_fixes_the_drawn_tangents_and_identity_loop(monkeypatch):
+    def samples(tangents):
+        return np.concatenate([np.concatenate([w.f, w.s_ell]) for w in tangents])
+
+    first, again, other = (samples(crosscheck_tangents(monkeypatch, s)) for s in (7, 7, 8))
+    assert first.size == 5 * 2 * 64
+    assert first.tobytes() == again.tobytes() and not np.allclose(first, other)
+
+    first, again, other = (identity_loop(monkeypatch, "1/2", s).points for s in (5, 5, 6))
+    assert first.tobytes() == again.tobytes() and not np.allclose(first, other)
+    # A graph loop encloses the mean of its area coordinate, which the draws
+    # leave at c: the holonomy order stays the latitude's r.
+    for c, r in (("1/2", 2), ("1/3", 3)):
+        for seed in range(1, 6):
+            loop = identity_loop(monkeypatch, c, seed)
+            assert np.ptp(np.abs(loop.points[:, 0]) ** 2) > 0.01
+            assert holonomy(loop).order == r, (c, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +152,10 @@ def test_csv_format(small_sweep):
 def test_manifest_contents(small_sweep):
     result, _, json_path = small_sweep
     manifest = json.loads(json_path.read_text())
-    assert manifest["config_sha256"] == result.config.config_hash()
+    # The manifest identifies its run by the configuration itself; any digest
+    # can be recomputed from it.
+    assert manifest["config"] == result.config.raw
+    assert "config_sha256" not in manifest
     assert manifest["calibrated_signs"]["sigma_theta"] in (-1, 1)
     assert abs(manifest["c_omega"]) in (0.5, 1.0, 2.0)
     assert set(manifest["verdicts"]) == {"leading_coefficient", "ladder_residual"}
@@ -328,3 +373,22 @@ def test_cli_freezes_the_heap_before_teardown(tmp_path):
     assert proc.stdout.splitlines()[-1] == "frozen: True"
     assert (tmp_path / "out" / "norm-sweep.csv").exists()
     assert (tmp_path / "out" / "norm-sweep.json").exists()
+
+
+def test_cli_runs_load_neither_numpy_random_nor_openssl(tmp_path):
+    # numpy.random adds 6.6 MB of peak RSS to a CLI process and imports
+    # hashlib, whose _hashlib loads libcrypto (3.6 MB); seeded draws use the
+    # stdlib generator and the manifest carries no digest.
+    probe = ("import sys, bpu_lab.cli; "
+             "codes = [bpu_lab.cli.main(['run', '--config', path, '--output', sys.argv[-1]]) "
+             "for path in sys.argv[1:-1]]; "
+             "print(codes, sorted({'numpy.random', '_hashlib', 'hashlib'} & set(sys.modules)))")
+    configs = [str(CONFIG_DIR / name) for name in ("derivative_crosscheck.json",
+                                                   "identity_suite.json")]
+    proc = subprocess.run([sys.executable, "-c", probe, *configs, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "derivative-crosscheck.csv", "derivative-crosscheck.json",
+        "identity-suite.csv", "identity-suite.json"]

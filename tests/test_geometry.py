@@ -14,6 +14,7 @@ from bpu_lab.geometry import (
     fs_distance,
     fs_inner,
     fs_norm,
+    graph_loop,
     holonomy,
     horizontal_lift,
     latitude_loop,
@@ -244,6 +245,10 @@ def test_latitude_domain_errors():
         latitude_loop(1.2, 64)
     with pytest.raises(DomainError):
         latitude_loop(0.5, 15)
+    phi = grid_nodes(64)
+    for area in (0.5 + 0.4995 * np.cos(phi), np.full(64, 5e-4)):
+        with pytest.raises(DomainError, match="poles"):
+            graph_loop(area)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source layout rules: every import of the package sits at module level,
-every name a module exports exists, and every name the benchmark tracer
-summarizes exists in the package."""
+no module loads hashlib or numpy.random, every name a module exports
+exists, and every name the benchmark tracer summarizes exists in the
+package."""
 
 from __future__ import annotations
 
@@ -26,6 +27,40 @@ def test_no_imports_inside_functions():
     assert modules
     found = sorted(set().union(*(function_imports(p) for p in modules)))
     assert not found, f"imports inside function bodies: {', '.join(found)}"
+
+
+# Modules a CLI process must not load, with the peak RSS each one costs it.
+_HEAVY_MODULES = {
+    "hashlib": "its _hashlib loads OpenSSL's libcrypto, +3.6 MB",
+    "numpy.random": "+6.6 MB, and it imports hashlib through secrets",
+}
+
+
+def heavy_uses(path: Path) -> set[str]:
+    """Locations `file:line module` of imports of, or `np.random` references
+    to, the modules in _HEAVY_MODULES."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            names = ["numpy.random"]
+        else:
+            continue
+        found |= {f"{path.name}:{node.lineno} {name}" for name in names
+                  if name in _HEAVY_MODULES}
+    return found
+
+
+def test_no_heavy_stdlib_or_numpy_modules():
+    found = sorted(set().union(*(heavy_uses(p) for p in sorted(SRC.glob("*.py")))))
+    costs = "; ".join(f"{name}: {cost}" for name, cost in _HEAVY_MODULES.items())
+    assert not found, (f"modules that load what a CLI process does not need ({costs}): "
+                       f"{', '.join(found)}")
 
 
 def test_every_exported_name_resolves():

@@ -268,7 +268,7 @@ def test_gamma_is_exact_on_latitudes(c, n):
 
 def test_gamma_matches_finite_difference_oracle_off_latitudes():
     f = np.cos(2 * PHI) + 0.4 * np.sin(3 * PHI)
-    loops = [geometry.perturbed_latitude(0.3, N, amplitude=0.08, seed=11)]
+    loops = [wavy_loop(0.3, N, seed=11, amplitude=0.08)]
     loops += [wavy_loop(c0=0.4 + 0.05 * seed, n=N, seed=seed) for seed in range(5)]
     for loop in loops:
         oracle = gamma_fd(loop, f)
