@@ -163,8 +163,7 @@ def superpoly_decay(samples, threshold: float) -> DecayReport:
     ks, ys = _as_arrays(samples)
     if np.any(ys < 0.0):
         raise DomainError("decay samples must be nonnegative")
-    dyad_ks = []
-    slopes = []
+    dyad_ks, slopes = [], []
     for i, k in enumerate(ks):
         j = np.nonzero(np.isclose(ks, 2.0 * k, rtol=1e-9))[0]
         if j.size == 0 or ys[i] <= 0.0:

@@ -49,6 +49,7 @@ __all__ = [
     "C_G",
     "SPHERE_DIAMETER",
     "COEFF_FLOOR",
+    "FAMILY_MARGIN",
     "FD_STEP",
     "DECAY_MIN_DISTANCE",
     "BpuState",
@@ -83,6 +84,10 @@ SPHERE_DIAMETER = SQRT_PI / 2.0
 
 # Coefficients below this magnitude count as exactly zero (quadrature floor).
 COEFF_FLOOR = 1e-11
+
+# A node is in the kernel's second family where |z0| > |z1| (1 + FAMILY_MARGIN): far
+# above rounding, so no latitude splits, and |rho|^a <= e^(FAMILY_MARGIN k) ~ 1.
+FAMILY_MARGIN = 1e-12
 
 # Flow time of the coarser central difference in fd_d_bpu, and the base
 # distance below which an off-loop point gets no decay verdict.
@@ -135,15 +140,21 @@ class ProfileTable:
 
 def _ratio_table(points: np.ndarray, rows: int):
     """Monomials z0^a z1^(d-a), d < rows, at points (M, 2) as rho^a lead^d: the
-    row-contiguous (rows, M) table of rho^a, the second family's mask, and lead.
-    Nodes with |z0| <= |z1| have rho = z0/z1, lead = z1; the second family has
-    rho = z1/z0, lead = z0 and reads the rows reversed.  rho is rounded once."""
-    second = np.abs(points[:, 0]) > np.abs(points[:, 1])
+    row-contiguous (rows, M) table of rho^a, the factors (coarse, fine) of its
+    moduli, the second family's mask, and lead.  Nodes with |z0| <= |z1|
+    (1 + FAMILY_MARGIN) have rho = z0/z1, lead = z1; the second family has
+    rho = z1/z0, lead = z0 and reads the rows reversed.  rho is rounded once.
+    |rho|^(qB + i) = coarse[q] fine[:, i] for i < B = floor(sqrt(rows - 1)) + 1,
+    the split of `_powers`, from long-double products of the unrounded |rho|."""
+    second = np.abs(points[:, 0]) > np.abs(points[:, 1]) * (1.0 + FAMILY_MARGIN)
     lead = np.where(second, points[:, 0], points[:, 1])
     rho = np.where(second, points[:, 1], points[:, 0]).astype(np.clongdouble) / lead
     table = np.ones((rows, len(points)), dtype=np.complex128)
     _powers(rho.astype(np.complex128), rows - 1, into=table.T)
-    return table, second, lead
+    block, mod = int((rows - 1) ** 0.5) + 1, np.abs(rho)[:, None]
+    fine = np.cumprod(np.hstack([mod ** 0] + [mod] * (block - 1)), axis=1)
+    coarse = np.cumprod(np.hstack([mod ** 0] + [fine[:, -1:] * mod] * ((rows - 1) // block)), axis=1)
+    return table, (coarse.T.astype(np.float64, order="C"), fine.astype(np.float64)), second, lead
 
 
 def _power(z: np.ndarray, n: int) -> NDArray[np.complex128]:
@@ -170,30 +181,33 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
     pairs conj(P[k-1]) with conj(z0) amp.  P is the first k rows of one
     `_ratio_table` per pass times lead^(k-1): per node family, a level makes
     one product of those rows with the family's conj(V) times lead^(k-1),
-    and one of their moduli for the snapping bound.  Valid for
-    k*max(c, 1-c) < N on a latitude of area c over N base nodes, and while
-    norm_sq stays finite (see `bpu_map`).
+    and one real product of the two moduli factors for the snapping bound.
+    By FAMILY_MARGIN no latitude, c = 1/2 included, has two families.
+    Valid for k*max(c, 1-c) < N on a latitude of area c over N base nodes,
+    and while norm_sq stays finite (see `bpu_map`).
     """
     t = normal.shape[2]
     head = np.hstack([points[:, 1:] * amp, normal[:, 0], normal[:, 1]])  # conj(V)
-    table, second, lead = _ratio_table(points, max([1, *ks]))
-    mods = np.abs(table)
+    table, (coarse, fine), second, lead = _ratio_table(points, max([1, *ks]))
     families = [(np.where((second == flip)[:, None], head, 0), flip)  # conj(V) per family
                 for flip in (False, True) if np.any(second == flip)]
 
-    def paired(rows, columns):
-        # One product per node family, summed over all N nodes of the row-contiguous
-        # table: BLAS sums a transposed view or a node subset in a thread-dependent order.
-        return sum((rows @ columns(part))[::-1 if flip else 1] for part, flip in families)
+    def paired(product):
+        # One product per node family, summed over all N nodes of a row-contiguous
+        # operand: BLAS sums a transposed view or a node subset in a thread-dependent order.
+        return sum(product(part)[::-1 if flip else 1] for part, flip in families)
+
+    def moduli(k, w):  # rows a < k of |table| @ w: rows a = qB + i of coarse @ (fine w)
+        return (coarse[:-(-k // fine.shape[1])] @ (fine * w[:, None])).ravel()[:k]
 
     for k in ks:
         b = hardy_basis(k)
         scale = _power(lead, k - 1)
         last = np.where(second, scale, table[k - 1] * scale) * points[:, 0]  # z0 P[k-1]
-        g = np.conj(paired(table[:k], lambda part: scale[:, None] * part))
+        g = np.conj(paired(lambda part: table[:k] @ (scale[:, None] * part)))
         values = np.vstack([g[:, :1 + 3 * t], np.conj(last @ amp)])
         # Snap pairings below the quadrature floor of their no-cancellation bound.
-        bound = np.append(paired(mods[:k], lambda part: np.abs(scale * part[:, 0])),
+        bound = np.append(paired(lambda part: moduli(k, np.abs(scale * part[:, 0]))),
                           np.abs(last) @ np.abs(amp[:, 0]))
         values[np.abs(values[:, 0]) <= 1e-10 * bound, 0] = 0.0
         deriv = np.zeros((k + 1, t), dtype=np.complex128)
@@ -418,7 +432,6 @@ def pointwise_profile(state: BpuState, x, w_direction, samples: np.ndarray) -> P
     # Perpendicular fraction of the direction in the real horizontal plane.
     par = np.real(np.vdot(tangent_unit, w_unit))
     skew = np.imag(np.vdot(tangent_unit, w_unit))  # component along J * tangent
-    perp_fraction = abs(skew)
     if abs(par ** 2 + skew ** 2 - 1.0) > 1e-9:
         raise ContractViolation("direction must be horizontal at the foot of x")
 
@@ -431,7 +444,7 @@ def pointwise_profile(state: BpuState, x, w_direction, samples: np.ndarray) -> P
     if base_val == 0.0:
         raise OutsideAdmissibleSetError("projection vanishes at the profile point")
     vals = np.abs(state.evaluate(displaced)) / base_val
-    w_perp = samples * perp_fraction
+    w_perp = samples * abs(skew)
     return ProfileTable(w_norm=samples, w_perp_norm=w_perp, ratio=vals,
                         gaussian=np.exp(-w_perp ** 2))
 

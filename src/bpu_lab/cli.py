@@ -59,15 +59,9 @@ def main(argv: list[str] | None = None) -> int:
     if not config_path.is_file():
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return 2
-    try:
-        config = ExperimentConfig.from_json(config_path.read_text())
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     outdir = Path(args.output) if args.output else config_path.parent / "out"
     try:
-        result = run_experiment(config)
+        result = run_experiment(ExperimentConfig.from_json(config_path.read_text()))
         csv_path, json_path = emit_report(result, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -378,15 +378,10 @@ def _run_derivative_crosscheck(config: ExperimentConfig) -> _Outcome:
     off_lattice = [k for k in ks if k % r]
     if off_lattice:
         raise ConfigError(f"cross-check levels {off_lattice} must be divisible by r = {r}")
-    analytic = bpu.d_bpu(lift, hw, tangents, ks)
-    oracle = bpu.fd_d_bpu(lift, hw, tangents, ks)
-    rows = []
-    errors = []
-    for i in range(len(tangents)):
-        for k, ana, fd in zip(ks, analytic, oracle):
-            rel = float(np.linalg.norm(ana[i] - fd[i])) / float(np.linalg.norm(fd[i]))
-            errors.append(rel)
-            rows.append((k, k // r, r, rel, 0.0))
+    levels = list(zip(bpu.d_bpu(lift, hw, tangents, ks), bpu.fd_d_bpu(lift, hw, tangents, ks)))
+    errors = [float(np.linalg.norm(ana[i] - fd[i])) / float(np.linalg.norm(fd[i]))
+              for i in range(len(tangents)) for ana, fd in levels]
+    rows = [(k, k // r, r, rel, 0.0) for k, rel in zip(ks * len(tangents), errors)]
     worst = max(errors)
     fits = {"relative_errors": errors, "worst": worst}
     verdicts = {"derivative_agreement": worst < config.tolerances["fd_rel"]}
@@ -431,8 +426,7 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
     for p_idx, desc in enumerate(points):
         x = _point_from_descriptor(desc)
         report = bpu.decay_check(lift, hw, x, ks, config.tolerances["decay_slope"])
-        for k, v in zip(report.ks, report.values):
-            rows.append((int(k), int(k) // r, r, float(v), 0.0))
+        rows.extend((int(k), int(k) // r, r, float(v), 0.0) for k, v in zip(report.ks, report.values))
         dist = np.min(fs_distance(x[None, :], loop.points))
         fits["points"].append({"descriptor": desc, "distance": dist,
                                "report": report})
@@ -477,13 +471,9 @@ def _run_identity_suite(config: ExperimentConfig) -> _Outcome:
                 record("constraints", res)
             for res in jw.constraint_residuals(hw):
                 record("j_preserves_constraints", res)
-            f_fwd = bpu.f_integrand(w, wp, hw)
-            f_bwd = bpu.f_integrand(wp, w, hw)
-            record("f_hermitian", abs(f_fwd - np.conj(f_bwd)))
-    rows = []
-    fits = {"worst_defects": worst}
-    verdicts = {name: bool(v < tol) for name, v in sorted(worst.items())}
-    return rows, fits, verdicts
+            record("f_hermitian",
+                   abs(bpu.f_integrand(w, wp, hw) - np.conj(bpu.f_integrand(wp, w, hw))))
+    return [], {"worst_defects": worst}, {name: bool(v < tol) for name, v in sorted(worst.items())}
 
 
 _RUNNERS = {

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,9 +49,11 @@ class SectionBasis:
     k: int
     log_norms: NDArray[np.float64]  # log ||s_a||^2
 
-    @property
+    @cached_property
     def norms_sq(self) -> NDArray[np.float64]:
-        return np.exp(self.log_norms)
+        norms = np.exp(self.log_norms)
+        norms.flags.writeable = False
+        return norms
 
 
 def basis(k: int) -> SectionBasis:

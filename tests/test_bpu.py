@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -208,13 +209,17 @@ def test_norm_sweep_over_the_ladder_matches_exact_oracle(third_setup):
         exact = latitude_norm_sq(lift, hw, 1.0 / 3.0, row["k"])
         assert row["norm_sq"] == pytest.approx(exact, rel=1e-11), row["k"]
     # The sweep's ratio table times lead^599 gives the monomials of degree 599
-    # that level 600 reads, and their moduli.
-    table, second, lead = bpu._ratio_table(lift.points, ks[-1])
+    # that level 600 reads, and the products of its two moduli factors their moduli.
+    table, (coarse, fine), second, lead = bpu._ratio_table(lift.points, ks[-1])
+    m = len(lift.points)
+    assert coarse.shape == (599 // 25 + 1, m) and fine.shape == (m, 25)
+    mods = (coarse[:, None, :] * fine.T[None, :, :]).reshape(-1, m)[:600]
     rows, scale = np.where(second, table[::-1], table), bpu._power(lead, 599)
     re, im = (part.T for part in polar_monomials(lift.points, 599))
     mag = np.hypot(re, im)
     assert np.all(np.hypot((rows * scale).real - re, (rows * scale).imag - im) <= 1e-13 * mag)
-    assert np.all(np.abs(np.abs(rows) * np.abs(scale) - mag) <= 1e-13 * mag)
+    mods = np.where(second, mods[::-1], mods) * np.abs(scale)
+    assert np.all(np.abs(mods - mag) <= 1e-13 * mag)
 
 
 def test_mixed_node_families_match_long_double_quadrature():
@@ -223,7 +228,7 @@ def test_mixed_node_families_match_long_double_quadrature():
     loop = wavy_loop(0.5, N, seed=1, amplitude=0.04)
     lift = horizontal_lift(loop)
     hw = HalfWeight.constant(loop)
-    second = np.abs(lift.circuit[:, 0]) > np.abs(lift.circuit[:, 1])
+    second = bpu._ratio_table(lift.circuit, 1)[2]
     assert sorted([np.count_nonzero(second), np.count_nonzero(~second)]) == [115, 141]
     r, weights = lift.winding, lift_weights(lift, hw)[:N].astype(np.longdouble)
     for k in (2, 40, 160, 300):
@@ -236,6 +241,66 @@ def test_mixed_node_families_match_long_double_quadrature():
         assert np.all(gap[kept] <= 1e-14 * bound[kept]), k
         # High levels snap the pairings far out in the band, under their floor.
         assert np.all(np.hypot(re, im)[~kept] <= 1e-10 * bound[~kept]), k
+
+
+@pytest.mark.parametrize("c, ks", [(None, (2, 40, 160, 300)), (1.0 / 3.0, (600,))])
+def test_snap_bound_factors_match_the_dense_moduli_bound(monkeypatch, c, ks):
+    # c = None is the wavy loop, whose nodes fall in both families.
+    loop = wavy_loop(0.5, N, seed=1, amplitude=0.04) if c is None else latitude_loop(c, N)
+    lift = horizontal_lift(loop)
+    hw = HalfWeight.constant(loop)
+    table, (coarse, fine), second, lead = bpu._ratio_table(lift.circuit, max(ks))
+    s_w = lift_weights(lift, hw)[:N] * lift.winding
+    for k in ks:
+        for family in (second, ~second):
+            w = np.where(family, np.abs(bpu._power(lead, k - 1) * s_w), 0.0)
+            dense = np.abs(table[:k]) @ w
+            factored = (coarse[:-(-k // fine.shape[1])] @ (fine * w[:, None])).ravel()[:k]
+            assert np.all(np.abs(factored - dense) <= 1e-13 * dense), k
+    # With the dense moduli as its one factor the kernel returns the same coefficients.
+    states = [bpu_map(lift, hw, k) for k in ks]
+    real_table = bpu._ratio_table
+
+    def dense_moduli(pts, rows):
+        table, _, second, lead = real_table(pts, rows)
+        return table, (np.abs(table), np.ones((len(pts), 1))), second, lead
+
+    monkeypatch.setattr(bpu, "_ratio_table", dense_moduli)
+    for k, state in zip(ks, states):
+        assert np.array_equal(bpu_map(lift, hw, k).coefficients, state.coefficients), k
+
+
+def test_latitude_nodes_fall_in_one_family(half_setup, two_thirds_setup):
+    # On c = 1/2 rounding alone puts 45 nodes on the far side of |z0| = |z1|;
+    # FAMILY_MARGIN keeps them all in the first family.
+    circuit = half_setup[1].circuit
+    assert np.count_nonzero(np.abs(circuit[:, 0]) > np.abs(circuit[:, 1])) == 45
+    assert not np.any(bpu._ratio_table(circuit, 1)[2])
+    assert np.all(bpu._ratio_table(two_thirds_setup[1].circuit, 1)[2])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("setup, ks, kinds", [
+    ("half_setup", [1012, 1014, 1024], ["finite", "inf", "nan"]),
+    ("third_setup", [1020, 1023], ["finite", "nan"])])
+def test_first_non_finite_norm_levels(request, setup, ks, kinds):
+    # The mid-band basis norms near the subnormal range (see `bpu_map`).
+    _, lift, hw = request.getfixturevalue(setup)
+    values = [row["norm_sq"] for row in norm_sweep(lift, hw, ks)]
+    assert ["nan" if np.isnan(x) else "inf" if np.isinf(x) else "finite" for x in values] == kinds
+
+
+def test_norm_sweep_over_the_ladder_stays_near_the_ratio_table(third_setup):
+    # The benchmark's ladder: the (600, N) complex table of rho^a is the
+    # kernel's one large array; its moduli come from two short tables.
+    _, lift, hw = third_setup
+    tracemalloc.start()
+    try:
+        norm_sweep(lift, hw, list(range(3, 601, 3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.35 * 600 * N * 16
 
 
 def test_kernel_restarts_below_the_held_level(half_setup):

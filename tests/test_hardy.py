@@ -60,6 +60,9 @@ def test_norms_positive_and_closed_form():
     for a in range(8):
         expect = hardy.BUNDLE_VOLUME * math.factorial(a) * math.factorial(7 - a) / math.factorial(8)
         assert b.norms_sq[a] == pytest.approx(expect, rel=1e-13)
+    # Exponentiated once per basis, read-only, and bit for bit np.exp(log_norms).
+    assert b.norms_sq is b.norms_sq and not b.norms_sq.flags.writeable
+    assert b.norms_sq.tobytes() == np.exp(b.log_norms).tobytes()
 
 
 def test_level_two_norms_against_quadrature_oracle():
