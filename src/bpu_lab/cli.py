@@ -3,8 +3,9 @@
     bpu-lab run --config experiment.json [--output DIR]
     bpu-lab list-experiments
 
-Exit codes: 0 when all verdicts pass, 1 when the experiment ran but failed
-a tolerance, 2 for configuration or usage errors.
+Exit codes: 0 when all verdicts pass, 1 when the experiment failed a
+tolerance or raised an error or on an I/O error, 2 for configuration or
+usage errors.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     outdir = Path(args.output) if args.output else config_path.parent / "out"
     try:
-        result = run_experiment(ExperimentConfig.from_json(config_path.read_text()))
+        result = run_experiment(ExperimentConfig.from_json(config_path.read_bytes()))
         csv_path, json_path = emit_report(result, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

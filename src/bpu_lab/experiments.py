@@ -36,6 +36,7 @@ from .leaf import HalfWeight, LeafTangent, project_constraints
 
 __all__ = [
     "EXPERIMENT_KINDS",
+    "TOLERANCES",
     "ExperimentConfig",
     "RunResult",
     "run_experiment",
@@ -51,7 +52,8 @@ EXPERIMENT_KINDS = (
     "identity-suite",
 )
 
-_DEFAULT_TOLERANCES = {
+# The acceptance tolerance of every verdict; each manifest records them.
+TOLERANCES = {
     "leading_rel": 0.01,        # norm sweep leading coefficient
     "pair_rel": 0.03,           # theorem check per-pair deviation
     "ladder_band": 0.25,        # residual slope band
@@ -85,19 +87,10 @@ def _number(raw: Any, name: str, integer: bool = False) -> float | int:
 
 
 def _parse_fraction(raw: Any) -> Fraction:
-    if isinstance(raw, str):
-        try:
-            frac = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot parse rational parameter {raw!r}") from exc
-    elif isinstance(raw, (list, tuple)) and len(raw) == 2:
-        try:
-            frac = Fraction(*(_number(v, "rational parameter", integer=True) for v in raw))
-        except ZeroDivisionError as exc:
-            raise ConfigError(f"cannot parse rational parameter {raw!r}") from exc
-    else:
-        raise ConfigError(f"rational parameter must be 'p/q' or [p, q], got {raw!r}")
-    return frac
+    try:
+        return Fraction(_checked(raw, str, "c"))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"circle parameter c must be a string 'p/q', got {raw!r}") from exc
 
 
 def _checked(raw: Any, kind: type, name: str):
@@ -126,7 +119,6 @@ class ExperimentConfig:
     pairs: list[tuple[int, int]]
     k_values: list[int]
     points: list[dict]
-    tolerances: dict[str, float]
     raw: dict = field(repr=False)
 
     @classmethod
@@ -149,14 +141,6 @@ class ExperimentConfig:
         if l_max < 5:
             raise ConfigError("l_max must be at least 5")
         seed = _number(raw.get("seed", 1), "seed", integer=True)
-        tolerances = dict(_DEFAULT_TOLERANCES)
-        for key, val in _checked(raw.get("tolerances", {}), dict, "tolerances").items():
-            if key not in _DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {key!r}")
-            tolerances[key] = _number(val, f"tolerance {key}")
-        for key, val in tolerances.items():
-            if key != "decay_slope" and val <= 0:
-                raise ConfigError(f"tolerance {key} must be positive")
         k_values = [_number(k, "k_values entry", integer=True)
                     for k in _checked(raw.get("k_values", []), list, "k_values")]
         if any(k < 1 for k in k_values):
@@ -183,14 +167,16 @@ class ExperimentConfig:
             k_values=k_values,
             points=[_descriptor(p, {"c", "psi"}, "point")
                     for p in _checked(raw.get("points", []), list, "points")],
-            tolerances=tolerances,
             raw=raw,
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str | bytes) -> "ExperimentConfig":
+        """Parse one JSON document, given as text or as UTF-8 bytes."""
         try:
-            raw = json.loads(text)
+            raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"configuration is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
@@ -201,7 +187,6 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"raw"}
 
 @dataclass
 class RunResult:
-    kind: str
     rows: list[tuple[int, int, int, float, float]]
     fits: dict[str, Any]
     verdicts: dict[str, bool]
@@ -222,6 +207,9 @@ def _fourier_samples(terms: list[dict], phi: np.ndarray) -> np.ndarray:
     for term in _checked(terms, list, "Fourier terms"):
         term = _descriptor(term, {"mode", "amplitude", "kind"}, "Fourier term")
         mode = _number(term.get("mode", 1), "Fourier term mode", integer=True)
+        # On n nodes, mode m and n - m take the same samples.
+        if abs(mode) >= phi.size // 2:
+            raise ConfigError(f"Fourier term mode {mode} must lie below n/2 = {phi.size // 2}")
         amp = _number(term.get("amplitude", 1.0), "Fourier term amplitude")
         kind = term.get("kind", "cos")
         if kind not in ("cos", "sin"):
@@ -298,8 +286,7 @@ def _run_norm_sweep(config: ExperimentConfig) -> _Outcome:
     ks = [r * l for l in range(1, config.l_max + 1)]
     table = bpu.norm_sweep(lift, hw, ks)
     rows = [(row["k"], row["l"], row["r"], row["norm_sq"], 0.0) for row in table]
-    fit, ladder = _expansion([(row["k"], row["norm_sq"]) for row in table], 0.5,
-                             config.tolerances["ladder_band"])
+    fit, ladder = _expansion([(row["k"], row["norm_sq"]) for row in table], 0.5)
     target = math.sqrt(2.0 / math.pi) * r * r
     deviation = abs(fit.leading / target - 1.0)
     smallest = min((row["k"] for row in table if row["admissible"]), default=None)
@@ -311,18 +298,18 @@ def _run_norm_sweep(config: ExperimentConfig) -> _Outcome:
         "smallest_admissible_k": smallest,
     }
     verdicts = {
-        "leading_coefficient": deviation < config.tolerances["leading_rel"],
+        "leading_coefficient": deviation < TOLERANCES["leading_rel"],
         "ladder_residual": ladder.consistent or ladder.inconclusive,
     }
     return rows, fits, verdicts
 
 
-def _expansion(samples, alpha: float, band: float, floor: float | None = None):
+def _expansion(samples, alpha: float, floor: float | None = None):
     """The three-term leading fit of a sampled series and the one-term ladder
     check of its remainder: the policy by which every series is judged."""
     return (asymptotics.fit_leading(samples, alpha=alpha, m=3),
-            asymptotics.ladder_residual_check(samples, alpha=alpha, m=1, band=band,
-                                              floor=floor))
+            asymptotics.ladder_residual_check(samples, alpha=alpha, m=1,
+                                              band=TOLERANCES["ladder_band"], floor=floor))
 
 
 def _pair_deviation(fitted: float, constant: float, target: float, scale: float) -> float:
@@ -355,12 +342,11 @@ def _run_theorem_check(config: ExperimentConfig) -> _Outcome:
         for part, series, constant, target in (
                 ("omega", values.imag, bpu.C_OMEGA, leaf.omega(w, wp, hw)),
                 ("g", values.real, bpu.C_G, leaf.metric_g(w, wp, hw))):
-            fit, ladder = _expansion(list(zip(ks, series)), 2.0,
-                                     config.tolerances["ladder_band"], noise_floor)
+            fit, ladder = _expansion(list(zip(ks, series)), 2.0, noise_floor)
             deviation = _pair_deviation(fit.leading, constant, target, scale)
             pair.update({f"{part}_target": target, f"{part}_fit": fit,
                          f"{part}_deviation": deviation, f"{part}_ladder": ladder})
-            verdicts[f"pair{idx}_{part}"] = deviation < config.tolerances["pair_rel"]
+            verdicts[f"pair{idx}_{part}"] = deviation < TOLERANCES["pair_rel"]
             verdicts[f"pair{idx}_{part}_ladder"] = ladder.consistent or ladder.inconclusive
         fits["pairs"].append(pair)
     return rows, fits, verdicts
@@ -384,7 +370,7 @@ def _run_derivative_crosscheck(config: ExperimentConfig) -> _Outcome:
     rows = [(k, k // r, r, rel, 0.0) for k, rel in zip(ks * len(tangents), errors)]
     worst = max(errors)
     fits = {"relative_errors": errors, "worst": worst}
-    verdicts = {"derivative_agreement": worst < config.tolerances["fd_rel"]}
+    verdicts = {"derivative_agreement": worst < TOLERANCES["fd_rel"]}
     return rows, fits, verdicts
 
 
@@ -407,7 +393,7 @@ def _run_profile(config: ExperimentConfig) -> _Outcome:
         "gaussian": table.gaussian,
         "max_abs_deviation": deviation,
     }
-    verdicts = {"gaussian_profile": deviation < config.tolerances["gaussian_abs"]}
+    verdicts = {"gaussian_profile": deviation < TOLERANCES["gaussian_abs"]}
     return rows, fits, verdicts
 
 
@@ -425,7 +411,7 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
     verdicts = {}
     for p_idx, desc in enumerate(points):
         x = _point_from_descriptor(desc)
-        report = bpu.decay_check(lift, hw, x, ks, config.tolerances["decay_slope"])
+        report = bpu.decay_check(lift, hw, x, ks, TOLERANCES["decay_slope"])
         rows.extend((int(k), int(k) // r, r, float(v), 0.0) for k, v in zip(report.ks, report.values))
         dist = np.min(fs_distance(x[None, :], loop.points))
         fits["points"].append({"descriptor": desc, "distance": dist,
@@ -435,12 +421,17 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
 
 
 def _run_identity_suite(config: ExperimentConfig) -> _Outcome:
-    tol = config.tolerances["identity_abs"]
+    tol = TOLERANCES["identity_abs"]
     rng = random.Random(config.seed)
     c = float(config.c)
     phi = grid_nodes(config.n)
     # The second loop's area coordinate adds modes 1..3 of amplitude
-    # 0.04 * [0.3, 1) / m and random phase; its mean stays c.
+    # 0.04 * [0.3, 1) / m and random phase; its mean stays c, and graph_loop
+    # needs it 1e-3 clear of both poles.
+    reach = 0.04 * (1 + 1 / 2 + 1 / 3) + 1e-3
+    if not reach < c < 1 - reach:
+        raise ConfigError(f"identity-suite needs c in ({reach:.4f}, {1 - reach:.4f}) "
+                          f"for its graph loop, got c = {config.c}")
     area = np.full(config.n, c)
     for m in (1, 2, 3):
         area = area + (0.04 * (0.3 + 0.7 * rng.random()) / m
@@ -493,8 +484,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     without waiting for it.
     """
     rows, fits, verdicts = _RUNNERS[config.kind](config)
-    return RunResult(config.kind, rows, fits, verdicts, config,
-                     calibration.calibrated_signs())
+    return RunResult(rows, fits, verdicts, config, calibration.calibrated_signs())
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +499,9 @@ def emit_report(result: RunResult, outdir: Path | str) -> tuple[Path, Path]:
     """Write the CSV table and JSON manifest; byte-stable given equal inputs."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"{result.kind}.csv"
-    json_path = outdir / f"{result.kind}.json"
+    kind = result.config.kind
+    csv_path = outdir / f"{kind}.csv"
+    json_path = outdir / f"{kind}.json"
 
     lines = ["k,l,r,value_re,value_im"]
     for k, l, r, re, im in result.rows:
@@ -519,11 +510,11 @@ def emit_report(result: RunResult, outdir: Path | str) -> tuple[Path, Path]:
 
     manifest = {
         "config": result.config.raw,
-        "kind": result.kind,
+        "kind": kind,
         "calibrated_signs": result.signs,
         "c_omega": bpu.C_OMEGA,
         "c_g": bpu.C_G,
-        "tolerances": result.config.tolerances,
+        "tolerances": TOLERANCES,
         "fits": result.fits,
         "verdicts": result.verdicts,
         "passed": result.passed,

@@ -11,7 +11,14 @@ import pytest
 
 from bpu_lab import bpu, calibration, cli, experiments
 from bpu_lab.errors import ConfigError
-from bpu_lab.experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_experiment
+from bpu_lab.experiments import (
+    EXPERIMENT_KINDS,
+    TOLERANCES,
+    ExperimentConfig,
+    emit_report,
+    run_experiment,
+)
+from bpu_lab.fourier import grid_nodes
 from bpu_lab.geometry import graph_loop, holonomy
 
 
@@ -45,9 +52,14 @@ def test_config_rejects_bad_grid_and_kind():
         ExperimentConfig.from_dict({"kind": "mystery"})
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig.from_dict({"kind": "norm-sweep", "seed": 10 ** 400})
-    with pytest.raises(ConfigError):
+    # Tolerances are the constant table, not a config key; c has one spelling.
+    with pytest.raises(ConfigError, match="tolerances"):
         ExperimentConfig.from_dict({"kind": "norm-sweep",
-                                    "tolerances": {"leading_rel": -1.0}})
+                                    "tolerances": {"leading_rel": 0.5}})
+    with pytest.raises(ConfigError, match="'p/q'"):
+        ExperimentConfig.from_dict({"kind": "norm-sweep", "c": [1, 2]})
+    with pytest.raises(ConfigError, match="'p/q'"):
+        ExperimentConfig.from_dict({"kind": "norm-sweep", "c": 0.5})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "theorem-check", "pairs": [[0, 1]],
                                     "tangents": [{"f": []}]})
@@ -57,6 +69,32 @@ def test_config_rejects_bad_grid_and_kind():
 def test_shipped_configs_parse(path):
     config = ExperimentConfig.from_json(path.read_text())
     assert config.raw == json.loads(path.read_text())
+
+
+def test_fourier_modes_at_or_above_half_the_nodes_are_rejected():
+    # On 256 nodes cos(200 phi) takes the samples of cos(56 phi).
+    phi = grid_nodes(256)
+    assert np.allclose(np.cos(200 * phi), np.cos(56 * phi), atol=1e-12)
+    for mode in (200, 128, -128):
+        with pytest.raises(ConfigError, match="n/2 = 128"):
+            experiments._fourier_samples([{"mode": mode}], phi)
+    assert np.array_equal(experiments._fourier_samples([{"mode": -127}], phi),
+                          np.cos(127 * phi))
+    tangent = ExperimentConfig.from_dict({
+        "kind": "theorem-check", "c": "1/2", "n": 64, "pairs": [[0, 0]],
+        "tangents": [{"f": [{"mode": 1}], "s_ell": [{"mode": 32, "kind": "sin"}]}]})
+    with pytest.raises(ConfigError, match="mode 32 .* n/2 = 32"):
+        run_experiment(tangent)
+
+
+def test_identity_suite_keeps_its_graph_loop_clear_of_the_poles():
+    # The drawn modes move the area coordinate by up to 0.04 (1 + 1/2 + 1/3).
+    for c in ("1/64", "63/64", "1/14"):
+        config = ExperimentConfig.from_dict({"kind": "identity-suite", "c": c, "n": 64})
+        with pytest.raises(ConfigError, match=f"c = {c}"):
+            run_experiment(config)
+    config = ExperimentConfig.from_dict({"kind": "identity-suite", "c": "1/10", "n": 64})
+    assert run_experiment(config).passed
 
 
 def test_tangent_reduced_to_rounding_names_its_index():
@@ -249,7 +287,11 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
                 {"kind": "norm-sweep", "l_max": 5.7},
                 {"kind": "derivative-crosscheck", "k_values": ["x"]},
                 {"kind": "theorem-check", "tangents": [{"f": []}], "pairs": [[0]]},
-                {"kind": "norm-sweep", "tolerances": {"leading_rel": "a"}},
+                {"kind": "norm-sweep", "tolerances": {"leading_rel": 0.5}},
+                {"kind": "norm-sweep", "c": [1, 2]},
+                {"kind": "norm-sweep", "n": 256,
+                 "halfweight": {"type": "fourier", "terms": [{"mode": 200, "amplitude": 0.1}]}},
+                {"kind": "identity-suite", "c": "1/64", "n": 64},
                 {"kind": "decay", "points": [{"c": "zz"}]},
                 {"kind": "norm-sweep", "n": 64, "halfweight": fourier_hw},
                 {"kind": "theorem-check", "tangents": [5], "pairs": [[0, 0]]},
@@ -265,7 +307,6 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
                 {"kind": "theorem-check", "tangents": [{}, {}], "pairs": [[True, False]]},
                 {"kind": "norm-sweep", "n": "256"},
                 {"kind": "norm-sweep", "l_max": "1e1"},
-                {"kind": "norm-sweep", "tolerances": {"leading_rel": "0.5"}},
                 {"kind": "decay", "points": [{"c": "0.9"}]},
                 {"kind": "norm-sweep", "halfweight": {"type": "fourier", "term": [{"mode": 1}]}},
                 {"kind": "norm-sweep", "n": 64,
@@ -280,32 +321,51 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
     code, _ = run_bad("{not json")
     assert code == 2
+    # A config that is not UTF-8 (here a UTF-16 byte-order mark) is invalid too.
+    cfg.write_bytes(b"\xff\xfe" + json.dumps({"kind": "norm-sweep"}).encode("utf-16-le"))
+    code, err = cli.main(["run", "--config", str(cfg)]), capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "UTF-8" in err
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
 
-def test_cli_decay_threshold_is_read(tmp_path):
-    # The shipped decay run passes at the default -10; no point reaches a
-    # final dyad slope of -1000.
-    raw = json.loads((CONFIG_DIR / "decay_far_points.json").read_text())
-    raw["tolerances"] = {"decay_slope": -1000}
-    cfg = tmp_path / "strict_decay.json"
-    cfg.write_text(json.dumps(raw))
+def decay_reports(json_path):
+    manifest = json.loads(json_path.read_text())
+    assert manifest["tolerances"] == TOLERANCES
+    return [p["report"] for p in manifest["fits"]["points"]]
+
+
+def test_cli_decay_threshold_is_read(tmp_path, monkeypatch):
+    # The shipped decay run passes at the table's -10, and every report
+    # records that threshold.
+    cfg = CONFIG_DIR / "decay_far_points.json"
     proc = run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out"))
-    assert proc.returncode == 1, proc.stderr
-    manifest = json.loads((tmp_path / "out" / "decay.json").read_text())
-    assert manifest["tolerances"]["decay_slope"] == -1000
-    reports = [p["report"] for p in manifest["fits"]["points"]]
+    assert proc.returncode == 0, proc.stderr
+    reports = decay_reports(tmp_path / "out" / "decay.json")
     assert len(reports) == 3
+    assert all(rep["threshold"] == TOLERANCES["decay_slope"] and rep["passed"]
+               for rep in reports)
+    # The runner reads the table when it runs: no point reaches a final dyad
+    # slope of -1000.
+    monkeypatch.setitem(TOLERANCES, "decay_slope", -1000.0)
+    _, json_path = emit_report(run_experiment(ExperimentConfig.from_json(cfg.read_text())),
+                               tmp_path / "strict")
+    reports = decay_reports(json_path)
     assert all(rep["threshold"] == -1000 and not rep["passed"] for rep in reports)
 
 
 def test_cli_tolerance_failure_exits_1(tmp_path):
-    cfg = tmp_path / "strict.json"
-    cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/2", "n": 64, "l_max": 10,
-                               "tolerances": {"leading_rel": 1e-9}}))
-    proc = run_cli("run", "--config", str(cfg))
-    assert proc.returncode == 1
-    assert "FAIL" in proc.stdout
+    # A point 0.05 in area from the c = 1/2 loop does not decay by k = 40:
+    # its report is inconclusive and the run fails.
+    cfg = tmp_path / "near.json"
+    cfg.write_text(json.dumps({"kind": "decay", "c": "1/2", "n": 64, "k_values": [40],
+                               "points": [{"c": 0.55}]}))
+    proc = run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert "point0_decay: FAIL" in proc.stdout
+    [report] = decay_reports(tmp_path / "out" / "decay.json")
+    assert report["inconclusive"] and not report["passed"]
+    assert report["threshold"] == TOLERANCES["decay_slope"]
 
 
 def test_cli_rerun_byte_identical(tmp_path):

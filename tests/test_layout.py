@@ -1,17 +1,22 @@
 """Source layout rules: every import of the package sits at module level,
 no module loads hashlib or numpy.random, every name a module exports
-exists, and every name the benchmark tracer summarizes exists in the
-package."""
+exists, every name the benchmark tracer summarizes exists in the
+package, and README's table of config keys lists exactly the keys a
+config may set."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
+
+from bpu_lab import experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bpu_lab"
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def function_imports(path: Path) -> set[str]:
@@ -101,3 +106,28 @@ def test_benchmark_traced_names_exist():
         if not callable(obj):
             missing.append(f"{layer}.{name}")
     assert not missing, f"names the tracer summarizes but the package lacks: {', '.join(missing)}"
+
+
+_KEY_TABLE_HEADER = "| key | default | read by |"
+
+
+def readme_config_keys(text: str) -> list[str]:
+    """The keys in the first cell of each row of README's config-key table."""
+    lines = text.splitlines()
+    start = lines.index(_KEY_TABLE_HEADER) + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.fullmatch(r"\| `(\w+)` \|.*", line).group(1))
+    return rows
+
+
+def test_readme_key_table_lists_exactly_the_config_keys():
+    text = README.read_text()
+    keys = readme_config_keys(text)
+    assert len(keys) == len(set(keys)) == 10
+    assert set(keys) == experiments._CONFIG_KEYS
+    # The check sees a row dropped from the table.
+    dropped = "\n".join(line for line in text.splitlines() if not line.startswith("| `seed` |"))
+    assert set(readme_config_keys(dropped)) == experiments._CONFIG_KEYS - {"seed"}
