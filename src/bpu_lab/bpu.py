@@ -50,6 +50,7 @@ __all__ = [
     "SPHERE_DIAMETER",
     "COEFF_FLOOR",
     "FAMILY_MARGIN",
+    "BAND_EPS",
     "FD_STEP",
     "DECAY_MIN_DISTANCE",
     "BpuState",
@@ -87,7 +88,9 @@ COEFF_FLOOR = 1e-11
 
 # A node is in the kernel's second family where |z0| > |z1| (1 + FAMILY_MARGIN): far
 # above rounding, so no latitude splits, and |rho|^a <= e^(FAMILY_MARGIN k) ~ 1.
+# A level pairs the rows of its `_band`, leaving out under k BAND_EPS of a node's weights.
 FAMILY_MARGIN = 1e-12
+BAND_EPS = 1e-24
 
 # Flow time of the coarser central difference in fd_d_bpu, and the base
 # distance below which an off-loop point gets no decay verdict.
@@ -139,13 +142,14 @@ class ProfileTable:
 # ---------------------------------------------------------------------------
 
 def _ratio_table(points: np.ndarray, rows: int):
-    """Monomials z0^a z1^(d-a), d < rows, at points (M, 2) as rho^a lead^d: the
-    row-contiguous (rows, M) table of rho^a, the factors (coarse, fine) of its
-    moduli, the second family's mask, and lead.  Nodes with |z0| <= |z1|
-    (1 + FAMILY_MARGIN) have rho = z0/z1, lead = z1; the second family has
-    rho = z1/z0, lead = z0 and reads the rows reversed.  rho is rounded once.
-    |rho|^(qB + i) = coarse[q] fine[:, i] for i < B = floor(sqrt(rows - 1)) + 1,
-    the split of `_powers`, from long-double products of the unrounded |rho|."""
+    """Monomials z0^a z1^(d-a), a < rows, at points (M, 2) as rho^a lead^d: the
+    row-contiguous (rows, M) table of rho^a (rows - 1 is the kernel's top band
+    row), moduli factors (coarse, fine), the second family's mask, and lead.
+    Nodes with |z0| <= |z1| (1 + FAMILY_MARGIN) have rho = z0/z1, lead = z1; the
+    second family has rho = z1/z0, lead = z0 and reads the rows reversed.  rho
+    is rounded once.  |rho|^(qB + i) = coarse[q] fine[:, i] for i < B =
+    floor(sqrt(rows - 1)) + 1, the split of `_powers`, from long-double
+    products of the unrounded |rho|."""
     second = np.abs(points[:, 0]) > np.abs(points[:, 1]) * (1.0 + FAMILY_MARGIN)
     lead = np.where(second, points[:, 0], points[:, 1])
     rho = np.where(second, points[:, 1], points[:, 0]).astype(np.clongdouble) / lead
@@ -165,50 +169,61 @@ def _power(z: np.ndarray, n: int) -> NDArray[np.complex128]:
     return out
 
 
+def _band(k: int, p_min: float, p_max: float) -> tuple[int, int]:
+    """Rows lo..hi of the ratio table that level k pairs for nodes of one family
+    with p = min(|z0|^2, |z1|^2) in [p_min, p_max]: within t = sqrt(d ln(2/BAND_EPS)/2),
+    d = k-1, of [d p_min, d p_max].  By Hoeffding's inequality the rows outside carry
+    under k BAND_EPS of a node's weights |P[a]|^2/||s_a||^2, k(k+1)/(k-a) binomial(d, p)."""
+    d = k - 1
+    t = math.sqrt(d * math.log(2.0 / BAND_EPS) / 2.0)
+    return max(0, math.floor(d * p_min - t)), min(d, math.floor(d * p_max + t))
+
+
 def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
                    ks: Sequence[int]):
     """Level-moment kernel: for each k in ks, the basis, the projection's
     coefficients and the (T, k+1) blocks (base, fiber, normal) of d_bpu,
     which `_signed` combines.
 
-    `points` (M, 2) carry real amplitudes `amp` (M, 1 + 3T): the delta
-    weights s_w, then per tangent the transport, fiber (per unit k) and
+    `points` (M, 2) on the sphere carry real amplitudes `amp` (M, 1 + 3T): the
+    delta weights s_w, then per tangent the transport, fiber (per unit k) and
     half-density ones; `normal` (M, 2, T) holds the fields ups_i times s_w.
     All pairings read P[a] = z0^a z1^(k-1-a), a < k: s_a = z1 P[a] (a < k),
     s_k = z0 P[k-1] and ds_a(ups) = a ups0 P[a-1] + (k-a) ups1 P[a].  So
     each is a row of conj(P V), V = [conj(z1) amp, conj(ups0) s_w,
     conj(ups1) s_w] built once for all levels, but for the row a = k, which
-    pairs conj(P[k-1]) with conj(z0) amp.  P is the first k rows of one
-    `_ratio_table` per pass times lead^(k-1): per node family, a level makes
-    one product of those rows with the family's conj(V) times lead^(k-1),
-    and one real product of the two moduli factors for the snapping bound.
-    By FAMILY_MARGIN no latitude, c = 1/2 included, has two families.
-    Valid for k*max(c, 1-c) < N on a latitude of area c over N base nodes,
-    and while norm_sq stays finite (see `bpu_map`).
+    pairs conj(P[k-1]) with conj(z0) amp.  P is rows of one `_ratio_table`
+    per pass, up to the top of the last level's band, times lead^(k-1): per
+    node family, a level pairs the rows of its `_band` with its conj(V) times
+    lead^(k-1) in one product, and the two moduli factors in one real product
+    for the snapping bound; the other rows, P[k-1] of s_k included, are
+    zeros.  Valid while the band's loop frequencies stay below N (on a
+    latitude, t(k) < N) and norm_sq stays finite (see `bpu_map`).
     """
     t = normal.shape[2]
     head = np.hstack([points[:, 1:] * amp, normal[:, 0], normal[:, 1]])  # conj(V)
-    table, (coarse, fine), second, lead = _ratio_table(points, max([1, *ks]))
-    families = [(np.where((second == flip)[:, None], head, 0), flip)  # conj(V) per family
-                for flip in (False, True) if np.any(second == flip)]
-
-    def paired(product):
+    p = np.min(np.abs(points) ** 2, axis=1)
+    top = _band(max([1, *ks]), 0.0, p.max())[1]  # the band top grows with k
+    table, (coarse, fine), second, lead = _ratio_table(points, top + 1)
+    families = [(flip, np.where(nodes[:, None], head, 0), p[nodes].min(), p[nodes].max(), nodes)
+                for flip, nodes in ((False, ~second), (True, second)) if np.any(nodes)]
+    for k in ks:
+        b, d, scale = hardy_basis(k), k - 1, _power(lead, k - 1)
+        g, bound, edge = np.zeros((k, head.shape[1]), complex), np.zeros(k + 1), np.zeros_like(lead)
         # One product per node family, summed over all N nodes of a row-contiguous
         # operand: BLAS sums a transposed view or a node subset in a thread-dependent order.
-        return sum(product(part)[::-1 if flip else 1] for part, flip in families)
-
-    def moduli(k, w):  # rows a < k of |table| @ w: rows a = qB + i of coarse @ (fine w)
-        return (coarse[:-(-k // fine.shape[1])] @ (fine * w[:, None])).ravel()[:k]
-
-    for k in ks:
-        b = hardy_basis(k)
-        scale = _power(lead, k - 1)
-        last = np.where(second, scale, table[k - 1] * scale) * points[:, 0]  # z0 P[k-1]
-        g = np.conj(paired(lambda part: table[:k] @ (scale[:, None] * part)))
+        for flip, part, p_min, p_max, nodes in families:  # part: conj(V) at the family's nodes
+            lo, hi = _band(k, p_min, p_max)
+            rows, step = (slice(d - hi, d - lo + 1), -1) if flip else (slice(lo, hi + 1), 1)
+            g[rows] += (table[lo:hi + 1] @ (scale[:, None] * part))[::step]
+            # Rows lo..hi of |table| @ w: rows a = qB + i of coarse @ (fine w).
+            w, q = fine * np.abs(scale[:, None] * part[:, :1]), fine.shape[1]
+            bound[rows] += (coarse[lo // q:hi // q + 1] @ w).ravel()[lo % q:][:hi + 1 - lo][::step]
+            edge = np.where(nodes & ((lo if flip else d - hi) == 0), table[0 if flip else hi], edge)
+        g, last = np.conj(g), edge * scale * points[:, 0]  # z0 P[k-1]
         values = np.vstack([g[:, :1 + 3 * t], np.conj(last @ amp)])
         # Snap pairings below the quadrature floor of their no-cancellation bound.
-        bound = np.append(paired(lambda part: moduli(k, np.abs(scale * part[:, 0]))),
-                          np.abs(last) @ np.abs(amp[:, 0]))
+        bound[k] = np.abs(last) @ np.abs(amp[:, 0])
         values[np.abs(values[:, 0]) <= 1e-10 * bound, 0] = 0.0
         deriv = np.zeros((k + 1, t), dtype=np.complex128)
         deriv[1:] = np.arange(1, k + 1)[:, None] * g[:, 1 + 3 * t:1 + 4 * t]
@@ -262,11 +277,11 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
     contributes less than 1e-19 to any norm or Gram quantity, while the
     mid-band basis norms are tiny enough that leaving such noise in place
     would masquerade as O(1e-3) coefficients.
-    Valid while the level-k integrand's loop frequencies stay below N, the
-    nodes of the first circuit: on a latitude of area c the trapezoid rule
-    aliases from k*max(c, 1-c) = N, not r*N; and while norm_sq stays
-    finite, which it first fails to be at k = 1014 on c = 1/2 (inf) and at
-    k = 1023 on c = 1/3 (NaN), as the mid-band basis norms near 1e-307.
+    Valid while the loop frequencies of the rows in the kernel's `_band` stay
+    below N, the first circuit's nodes, not r*N (a latitude is alias-free while
+    t(k) < N, to k ~ 2300 at N = 256; a general loop aliases from its frequency
+    bound), and while norm_sq stays finite: it is first inf at k = 1014 on
+    c = 1/2 and NaN at k = 1023 on c = 1/3, as mid-band norms near 1e-307.
     """
     b, coeffs, _ = next(_frame_moments(lift, hw, (), [k]))
     return BpuState(k, b, coeffs, lift)

@@ -59,24 +59,24 @@ class SectionBasis:
 def basis(k: int) -> SectionBasis:
     """Monomial basis with log-domain norms.
 
-    Norms are accumulated through the adjacent-ratio recurrence
+    Norms are accumulated in long double through the adjacent-ratio recurrence
     ||s_{a+1}||^2 / ||s_a||^2 = (a+1)/(k-a) from the closed-form anchor at
-    a = 0, which keeps neighboring log-differences exact to rounding.
+    a = 0 and rounded once: within 6e-14 of the closed form up to k = 1000.
 
     Valid range: the log norms hold for k up to thousands, but a
     projection's norm_sq is first non-finite at k = 1014 on the c = 1/2
     latitude (inf) and at k = 1023 on c = 1/3 (NaN), and `norms_sq` goes
     subnormal from k = 1019 (1.2e-308).  A lift quadrature over N base nodes
-    needs k*max(c, 1-c) < N on a latitude of area c, whatever the winding.
+    needs the loop frequencies of the pairings it keeps below N (`bpu._band`).
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"level must be a positive integer, got {k!r}")
-    steps = np.log(np.arange(1, k + 1, dtype=np.float64) / np.arange(k, 0, -1, dtype=np.float64))
-    log_norms = np.empty(k + 1)
-    log_norms[0] = math.log(BUNDLE_VOLUME) - math.log(k + 1.0)
+    steps = np.log(np.arange(1, k + 1, dtype=np.longdouble) / np.arange(k, 0, -1.0))
+    log_norms = np.empty(k + 1, dtype=np.longdouble)
+    log_norms[0] = np.log(np.longdouble(BUNDLE_VOLUME)) - np.log(np.longdouble(k + 1))
     np.cumsum(steps, out=log_norms[1:])
     log_norms[1:] += log_norms[0]
-    return SectionBasis(k=int(k), log_norms=log_norms)
+    return SectionBasis(k=int(k), log_norms=log_norms.astype(np.float64))
 
 
 def _monomials(pts: np.ndarray, k: int) -> NDArray[np.complex128]:

@@ -16,7 +16,9 @@ the shortcuts of `leaf.flow_state`.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -152,8 +154,8 @@ def great_circle_fd(fn, x: np.ndarray, w: np.ndarray, h: float = 1e-4) -> comple
 
 def basis_norms_sq(k: int) -> np.ndarray:
     """Closed-form squared norms BUNDLE_VOLUME * a! (k-a)! / (k+1)!, a = 0..k."""
-    f = math.factorial
-    return np.array([BUNDLE_VOLUME * (f(a) * f(k - a) / f(k + 1)) for a in range(k + 1)])
+    f = [1, *itertools.accumulate(range(1, k + 2), operator.mul)]
+    return np.array([BUNDLE_VOLUME * (f[a] * f[k - a] / f[k + 1]) for a in range(k + 1)])
 
 
 def inner(sec_basis, u, v) -> complex:

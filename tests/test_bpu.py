@@ -63,6 +63,23 @@ def d_pair(lift, hw, w, b, a):
     return complex(d_bpu(lift, hw, [w_k], [b.k])[0][0, a] * b.norms_sq[a])
 
 
+def rows_in_every_band(pts, k):
+    """Mask of the rows P[a], a < k, that every node family of the kernel pairs at level k."""
+    second, p = bpu._ratio_table(pts, 1)[2], np.min(np.abs(pts) ** 2, axis=1)
+    inside = np.ones(k, dtype=bool)
+    for nodes, flip in ((~second, False), (second, True)):
+        if np.any(nodes):
+            lo, hi = bpu._band(k, p[nodes].min(), p[nodes].max())
+            rows = (np.arange(k) >= lo) & (np.arange(k) <= hi)
+            inside &= rows[::-1] if flip else rows
+    return inside
+
+
+def bundle_norm_sq(pairings, norms_sq):
+    """Squared bundle norm of the section whose pairings with the s_a are these."""
+    return float(np.sum(np.abs(pairings) ** 2 / norms_sq))
+
+
 # ---------------------------------------------------------------------------
 # Delta pairing and projection
 # ---------------------------------------------------------------------------
@@ -117,18 +134,15 @@ def test_bpu_single_coefficient_at_matching_weight(half_setup):
 @pytest.mark.parametrize("setup, c", [("half_setup", 0.5), ("third_setup", 1.0 / 3.0)])
 def test_single_coefficient_below_the_alias_bound(request, setup, c):
     # The r-fold lift repeats the N base nodes, so the trapezoid rule aliases
-    # once a frequency a - c*k of the level-k integrand reaches N in modulus:
-    # from k*max(c, 1-c) = N (k = 512 at c = 1/2, 384 at c = 1/3), not r*N.
+    # once a frequency a - c*k of a paired row reaches N in modulus.  The
+    # kernel pairs only the rows of its band, |a - c*k| <= t(k) + 1, so the
+    # bound t(k) = N lies far above the last finite level (k = 1012 at
+    # c = 1/2, 1020 at c = 1/3), and far above k*max(c, 1-c) = N.
     _, lift, hw = request.getfixturevalue(setup)
-    r = lift.winding
-    bound = round(N / max(c, 1.0 - c))
-    ks = list(range(r, bound + 1, r))
+    top = {0.5: 1012, 1.0 / 3.0: 1020}[c]  # the last finite levels
+    ks = list(range(lift.winding, top + 1, lift.winding))
     for k, (_, coeffs, _) in zip(ks, bpu._frame_moments(lift, hw, (), ks)):
-        kept = np.flatnonzero(coeffs)
-        if k < bound:
-            assert kept.tolist() == [round(c * k)], k
-        else:
-            assert round(c * k) in kept and len(kept) > 1
+        assert np.flatnonzero(coeffs).tolist() == [round(c * k)], k
 
 
 def test_projectivization_phase_invariance(half_setup):
@@ -236,11 +250,18 @@ def test_mixed_node_families_match_long_double_quadrature():
         pairings = state.coefficients * state.sec_basis.norms_sq
         re, im = (r * (weights @ part) for part in polar_monomials(lift.circuit, k))
         bound = r * (weights @ np.hypot(*polar_monomials(lift.circuit, k)))
+        rows = rows_in_every_band(lift.circuit, k)
+        inside = np.append(rows, rows[-1])  # s_k = z0 P[k-1]
         kept = pairings != 0.0
         gap = np.hypot(pairings.real - re, pairings.imag + im)
-        assert np.all(gap[kept] <= 1e-14 * bound[kept]), k
+        assert np.all(gap[kept & inside] <= 1e-14 * bound[kept & inside]), k
         # High levels snap the pairings far out in the band, under their floor.
-        assert np.all(np.hypot(re, im)[~kept] <= 1e-10 * bound[~kept]), k
+        assert np.all(np.hypot(re, im)[~kept & inside] <= 1e-10 * bound[~kept & inside]), k
+        # A row outside some family's band drops that family's share: tiny in the bundle norm.
+        exact, norms_sq = (re - 1j * im).astype(np.complex128), state.sec_basis.norms_sq
+        outside = bundle_norm_sq((pairings - exact)[~inside], norms_sq[~inside])
+        assert outside <= 1e-13 ** 2 * bundle_norm_sq(exact, norms_sq), k
+        assert k < 160 or not inside.all()
 
 
 @pytest.mark.parametrize("c, ks", [(None, (2, 40, 160, 300)), (1.0 / 3.0, (600,))])
@@ -300,7 +321,7 @@ def test_norm_sweep_over_the_ladder_stays_near_the_ratio_table(third_setup):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.35 * 600 * N * 16
+    assert peak < 0.75 * 600 * N * 16
 
 
 def test_kernel_restarts_below_the_held_level(half_setup):
@@ -359,6 +380,21 @@ def test_decay_far_point_passes_and_near_point_inconclusive(half_setup):
     near = latitude_loop(0.52, 64).points[0]
     near_report = decay_check(lift, hw, near, ks, -10.0)
     assert near_report.inconclusive
+
+
+def test_off_loop_decay_rate_above_the_old_alias_bound(half_setup):
+    # u_k on the c = 1/2 latitude is the one monomial a = k/2, so with y on the
+    # lift, R(k) = |u_k(x)|/|u_k(y)| decays at the rate -KL(1/2 || |x0|^2)/2 per
+    # level.  k = 640 lies past k*max(c, 1-c) = N, where alias coefficients at
+    # a = k/2 +- N from the rows outside the band would set the off-loop value.
+    _, lift, hw = half_setup
+    x = np.array([math.sqrt(0.9), math.sqrt(0.1)])
+    rate = -0.5 * (0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1))
+    assert rate == pytest.approx(-0.2554128, abs=1e-7)
+    log_r = {k: math.log(abs(state.evaluate(x)) / abs(state.evaluate(lift.points[0])))
+             for k, state in ((k, bpu_map(lift, hw, k)) for k in (160, 320, 640))}
+    for k in (160, 320):
+        assert (log_r[2 * k] - log_r[k]) / k == pytest.approx(rate, abs=1e-6), k
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +572,16 @@ def test_kernel_normal_block_matches_exact_derivative_oracle(k):
     b, coeffs, blocks = next(bpu._level_moments(pts, amp, ups * s_w[:, None, None], [k]))
     assert coeffs.shape == (k + 1,) and [x.shape for x in blocks] == [(2, k + 1)] * 3
     deriv = blocks[2] * b.norms_sq
+    # Row a reads P[a-1] (a > 0) and P[a] (a < k).
+    rows = np.concatenate([[True], rows_in_every_band(pts, k), [True]])
+    inside = rows[:-1] & rows[1:]
     for i in range(2):
-        exact = monomial_derivative_oracle(pts, ups[:, :, i], k)
+        exact = np.conj(monomial_derivative_oracle(pts, ups[:, :, i], k)).T @ s_w
         scale = monomial_derivative_oracle(np.abs(pts), np.abs(ups[:, :, i]), k).real.T @ s_w
-        assert np.all(np.abs(deriv[i] - np.conj(exact).T @ s_w) <= 1e-13 * scale)
+        assert np.all(np.abs(deriv[i] - exact)[inside] <= 1e-13 * scale[inside])
+        outside = bundle_norm_sq((deriv[i] - exact)[~inside], b.norms_sq[~inside])
+        assert outside <= 1e-13 ** 2 * bundle_norm_sq(exact, b.norms_sq)
+    assert k < 160 or not inside.all()
 
 
 def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):

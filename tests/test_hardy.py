@@ -18,6 +18,7 @@ from bpu_lab.hardy import (
 )
 
 from oracles import (
+    basis_norms_sq,
     bundle_gram,
     bundle_integral_abs2,
     great_circle_fd,
@@ -63,6 +64,14 @@ def test_norms_positive_and_closed_form():
     # Exponentiated once per basis, read-only, and bit for bit np.exp(log_norms).
     assert b.norms_sq is b.norms_sq and not b.norms_sq.flags.writeable
     assert b.norms_sq.tobytes() == np.exp(b.log_norms).tobytes()
+
+
+def test_norms_match_the_closed_form_up_to_k1000():
+    # The log ratios and the anchor add up in long double; a float64 running
+    # sum drifted to 1.6e-12 relative by k = 967.
+    ks = [*range(1, 1001, 7), 1000]
+    worst = max(np.max(np.abs(basis(k).norms_sq / basis_norms_sq(k) - 1.0)) for k in ks)
+    assert worst <= 1e-13
 
 
 def test_level_two_norms_against_quadrature_oracle():

@@ -1,8 +1,8 @@
 """Source layout rules: every import of the package sits at module level,
 no module loads hashlib or numpy.random, every name a module exports
 exists, every name the benchmark tracer summarizes exists in the
-package, and README's table of config keys lists exactly the keys a
-config may set."""
+package, README's table of config keys lists exactly the keys a
+config may set, and README names every constant `bpu` exports."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import importlib
 import re
 from pathlib import Path
 
-from bpu_lab import experiments
+from bpu_lab import bpu, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bpu_lab"
@@ -131,3 +131,10 @@ def test_readme_key_table_lists_exactly_the_config_keys():
     # The check sees a row dropped from the table.
     dropped = "\n".join(line for line in text.splitlines() if not line.startswith("| `seed` |"))
     assert set(readme_config_keys(dropped)) == experiments._CONFIG_KEYS - {"seed"}
+
+
+def test_readme_names_every_exported_bpu_constant():
+    text = README.read_text()
+    missing = [name for name in bpu.__all__
+               if name.isupper() and not re.search(rf"\b{name}\b", text)]
+    assert not missing, f"bpu constants README.md does not name: {', '.join(missing)}"
