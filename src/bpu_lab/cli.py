@@ -1,7 +1,4 @@
-"""Command line entry point.
-
-    bpu-lab run --config experiment.json [--output DIR]
-    bpu-lab list-experiments
+"""Command line entry point; `USAGE` lists the commands and options.
 
 Exit codes: 0 when all verdicts pass, 1 when the experiment failed a
 tolerance or raised an error or on an I/O error, 2 for configuration or
@@ -10,9 +7,9 @@ usage errors.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
+import getopt
 import os
 import sys
 from pathlib import Path
@@ -26,41 +23,44 @@ from .experiments import EXPERIMENT_KINDS, ExperimentConfig, emit_report, run_ex
 
 __all__ = ["main"]
 
+USAGE = """\
+usage: bpu-lab run --config experiment.json [--output DIR]
+       bpu-lab list-experiments
+       bpu-lab -h | --help"""
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bpu-lab",
-                                     description="Experiment runner for the "
-                                                 "loop-projection laboratory")
-    sub = parser.add_subparsers(dest="command")
-    run_p = sub.add_parser("run", help="run one experiment from a JSON config")
-    run_p.add_argument("--config", required=True, help="path to the configuration JSON")
-    run_p.add_argument("--output", default=None,
-                       help="output directory (default: alongside the config)")
-    sub.add_parser("list-experiments", help="list available experiment kinds")
-    return parser
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}\n{USAGE}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        opts, args = getopt.gnu_getopt(sys.argv[1:] if argv is None else argv, "h",
+                                       ["config=", "output=", "help"])
+    except getopt.GetoptError as exc:
+        return _usage_error(str(exc))
+    options = dict(opts)
+    if options.keys() & {"-h", "--help"}:
+        print(USAGE)
+        return 0
+    if not args or args[0] not in ("run", "list-experiments"):
+        return _usage_error(f"unknown command {args[0]!r}" if args else "no command given")
+    extra = args[1:] + (list(options) if args[0] == "list-experiments" else [])
+    if extra:
+        return _usage_error(f"unexpected argument {extra[0]!r}")
 
-    if args.command == "list-experiments":
-        for kind in EXPERIMENT_KINDS:
-            print(kind)
+    if args[0] == "list-experiments":
+        print("\n".join(EXPERIMENT_KINDS))
         return 0
 
-    if args.command != "run":
-        parser.print_usage(sys.stderr)
-        return 2
-
-    config_path = Path(args.config)
+    if "--config" not in options:
+        return _usage_error("run needs --config")
+    config_path = Path(options["--config"])
     if not config_path.is_file():
         print(f"error: config file not found: {config_path}", file=sys.stderr)
         return 2
-    outdir = Path(args.output) if args.output else config_path.parent / "out"
+    outdir = Path(options["--output"]) if options.get("--output") else config_path.parent / "out"
     try:
         result = run_experiment(ExperimentConfig.from_json(config_path.read_bytes()))
         csv_path, json_path = emit_report(result, outdir)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -36,6 +36,7 @@ from .leaf import HalfWeight, LeafTangent, project_constraints
 
 __all__ = [
     "EXPERIMENT_KINDS",
+    "MAX_NODES",
     "TOLERANCES",
     "ExperimentConfig",
     "RunResult",
@@ -67,6 +68,8 @@ TOLERANCES = {
 # rounding left over by the moment constraints.
 _TANGENT_FLOOR = 1e-12
 
+MAX_NODES = 2 ** 16  # the largest node count n a config may set
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -86,11 +89,13 @@ def _number(raw: Any, name: str, integer: bool = False) -> float | int:
     return (raw if isinstance(raw, int) else int(value)) if integer else value
 
 
-def _parse_fraction(raw: Any) -> Fraction:
-    try:
-        return Fraction(_checked(raw, str, "c"))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"circle parameter c must be a string 'p/q', got {raw!r}") from exc
+def _parse_fraction(raw: Any) -> tuple[int, int]:
+    """`raw`, a string "p/q" of one to nine digits each with q > 0, in lowest terms."""
+    match = isinstance(raw, str) and re.fullmatch(r"([0-9]{1,9})/([0-9]{1,9})", raw)
+    if not match or not int(match[2]):
+        raise ConfigError(f"circle parameter c must be a string 'p/q', got {raw!r}")
+    p, q = int(match[1]), int(match[2])
+    return p // math.gcd(p, q), q // math.gcd(p, q)
 
 
 def _checked(raw: Any, kind: type, name: str):
@@ -110,7 +115,7 @@ def _descriptor(raw: Any, keys: set[str], name: str) -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
-    c: Fraction
+    c: float
     n: int
     l_max: int
     seed: int
@@ -128,15 +133,14 @@ class ExperimentConfig:
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; "
                               f"choose one of {', '.join(EXPERIMENT_KINDS)}")
-        c = _parse_fraction(raw.get("c", "1/2"))
-        if not 0 < c < 1:
-            raise ConfigError(f"circle parameter must lie in (0, 1), got {c}")
-        if c.denominator > MAX_HOLONOMY_ORDER:
-            raise ConfigError(f"circle parameter denominator {c.denominator} "
-                              f"exceeds {MAX_HOLONOMY_ORDER}")
+        p, q = _parse_fraction(raw.get("c", "1/2"))
+        if not 0 < p < q:
+            raise ConfigError(f"circle parameter must lie in (0, 1), got {p}/{q}")
+        if q > MAX_HOLONOMY_ORDER:
+            raise ConfigError(f"circle parameter denominator {q} exceeds {MAX_HOLONOMY_ORDER}")
         n = _number(raw.get("n", 256), "n", integer=True)
-        if n < 64 or n & (n - 1):
-            raise ConfigError(f"node count must be a power of two >= 64, got {n}")
+        if not 64 <= n <= MAX_NODES or n & (n - 1):
+            raise ConfigError(f"node count must be a power of two in [64, {MAX_NODES}], got {n}")
         l_max = _number(raw.get("l_max", 40), "l_max", integer=True)
         if l_max < 5:
             raise ConfigError("l_max must be at least 5")
@@ -156,7 +160,7 @@ class ExperimentConfig:
                 raise ConfigError(f"pair {list(pair)} must be two indices into the tangent list")
         return cls(
             kind=kind,
-            c=c,
+            c=p / q,
             n=n,
             l_max=l_max,
             seed=seed,
@@ -274,7 +278,7 @@ _Outcome = tuple[list[tuple[int, int, int, float, float]], dict[str, Any], dict[
 
 
 def _setup(config: ExperimentConfig):
-    loop = latitude_loop(float(config.c), config.n)
+    loop = latitude_loop(config.c, config.n)
     lift = horizontal_lift(loop)
     hw = _build_halfweight(loop, config.halfweight)
     return loop, lift, hw
@@ -423,20 +427,19 @@ def _run_decay(config: ExperimentConfig) -> _Outcome:
 def _run_identity_suite(config: ExperimentConfig) -> _Outcome:
     tol = TOLERANCES["identity_abs"]
     rng = random.Random(config.seed)
-    c = float(config.c)
     phi = grid_nodes(config.n)
     # The second loop's area coordinate adds modes 1..3 of amplitude
     # 0.04 * [0.3, 1) / m and random phase; its mean stays c, and graph_loop
     # needs it 1e-3 clear of both poles.
     reach = 0.04 * (1 + 1 / 2 + 1 / 3) + 1e-3
-    if not reach < c < 1 - reach:
+    if not reach < config.c < 1 - reach:
         raise ConfigError(f"identity-suite needs c in ({reach:.4f}, {1 - reach:.4f}) "
-                          f"for its graph loop, got c = {config.c}")
-    area = np.full(config.n, c)
+                          f"for its graph loop, got c = {config.raw.get('c', '1/2')}")
+    area = np.full(config.n, config.c)
     for m in (1, 2, 3):
         area = area + (0.04 * (0.3 + 0.7 * rng.random()) / m
                        * np.cos(m * phi + 2 * np.pi * rng.random()))
-    loops = [latitude_loop(c, config.n), graph_loop(area)]
+    loops = [latitude_loop(config.c, config.n), graph_loop(area)]
     worst: dict[str, float] = {}
 
     def record(name: str, value: float):
@@ -503,9 +506,8 @@ def emit_report(result: RunResult, outdir: Path | str) -> tuple[Path, Path]:
     csv_path = outdir / f"{kind}.csv"
     json_path = outdir / f"{kind}.json"
 
-    lines = ["k,l,r,value_re,value_im"]
-    for k, l, r, re, im in result.rows:
-        lines.append(f"{k},{l},{r},{_format_float(re)},{_format_float(im)}")
+    lines = ["k,l,r,value_re,value_im"] + [f"{k},{l},{r},{_format_float(v_re)},{_format_float(v_im)}"
+                                           for k, l, r, v_re, v_im in result.rows]
     csv_path.write_text("\n".join(lines) + "\n")
 
     manifest = {
@@ -531,6 +533,4 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Fraction):
-        return str(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -25,6 +25,11 @@ from bpu_lab.geometry import graph_loop, holonomy
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+# Strings for c that are not "p/q" in ASCII digits; Fraction reads all but the last three.
+BAD_C_SPELLINGS = ("0.5", " 1/2", "1/2 ", "1e-1", "+1/3", "1_0/30", "\u0661/\u0662",
+                   "1 / 2", "0/0", "1/2/3")
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "bpu_lab.cli", *args],
                           capture_output=True, text=True)
@@ -63,6 +68,32 @@ def test_config_rejects_bad_grid_and_kind():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"kind": "theorem-check", "pairs": [[0, 1]],
                                     "tangents": [{"f": []}]})
+    # c is digits, a slash and digits: no decimal, sign, space, exponent or
+    # underscore spelling, which a general number reader would take.
+    for c in BAD_C_SPELLINGS:
+        with pytest.raises(ConfigError, match="'p/q'"):
+            ExperimentConfig.from_dict({"kind": "norm-sweep", "c": c})
+    # Each of p and q has at most nine digits, so no digit string reaches
+    # int()'s 4300-digit limit.
+    with pytest.raises(ConfigError, match="'p/q'"):
+        ExperimentConfig.from_dict({"kind": "norm-sweep", "c": "1" * 5000 + "/3" + "0" * 4999})
+    # n stops at MAX_NODES before anything is allocated.
+    for n in (2 * experiments.MAX_NODES, 2 ** 70):
+        with pytest.raises(ConfigError, match="power of two"):
+            ExperimentConfig.from_dict({"kind": "norm-sweep", "n": n})
+    assert ExperimentConfig.from_dict({"kind": "norm-sweep",
+                                       "n": experiments.MAX_NODES}).n == 2 ** 16
+
+
+def test_unreduced_c_runs_in_lowest_terms():
+    # "2/4" is the c = 1/2 latitude, whose holonomy order is 2; c is the
+    # float of p/q, the correctly rounded quotient.
+    assert ExperimentConfig.from_dict({"kind": "norm-sweep", "c": "1/3"}).c == 1 / 3
+    half, unreduced = (run_experiment(ExperimentConfig.from_dict(
+        {"kind": "norm-sweep", "c": c, "n": 64, "l_max": 6})) for c in ("1/2", "2/4"))
+    assert unreduced.config.c == 0.5
+    assert {row[2] for row in unreduced.rows} == {2}
+    assert unreduced.rows == half.rows
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
@@ -252,6 +283,51 @@ def test_cli_list_experiments():
     assert set(proc.stdout.split()) == set(EXPERIMENT_KINDS)
 
 
+def test_cli_help_prints_the_usage_and_exits_0(capsys):
+    for argv in (["-h"], ["--help"], ["run", "--config", "x.json", "-h"]):
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr() == (cli.USAGE + "\n", "")
+
+
+def test_cli_usage_errors_exit_2_with_the_usage(capsys):
+    # One case through a real process pins the process-level contract.
+    proc = run_cli("run", "--bogus")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: option --bogus not recognized\n{cli.USAGE}\n"
+    for argv in ([],                                        # no command
+                 ["bogus"],                                 # unknown command
+                 ["run", "--bogus"],                        # unknown option
+                 ["run", "-x"],
+                 ["run"],                                   # run without --config
+                 ["run", "--config"],                       # --config without a value
+                 ["run", "--output", "out"],
+                 ["run", "--config", "x.json", "stray"],    # stray argument
+                 ["list-experiments", "extra"],
+                 ["list-experiments", "--output", "out"],
+                 ["--config=x.json", "list-experiments"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+        assert err.endswith(f"\n{cli.USAGE}\n") and "Traceback" not in err, argv
+
+
+def test_cli_options_go_before_or_after_run(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/2", "n": 64, "l_max": 10}))
+    for argv in (["run", f"--config={cfg}", "--output", str(tmp_path / "a")],
+                 [f"--config={cfg}", f"--output={tmp_path / 'b'}", "run"],
+                 ["--conf", str(cfg), "run", "--out", str(tmp_path / "c")]):
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+    outputs = [{p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
+               for d in "abc"]
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1] == outputs[2]
+    # Without an argument list main reads sys.argv, as the console script needs.
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["bpu-lab", "list-experiments"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out.split() == list(EXPERIMENT_KINDS)
+
+
 def test_cli_run_pass_and_artifacts(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/2", "n": 64, "l_max": 10}))
@@ -315,7 +391,9 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
                  "tangents": [{"f": [{"mode": 1}], "sell": [{"mode": 1}]}]},
                 {"kind": "decay", "points": [{"c": 0.5, "psy": 2.0}]},
                 {"kind": "profile", "k_values": [80, 160]},
-                {"kind": "decay", "k_values": [40, 80]}):
+                {"kind": "decay", "k_values": [40, 80]},
+                {"kind": "norm-sweep", "n": 2 ** 70},
+                *({"kind": "norm-sweep", "c": c} for c in BAD_C_SPELLINGS)):
         code, err = run_bad(json.dumps(bad))
         assert code == 2, (bad, err)
         assert err.startswith("error: ") and "Traceback" not in err
@@ -452,3 +530,20 @@ def test_cli_runs_load_neither_numpy_random_nor_openssl(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "derivative-crosscheck.csv", "derivative-crosscheck.json",
         "identity-suite.csv", "identity-suite.json"]
+
+
+def test_cli_process_loads_neither_argparse_nor_fractions(tmp_path):
+    # argparse adds about 0.5 MB of peak RSS to a CLI process and fractions,
+    # with decimal and _decimal, about 0.35 MB; the CLI parses its arguments
+    # with getopt and reads c with a regular expression. -X importtime
+    # reports every module the process loads.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bpu_lab.cli", "run",
+                           "--config", str(CONFIG_DIR / "theorem_check_r2.json"),
+                           "--output", str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"getopt", "bpu_lab.experiments", "numpy"} <= loaded
+    assert not loaded & {"argparse", "fractions", "decimal"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["theorem-check.csv",
+                                                          "theorem-check.json"]

@@ -1,8 +1,8 @@
 """Source layout rules: every import of the package sits at module level,
-no module loads hashlib or numpy.random, every name a module exports
-exists, every name the benchmark tracer summarizes exists in the
-package, README's table of config keys lists exactly the keys a
-config may set, and README names every constant `bpu` exports."""
+no module loads hashlib, numpy.random, argparse or fractions, every name a
+module exports exists, every name the benchmark tracer summarizes exists in
+the package, README's table of config keys lists exactly the keys a config
+may set, and README names every constant a module exports."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import importlib
 import re
 from pathlib import Path
 
-from bpu_lab import bpu, experiments
+from bpu_lab import experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bpu_lab"
@@ -38,6 +38,8 @@ def test_no_imports_inside_functions():
 _HEAVY_MODULES = {
     "hashlib": "its _hashlib loads OpenSSL's libcrypto, +3.6 MB",
     "numpy.random": "+6.6 MB, and it imports hashlib through secrets",
+    "argparse": "+0.5 MB, with the gettext and locale it loads",
+    "fractions": "+0.35 MB, with decimal and _decimal",
 }
 
 
@@ -135,6 +137,10 @@ def test_readme_key_table_lists_exactly_the_config_keys():
 
 def test_readme_names_every_exported_bpu_constant():
     text = README.read_text()
-    missing = [name for name in bpu.__all__
-               if name.isupper() and not re.search(rf"\b{name}\b", text)]
-    assert not missing, f"bpu constants README.md does not name: {', '.join(missing)}"
+    constants = [f"{path.stem}.{name}" for path in sorted(SRC.glob("[!_]*.py"))
+                 for name in getattr(importlib.import_module(f"bpu_lab.{path.stem}"),
+                                     "__all__", ()) if name.isupper()]
+    assert len(constants) >= 16 and "bpu.BAND_EPS" in constants
+    missing = [name for name in constants
+               if not re.search(rf"\b{name.split('.')[1]}\b", text)]
+    assert not missing, f"exported constants README.md does not name: {', '.join(missing)}"
