@@ -19,7 +19,6 @@ independent of the global bundle measure scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -57,7 +56,6 @@ __all__ = [
     "ProfileTable",
     "bpu_map",
     "d_bpu",
-    "sign_pair_derivatives",
     "fd_d_bpu",
     "zk_orthogonalize",
     "fs_pullback",
@@ -73,9 +71,9 @@ __all__ = [
 TRANSVERSE_SCALE = SQRT_PI
 
 # Signs (sigma_theta, sigma_p) of the fiber and normal terms of the analytic
-# derivative pairing, and the constants of the pullback limits
-# Im/k^2 -> C_OMEGA * Omega and Re/k^2 -> C_G * G.  These are fixed facts of
-# the model; `calibration` re-measures them against ground truth.
+# derivative pairing, which the kernel applies when it runs, and the constants
+# of the pullback limits Im/k^2 -> C_OMEGA * Omega and Re/k^2 -> C_G * G:
+# fixed facts of the model, checked by `calibration` and theorem-check verdicts.
 CONVENTION_SIGNS = (-1, +1)
 C_OMEGA = -0.5
 C_G = +0.5
@@ -182,8 +180,9 @@ def _band(k: int, p_min: float, p_max: float) -> tuple[int, int]:
 def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
                    ks: Sequence[int]):
     """Level-moment kernel: for each k in ks, the basis, the projection's
-    coefficients and the (T, k+1) blocks (base, fiber, normal) of d_bpu,
-    which `_signed` combines.
+    coefficients and the (T, k+1) rows of d_bpu, the base terms plus the
+    fiber and normal terms times the signs CONVENTION_SIGNS, read when the
+    first level is computed.
 
     `points` (M, 2) on the sphere carry real amplitudes `amp` (M, 1 + 3T): the
     delta weights s_w, then per tangent the transport, fiber (per unit k) and
@@ -200,7 +199,7 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
     zeros.  Valid while the band's loop frequencies stay below N (on a
     latitude, t(k) < N) and norm_sq stays finite (see `bpu_map`).
     """
-    t = normal.shape[2]
+    t, (sigma_theta, sigma_p) = normal.shape[2], CONVENTION_SIGNS
     head = np.hstack([points[:, 1:] * amp, normal[:, 0], normal[:, 1]])  # conj(V)
     p = np.min(np.abs(points) ** 2, axis=1)
     top = _band(max([1, *ks]), 0.0, p.max())[1]  # the band top grows with k
@@ -231,7 +230,8 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
         coeffs = values.T / b.norms_sq
         transport, fiber, density = coeffs[1:].reshape(3, t, k + 1)
         # conj of the fiber derivative i*k*s_a is -i*k*conj(s_a).
-        yield b, coeffs[0], (transport + k * density, -1j * k * fiber, deriv.T / b.norms_sq)
+        yield b, coeffs[0], (transport + k * density + sigma_theta * (-1j * k * fiber)
+                             + sigma_p * (deriv.T / b.norms_sq))
 
 
 def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
@@ -257,12 +257,7 @@ def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafT
     for k in ks:
         if k % lift.winding:
             b, zero = hardy_basis(k), np.zeros((t + 1, k + 1), dtype=np.complex128)
-        yield (b, zero[0], (zero[1:],) * 3) if k % lift.winding else next(lattice)
-
-
-def _signed(blocks, signs: tuple[int, int]) -> NDArray[np.complex128]:
-    """d_bpu rows from the kernel's blocks under the signs (sigma_theta, sigma_p)."""
-    return blocks[0] + signs[0] * blocks[1] + signs[1] * blocks[2]
+        yield (b, zero[0], zero[1:]) if k % lift.winding else next(lattice)
 
 
 def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
@@ -299,26 +294,15 @@ def d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
     derivative along (f_i, k*ell_i), the half-density leg amplified by
     linearity, the scaling under which the pullback expansions carry their
     k^2 leading term.  The fiber and normal terms carry the signs
-    CONVENTION_SIGNS.  A level the winding does not divide gets zero rows
-    and a warning.
+    CONVENTION_SIGNS as they stand when d_bpu is called; `fs_pullback`
+    reads the same rows.  A level the winding does not divide gets zero
+    rows and a warning.
     """
     for k in ks:
         if k % lift.winding:
             warnings.warn(f"level {k} is not divisible by the winding {lift.winding}; "
                           "the projection is identically zero", stacklevel=2)
-    return [_signed(blocks, CONVENTION_SIGNS)
-            for _, _, blocks in _frame_moments(lift, hw, tangents, ks)]
-
-
-def sign_pair_derivatives(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
-                          k: int) -> dict[tuple[int, int], NDArray[np.complex128]]:
-    """The d_bpu rows at level k under each of the four sign pairs
-    (sigma_theta, sigma_p), from one kernel pass: the derivative is affine
-    in the signs.  The winding must divide k."""
-    if k % lift.winding:
-        raise DomainError(f"level {k} is not divisible by the winding {lift.winding}")
-    _, _, blocks = next(_frame_moments(lift, hw, tangents, [k]))
-    return {signs: _signed(blocks, signs) for signs in itertools.product((1, -1), repeat=2)}
+    return [rows for _, _, rows in _frame_moments(lift, hw, tangents, ks)]
 
 
 def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
@@ -390,15 +374,17 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     Hermitian as (G + G^H) / 2.  Real parts are metric values, imaginary
     parts symplectic ones.  Independent of the bundle measure scale and of
     the lift's starting phase.  One level-moment kernel pass over all the
-    levels gives u and the derivatives together.
+    levels gives u and the derivatives together; a non-finite norm_sq raises DomainError.
     """
     forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
     moments = _frame_moments(lift, hw, tangents, ks)
-    for n, (k, (b, coeffs, blocks)) in enumerate(zip(ks, moments)):
+    for n, (k, (b, coeffs, rows)) in enumerate(zip(ks, moments)):
         u = BpuState(k, b, coeffs, lift)
+        if not math.isfinite(u.norm_sq):  # see `bpu_map`
+            raise DomainError(f"level {k}: basis norms left the double range (norm_sq {u.norm_sq})")
         if not u.is_admissible:
             raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
-        z = zk_orthogonalize(u, _signed(blocks, CONVENTION_SIGNS))
+        z = zk_orthogonalize(u, rows)
         gram = (np.conj(z) * b.norms_sq) @ z.T / u.norm_sq
         forms[n] = 0.5 * (gram + gram.conj().T)
     return forms

@@ -181,8 +181,8 @@ class ExperimentConfig:
             raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"configuration is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
+            raise ConfigError(f"configuration is not readable JSON: {exc}") from exc
         return cls.from_dict(raw)
 
 
@@ -327,11 +327,9 @@ def _run_theorem_check(config: ExperimentConfig) -> _Outcome:
     if not config.tangents or not config.pairs:
         raise ConfigError("theorem-check requires tangents and pairs")
     tangents = [_build_tangent(loop, hw, d, i) for i, d in enumerate(config.tangents)]
-    consts = calibration.measured_constants()
     ks = [r * l for l in range(1, config.l_max + 1)]
     rows = []
-    fits: dict[str, Any] = {"c_omega": bpu.C_OMEGA, "c_g": bpu.C_G, **asdict(consts),
-                            "pairs": []}
+    fits: dict[str, Any] = {"c_omega": bpu.C_OMEGA, "c_g": bpu.C_G, "pairs": []}
     verdicts: dict[str, bool] = {}
     forms = bpu.fs_pullback(lift, hw, tangents, ks)
     for idx, (i, j) in enumerate(config.pairs):

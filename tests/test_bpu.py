@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -569,9 +570,11 @@ def test_kernel_normal_block_matches_exact_derivative_oracle(k):
     s_w = rng.uniform(0.5, 1.5, size=len(pts))
     ups = rng.normal(size=(len(pts), 2, 2)) + 1j * rng.normal(size=(len(pts), 2, 2))
     amp = np.hstack([s_w[:, None], np.zeros((len(pts), 6))])
-    b, coeffs, blocks = next(bpu._level_moments(pts, amp, ups * s_w[:, None, None], [k]))
-    assert coeffs.shape == (k + 1,) and [x.shape for x in blocks] == [(2, k + 1)] * 3
-    deriv = blocks[2] * b.norms_sq
+    b, coeffs, signed = next(bpu._level_moments(pts, amp, ups * s_w[:, None, None], [k]))
+    assert coeffs.shape == (k + 1,) and signed.shape == (2, k + 1)
+    # With zero transport, fiber and half-density amplitudes the d_bpu rows are
+    # the normal term alone, times sigma_p.
+    deriv = bpu.CONVENTION_SIGNS[1] * signed * b.norms_sq
     # Row a reads P[a-1] (a > 0) and P[a] (a < k).
     rows = np.concatenate([[True], rows_in_every_band(pts, k), [True]])
     inside = rows[:-1] & rows[1:]
@@ -630,19 +633,23 @@ def test_derivative_signs_come_from_one_place(half_setup, monkeypatch):
     loop, lift, hw = half_setup
     frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),
              constrained(loop, hw, np.cos(2 * PHI), np.zeros(N))]
-    pairs = bpu.sign_pair_derivatives(lift, hw, frame, 8)
-    assert set(pairs) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert np.array_equal(d_bpu(lift, hw, frame, [8])[0], pairs[bpu.CONVENTION_SIGNS])
-    # d_bpu and fs_pullback read the pinned signs when called.
-    monkeypatch.setattr(bpu, "CONVENTION_SIGNS", (1, -1))
-    assert np.array_equal(d_bpu(lift, hw, frame, [8])[0], pairs[(1, -1)])
+    pinned, pinned_rows = bpu.CONVENTION_SIGNS, d_bpu(lift, hw, frame, [8])[0]
     u = bpu_map(lift, hw, 8)
-    z = zk_orthogonalize(u, pairs[(1, -1)])
-    gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
-    assert np.allclose(fs_pullback(lift, hw, frame, [8])[0], 0.5 * (gram + gram.conj().T),
-                       rtol=1e-13, atol=0.0)
-    with pytest.raises(DomainError):
-        bpu.sign_pair_derivatives(lift, hw, frame, 7)
+    rows = {}
+    # d_bpu and fs_pullback read the pinned signs when called.
+    for signs in itertools.product((1, -1), repeat=2):
+        monkeypatch.setattr(bpu, "CONVENTION_SIGNS", signs)
+        rows[signs] = d_bpu(lift, hw, frame, [8])[0]
+        z = zk_orthogonalize(u, rows[signs])
+        gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
+        assert np.allclose(fs_pullback(lift, hw, frame, [8])[0], 0.5 * (gram + gram.conj().T),
+                           rtol=1e-13, atol=0.0), signs
+    assert np.array_equal(rows[pinned], pinned_rows)
+    # Both signed terms are nonzero, so each pair gives its own rows, affine in the signs.
+    for a, b in itertools.combinations(rows, 2):
+        assert np.linalg.norm(rows[a] - rows[b]) > 0.1 * np.linalg.norm(pinned_rows), (a, b)
+    assert np.allclose(rows[1, 1] + rows[-1, -1], rows[1, -1] + rows[-1, 1],
+                       rtol=0.0, atol=1e-13 * np.linalg.norm(pinned_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +705,17 @@ def test_fs_pullback_outside_domain(half_setup):
     w = constrained(loop, hw, np.cos(PHI), np.zeros(N))
     with pytest.raises(OutsideAdmissibleSetError):
         fs_pullback(lift, hw, [w], [5])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fs_pullback_names_the_norm_overflow(third_setup):
+    # At k = 1023 on c = 1/3 norm_sq is NaN (see test_first_non_finite_norm_levels);
+    # the loop is admissible, so the error names the basis norms, not the domain.
+    loop, lift, hw = third_setup
+    w = constrained(loop, hw, np.cos(PHI), np.cos(PHI))
+    assert np.all(np.isfinite(fs_pullback(lift, hw, [w], [1020])))
+    with pytest.raises(DomainError, match="level 1023: basis norms left the double range"):
+        fs_pullback(lift, hw, [w], [1020, 1023])
 
 
 def test_fs_pullback_entries_are_gram_ratios_of_orthogonal_parts(half_setup):

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from bpu_lab import bpu, calibration, cli
 from bpu_lab.errors import IntegrationAccuracyError
+from bpu_lab.experiments import ExperimentConfig, run_experiment
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_sign_check_confirms_the_pinned_pair():
@@ -24,9 +29,14 @@ def test_sign_check_evaluates_the_analytic_derivative_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sign_check_rejects_a_wrong_pinned_pair(monkeypatch):
-    monkeypatch.setattr(bpu, "CONVENTION_SIGNS", (1, 1))
-    with pytest.raises(IntegrationAccuracyError, match="CONVENTION_SIGNS"):
+@pytest.mark.parametrize("signs, miss", [((1, 1), "1.000e+00"), ((1, -1), "2.000e+00"),
+                                         ((-1, -1), "1.000e+00")],
+                         ids=["plus-plus", "plus-minus", "minus-minus"])
+def test_sign_check_rejects_a_wrong_pinned_pair(monkeypatch, signs, miss):
+    # Each non-pinned pair misses the oracle by O(1), far above SIGN_REL_TOL.
+    monkeypatch.setattr(bpu, "CONVENTION_SIGNS", signs)
+    message = f"CONVENTION_SIGNS {signs} miss the finite-difference derivative by {miss} "
+    with pytest.raises(IntegrationAccuracyError, match=re.escape(message)):
         calibration.calibrated_signs()
 
 
@@ -41,6 +51,19 @@ def test_constant_check_rejects_a_wrong_pinned_value(monkeypatch, name):
     monkeypatch.setattr(bpu, name, 1.0)
     with pytest.raises(IntegrationAccuracyError, match=name):
         calibration.measured_constants()
+
+
+@pytest.mark.parametrize("name, failed", [
+    ("C_OMEGA", {"pair1_omega"}), ("C_G", {"pair1_g", "pair2_g", "pair3_g"})],
+    ids=["C_OMEGA", "C_G"])
+def test_theorem_check_fails_on_a_wrong_pinned_constant(monkeypatch, name, failed):
+    # No run re-fits the constants on a reference leaf: the shipped run's own
+    # verdicts judge its fits against C_OMEGA and C_G, and reject a wrong value.
+    monkeypatch.setattr(bpu, name, 1.0)
+    config = ExperimentConfig.from_json((CONFIG_DIR / "theorem_check_r2.json").read_bytes())
+    result = run_experiment(config)
+    assert not result.passed
+    assert {verdict for verdict, ok in result.verdicts.items() if not ok} == failed
 
 
 def test_cli_exits_1_on_a_wrong_pinned_pair(monkeypatch, tmp_path, capsys):

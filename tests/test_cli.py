@@ -238,30 +238,30 @@ def test_emission_is_deterministic(tmp_path, small_sweep):
 
 
 def test_checks_run_once_per_experiment(monkeypatch, tmp_path):
-    calls = {"signs": 0, "constants": 0}
+    # Every kind runs the sign check once; none re-fits the pullback constants.
+    calls = []
 
     def signs():
-        calls["signs"] += 1
+        calls.append(1)
         return calibration.Calibration(*bpu.CONVENTION_SIGNS, fd_relative_error=0.0)
 
     def constants():
-        calls["constants"] += 1
-        return calibration.MeasuredConstants(c_omega_raw=-0.49, c_g_raw=0.51)
+        raise AssertionError("a run called measured_constants")
 
     monkeypatch.setattr(calibration, "calibrated_signs", signs)
     monkeypatch.setattr(calibration, "measured_constants", constants)
-    sweep = ExperimentConfig.from_dict({"kind": "norm-sweep", "c": "1/2", "n": 64, "l_max": 6})
-    emit_report(run_experiment(sweep), tmp_path / "sweep")
-    assert calls == {"signs": 1, "constants": 0}
-
-    check = ExperimentConfig.from_dict({
-        "kind": "theorem-check", "c": "1/2", "n": 64, "l_max": 6,
-        "tangents": [{"f": [{"mode": 1}], "s_ell": [{"mode": 1}]}], "pairs": [[0, 0]]})
-    _, json_path = emit_report(run_experiment(check), tmp_path / "check")
-    assert calls == {"signs": 2, "constants": 1}
-    manifest = json.loads(json_path.read_text())
+    kinds = set()
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        config = ExperimentConfig.from_json(path.read_bytes())
+        emit_report(run_experiment(config), tmp_path / path.stem)
+        kinds.add(config.kind)
+        assert len(calls) == 1, path.name
+        calls.clear()
+    assert kinds == set(EXPERIMENT_KINDS)
+    manifest = json.loads((tmp_path / "theorem_check_r2" / "theorem-check.json").read_text())
     assert (manifest["c_omega"], manifest["c_g"]) == (bpu.C_OMEGA, bpu.C_G)
-    assert (manifest["fits"]["c_omega_raw"], manifest["fits"]["c_g_raw"]) == (-0.49, 0.51)
+    assert (manifest["fits"]["c_omega"], manifest["fits"]["c_g"]) == (bpu.C_OMEGA, bpu.C_G)
+    assert not [key for key in manifest["fits"] if key.endswith("_raw")]
 
 
 def test_empty_rows_yield_header_only_csv(tmp_path):
@@ -399,6 +399,16 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
     code, _ = run_bad("{not json")
     assert code == 2
+    # An integer literal past int()'s 4300-digit limit is a config error too,
+    # in process and through a real process.
+    huge_seed = '{"kind": "norm-sweep", "seed": ' + "1" * 5000 + "}"
+    code, err = run_bad(huge_seed)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    cfg.write_text(huge_seed)
+    proc = run_cli("run", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     # A config that is not UTF-8 (here a UTF-16 byte-order mark) is invalid too.
     cfg.write_bytes(b"\xff\xfe" + json.dumps({"kind": "norm-sweep"}).encode("utf-16-le"))
     code, err = cli.main(["run", "--config", str(cfg)]), capsys.readouterr().err
