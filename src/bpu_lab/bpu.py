@@ -9,6 +9,10 @@ whose projection onto the level-k space has coefficients
 c_a = <delta, conj(s_a)> / ||s_a||^2: r times the first circuit's pairings
 when the winding number r divides k, and exactly zero otherwise.
 
+`pointwise_values`, the one pointwise entry, evaluates u_k at points from
+the same coefficients; the decay and transverse-profile experiments read it
+and judge the values themselves.
+
 Two derivative routes are implemented and cross-checked: the analytic
 pairing (function/half-density/transport/fiber terms, with the two
 convention signs CONVENTION_SIGNS) and the geometric finite-difference
@@ -21,23 +25,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import asymptotics, hardy
+from . import hardy
 from .errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from .fourier import TWO_PI, _powers
-from .geometry import (
-    PlanckianLift,
-    SQRT_PI,
-    as_point_array,
-    foot_parameters,
-    fs_distance,
-    normal_frame,
-)
+from .geometry import PlanckianLift, SQRT_PI, as_point_array, normal_frame
 from .hardy import SectionBasis, _require_sphere_tangent, basis as hardy_basis
 from .leaf import HalfWeight, LeafTangent, flow_state, gamma_flow, hamiltonian_normal_components
 
@@ -46,14 +43,11 @@ __all__ = [
     "CONVENTION_SIGNS",
     "C_OMEGA",
     "C_G",
-    "SPHERE_DIAMETER",
     "COEFF_FLOOR",
     "FAMILY_MARGIN",
     "BAND_EPS",
     "FD_STEP",
-    "DECAY_MIN_DISTANCE",
     "BpuState",
-    "ProfileTable",
     "bpu_map",
     "d_bpu",
     "fd_d_bpu",
@@ -61,8 +55,7 @@ __all__ = [
     "fs_pullback",
     "f_integrand",
     "norm_sweep",
-    "pointwise_profile",
-    "decay_check",
+    "pointwise_values",
 ]
 
 # Heisenberg transverse unit: the norm in which the leading transverse
@@ -78,9 +71,6 @@ CONVENTION_SIGNS = (-1, +1)
 C_OMEGA = -0.5
 C_G = +0.5
 
-# Maximal base distance in the area-1 metric (pole to pole).
-SPHERE_DIAMETER = SQRT_PI / 2.0
-
 # Coefficients below this magnitude count as exactly zero (quadrature floor).
 COEFF_FLOOR = 1e-11
 
@@ -90,10 +80,8 @@ COEFF_FLOOR = 1e-11
 FAMILY_MARGIN = 1e-12
 BAND_EPS = 1e-24
 
-# Flow time of the coarser central difference in fd_d_bpu, and the base
-# distance below which an off-loop point gets no decay verdict.
+# Flow time of the coarser central difference in fd_d_bpu.
 FD_STEP = 1e-3
-DECAY_MIN_DISTANCE = 0.2 * SPHERE_DIAMETER
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +108,6 @@ class BpuState:
 
     def evaluate(self, points) -> complex | NDArray[np.complex128]:
         return hardy.eval_section(self.sec_basis, self.coefficients, points)
-
-
-@dataclass(frozen=True, eq=False)
-class ProfileTable:
-    """Transverse profile |u(x + w/sqrt(k))| / |u(x)| against the Gaussian."""
-
-    w_norm: NDArray[np.float64]
-    w_perp_norm: NDArray[np.float64]
-    ratio: NDArray[np.float64]
-    gaussian: NDArray[np.float64]
-
-    def max_abs_deviation(self) -> float:
-        return float(np.max(np.abs(self.ratio - self.gaussian)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,90 +355,44 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     moments = _frame_moments(lift, hw, tangents, ks)
     for n, (k, (b, coeffs, rows)) in enumerate(zip(ks, moments)):
         u = BpuState(k, b, coeffs, lift)
-        if not math.isfinite(u.norm_sq):  # see `bpu_map`
-            raise DomainError(f"level {k}: basis norms left the double range (norm_sq {u.norm_sq})")
+        norm_sq = _finite_norm_sq(u)
         if not u.is_admissible:
             raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
         z = zk_orthogonalize(u, rows)
-        gram = (np.conj(z) * b.norms_sq) @ z.T / u.norm_sq
+        gram = (np.conj(z) * b.norms_sq) @ z.T / norm_sq
         forms[n] = 0.5 * (gram + gram.conj().T)
     return forms
 
 
+def _finite_norm_sq(u: BpuState) -> float:
+    """u.norm_sq, or DomainError naming the level where it is not finite (see `bpu_map`)."""
+    norm_sq = u.norm_sq
+    if not math.isfinite(norm_sq):
+        raise DomainError(f"level {u.k}: basis norms left the double range (norm_sq {norm_sq})")
+    return norm_sq
+
+
 def norm_sweep(lift: PlanckianLift, hw: HalfWeight, ks: Sequence[int]) -> list[dict]:
     """Table of squared norms over levels, with admissibility records, from
-    one kernel pass."""
+    one kernel pass; a non-finite norm_sq raises DomainError."""
     r, rows = lift.winding, []
     for k, (b, coeffs, _) in zip(ks, _frame_moments(lift, hw, (), ks)):
         state = BpuState(k, b, coeffs, lift)
         rows.append({"k": int(k), "l": int(k // r) if k % r == 0 else 0, "r": r,
-                     "norm_sq": state.norm_sq, "admissible": state.is_admissible})
+                     "norm_sq": _finite_norm_sq(state), "admissible": state.is_admissible})
     return rows
 
 
-# ---------------------------------------------------------------------------
-# Pointwise structure
-# ---------------------------------------------------------------------------
+def pointwise_values(lift: PlanckianLift, hw: HalfWeight, points,
+                     ks: Sequence[int]) -> NDArray[np.complex128]:
+    """Values u_k(x) of the level-k projections at the bundle points x, shape
+    (len(ks), M) for M points, from one kernel pass over all the levels.
 
-def pointwise_profile(state: BpuState, x, w_direction, samples: np.ndarray) -> ProfileTable:
-    """Modulus profile under transverse displacements x + w/sqrt(k).
-
-    `x` must lie on the circle orbit of the lift; `w_direction` is a
-    horizontal representative at the canonical loop representative of the
-    foot of x.  Displacements are horizontal lifts of FS geodesics, with
-    magnitudes tabulated in the Heisenberg transverse unit
-    (TRANSVERSE_SCALE times the FS norm), the unit in which the predicted
-    leading profile is exp(-|w_perp|^2).
+    Rows of levels the winding does not divide are zeros.  Past the range of
+    `bpu_map` the values are not finite.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    xv = as_point_array(x)
-    loop = state.lift.base
-    foot = foot_parameters(loop, xv[None, :])[0]
-    base_rep = loop.point_at(foot)
-    if float(fs_distance(xv, base_rep)) > 1e-8:
-        raise ContractViolation("profile point must lie on the orbit of the lift")
-
-    wv = np.asarray(w_direction, dtype=np.complex128)
-    wn = np.linalg.norm(wv)
-    if wn < 1e-300:
-        raise ContractViolation("direction must be nonzero")
-    tangent_unit = loop.tangent_at(foot)
-    tangent_unit = tangent_unit / np.linalg.norm(tangent_unit)
-    w_unit = wv / wn
-    # Perpendicular fraction of the direction in the real horizontal plane.
-    par = np.real(np.vdot(tangent_unit, w_unit))
-    skew = np.imag(np.vdot(tangent_unit, w_unit))  # component along J * tangent
-    if abs(par ** 2 + skew ** 2 - 1.0) > 1e-9:
-        raise ContractViolation("direction must be horizontal at the foot of x")
-
-    phase = np.vdot(base_rep, xv)  # unit: x = phase * base_rep
-    w_at_x = phase * w_unit
-    theta = samples / math.sqrt(state.k)  # C^2 angle = transverse unit / sqrt(k)
-    displaced = (np.cos(theta)[:, None] * xv[None, :]
-                 + np.sin(theta)[:, None] * w_at_x[None, :])
-    base_val = abs(complex(state.evaluate(xv[None, :])[0]))
-    if base_val == 0.0:
-        raise OutsideAdmissibleSetError("projection vanishes at the profile point")
-    vals = np.abs(state.evaluate(displaced)) / base_val
-    w_perp = samples * abs(skew)
-    return ProfileTable(w_norm=samples, w_perp_norm=w_perp, ratio=vals,
-                        gaussian=np.exp(-w_perp ** 2))
-
-
-def decay_check(lift: PlanckianLift, hw: HalfWeight, x, ks: Sequence[int],
-                threshold: float) -> asymptotics.DecayReport:
-    """Super-polynomial decay report for |u_k(x)| at an off-loop point: it
-    passes when the last dyad's log-log slope is below `threshold`.
-
-    Points closer than DECAY_MIN_DISTANCE to the loop yield an inconclusive
-    report rather than a verdict.
-    """
-    xv = as_point_array(x)
-    dist = float(np.min(fs_distance(xv[None, :], lift.base.points)))
-    admissible = [k for k in ks if k % lift.winding == 0]
-    values = [abs(complex(BpuState(k, b, coeffs, lift).evaluate(xv[None, :])[0]))
-              for k, (b, coeffs, _) in zip(admissible, _frame_moments(lift, hw, (), admissible))]
-    report = asymptotics.superpoly_decay(list(zip(admissible, values)), threshold)
-    if dist < DECAY_MIN_DISTANCE:
-        return replace(report, passed=False, inconclusive=True)
-    return report
+    pts = np.atleast_2d(as_point_array(points))
+    out = np.empty((len(ks), len(pts)), dtype=np.complex128)
+    for n, (k, (b, coeffs, _)) in enumerate(zip(ks, _frame_moments(lift, hw, (), ks))):
+        out[n] = BpuState(k, b, coeffs, lift).evaluate(pts)
+    return out

@@ -5,6 +5,9 @@ produces a CSV data table (columns k, l, r, value_re, value_im), a JSON
 manifest carrying the configuration verbatim, the pinned convention constants
 and their checks, the fits and the PASS/FAIL verdicts, and reports an
 overall verdict.  Given identical configurations the emitted bytes are equal.
+The runners own their verdict rules: the decay run, for one, judges the
+values that `bpu.pointwise_values` returns for all its points from one kernel
+pass, and gives no verdict for points nearer the loop than DECAY_MIN_DISTANCE.
 Seeded draws come from `random.Random(seed).random()` alone, whose sequence
 Python keeps stable for a given seed.
 """
@@ -15,17 +18,18 @@ import json
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from . import asymptotics, bpu, calibration, leaf
-from .errors import ConfigError
+from .errors import ConfigError, OutsideAdmissibleSetError
 from .fourier import grid_nodes
 from .geometry import (
     MAX_HOLONOMY_ORDER,
+    SQRT_PI,
     fs_distance,
     graph_loop,
     horizontal_lift,
@@ -38,6 +42,8 @@ __all__ = [
     "EXPERIMENT_KINDS",
     "MAX_NODES",
     "TOLERANCES",
+    "SPHERE_DIAMETER",
+    "DECAY_MIN_DISTANCE",
     "ExperimentConfig",
     "RunResult",
     "run_experiment",
@@ -63,6 +69,11 @@ TOLERANCES = {
     "decay_slope": -10.0,       # super-polynomial decay threshold
     "identity_abs": 1e-9,       # algebraic identity suite
 }
+
+# Maximal base distance in the area-1 metric (pole to pole), and the base
+# distance from the loop below which a decay point gets no verdict.
+SPHERE_DIAMETER = SQRT_PI / 2.0
+DECAY_MIN_DISTANCE = 0.2 * SPHERE_DIAMETER
 
 # A constrained tangent no larger than this fraction of its raw samples is
 # rounding left over by the moment constraints.
@@ -382,17 +393,25 @@ def _run_profile(config: ExperimentConfig) -> _Outcome:
     k = config.k_values[0] if config.k_values else 40 * r
     if k % r:
         raise ConfigError(f"profile level {k} must be divisible by r = {r}")
-    state = bpu.bpu_map(lift, hw, k)
+    # |u_k| from node 0 of the lift at the C^2 angles w/sqrt(k) along the loop's
+    # unit normal turned by the node's fiber phase, a horizontal direction
+    # perpendicular to the loop: w is the Heisenberg transverse length, in which
+    # the predicted profile is exp(-w^2).
     samples = np.linspace(0.0, 1.5, 16)
-    table = bpu.pointwise_profile(state, lift.points[0], normal_frame(loop)[0], samples)
-    rows = [(k, k // r, r, float(ratio), float(wn))
-            for wn, ratio in zip(table.w_norm, table.ratio)]
-    deviation = table.max_abs_deviation()
+    x, normal = lift.points[0], lift.phases[0] * normal_frame(loop)[0]
+    theta = samples[:, None] / math.sqrt(k)
+    displaced = np.cos(theta) * x + np.sin(theta) * (normal / np.linalg.norm(normal))
+    values = np.abs(bpu.pointwise_values(lift, hw, np.vstack([x, displaced]), [k])[0])
+    if values[0] == 0.0:
+        raise OutsideAdmissibleSetError("projection vanishes at the profile point")
+    ratio, gaussian = values[1:] / values[0], np.exp(-samples ** 2)
+    rows = [(k, k // r, r, float(q), float(w)) for w, q in zip(samples, ratio)]
+    deviation = float(np.max(np.abs(ratio - gaussian)))
     fits = {
         "k": k,
-        "w_norm": table.w_norm,
-        "ratio": table.ratio,
-        "gaussian": table.gaussian,
+        "w_norm": samples,
+        "ratio": ratio,
+        "gaussian": gaussian,
         "max_abs_deviation": deviation,
     }
     verdicts = {"gaussian_profile": deviation < TOLERANCES["gaussian_abs"]}
@@ -400,24 +419,26 @@ def _run_profile(config: ExperimentConfig) -> _Outcome:
 
 
 def _run_decay(config: ExperimentConfig) -> _Outcome:
+    descriptors = config.points or [{"c": 0.9, "psi": 0.0}, {"c": 0.88, "psi": 2.0},
+                                    {"c": 0.92, "psi": 4.0}]
+    points = np.array([_point_from_descriptor(d) for d in descriptors])
     loop, lift, hw = _setup(config)
     r = lift.winding
     k_max = config.k_values[0] if config.k_values else 80
     if k_max < 2 * r:
         raise ConfigError(f"decay level {k_max} must reach 2r = {2 * r} to hold a (k, 2k) pair")
-    ks = [k for k in range(r, k_max + 1) if k % r == 0]
-    points = config.points or [{"c": 0.9, "psi": 0.0}, {"c": 0.88, "psi": 2.0},
-                               {"c": 0.92, "psi": 4.0}]
+    ks = list(range(r, k_max + 1, r))
+    values = np.abs(bpu.pointwise_values(lift, hw, points, ks))
     rows = []
     fits: dict[str, Any] = {"points": []}
     verdicts = {}
-    for p_idx, desc in enumerate(points):
-        x = _point_from_descriptor(desc)
-        report = bpu.decay_check(lift, hw, x, ks, TOLERANCES["decay_slope"])
-        rows.extend((int(k), int(k) // r, r, float(v), 0.0) for k, v in zip(report.ks, report.values))
-        dist = np.min(fs_distance(x[None, :], loop.points))
-        fits["points"].append({"descriptor": desc, "distance": dist,
-                               "report": report})
+    for p_idx, (desc, x, column) in enumerate(zip(descriptors, points, values.T)):
+        report = asymptotics.superpoly_decay(list(zip(ks, column)), TOLERANCES["decay_slope"])
+        dist = float(np.min(fs_distance(x[None, :], loop.points)))
+        if dist < DECAY_MIN_DISTANCE:  # too near the loop for a verdict
+            report = replace(report, passed=False, inconclusive=True)
+        rows.extend((k, k // r, r, float(v), 0.0) for k, v in zip(ks, column))
+        fits["points"].append({"descriptor": desc, "distance": dist, "report": report})
         verdicts[f"point{p_idx}_decay"] = bool(report.passed and not report.inconclusive)
     return rows, fits, verdicts
 

@@ -162,10 +162,6 @@ class LagrangianLoop:
         p = self._interp_points(phi)
         return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
-    def tangent_at(self, phi) -> NDArray[np.complex128]:
-        p, d = self._interp_points.derivative(phi, (0, 1))
-        return project_tangent(p / np.linalg.norm(p, axis=-1, keepdims=True), d)
-
 
 class PlanckianLift:
     """Horizontal closed lift of a loop, winding r times over the base: the
@@ -357,6 +353,7 @@ def _foot_newton(interp: TrigInterpolator, points: np.ndarray, seeds: np.ndarray
     raise TubeStepError("nearest-point projection onto the loop did not converge")
 
 
+# No module calls this: perfbench/tracer.py names it; the tests and tests/oracles.py use it.
 def foot_parameters(loop: LagrangianLoop, points: np.ndarray) -> NDArray[np.float64]:
     """Parameters of the normal-geodesic feet of tube points on the loop.
 

@@ -136,9 +136,9 @@ def test_rapid_decay_off_locus(leaves):
               latitude_loop(0.88, 64).points[7],
               latitude_loop(0.92, 64).points[13]]
     final_slopes = []
-    for x in points:
+    for x, values in zip(points, np.abs(bpu.pointwise_values(lift, hw, points, ks)).T):
         assert float(np.min(fs_distance(x[None, :], loop.points))) >= 0.2
-        rep = bpu.decay_check(lift, hw, x, ks, -10.0)
+        rep = asymptotics.superpoly_decay(list(zip(ks, values)), -10.0)
         assert rep.passed and not rep.inconclusive
         final_slopes.append(float(rep.slopes[-1]))
     ok = all(s < -10.0 for s in final_slopes)
@@ -151,13 +151,17 @@ def test_rapid_decay_off_locus(leaves):
 # ---------------------------------------------------------------------------
 
 def test_gaussian_transverse_profile(leaves):
+    # |u_k| at the C^2 angle w/sqrt(k) from node 0 of the lift along the unit
+    # normal turned by the node's fiber phase, against exp(-w^2).
     loop, lift, hw = leaves[2]
-    state = bpu.bpu_map(lift, hw, 80)
-    table = bpu.pointwise_profile(state, lift.points[0], normal_frame(loop)[0],
-                                  samples=np.linspace(0.0, 1.5, 16))
-    deviation = table.max_abs_deviation()
+    w = np.linspace(0.0, 1.5, 16)
+    normal = lift.phases[0] * normal_frame(loop)[0] / math.sqrt(math.pi)
+    theta = w[:, None] / math.sqrt(80)
+    values = np.abs(bpu.pointwise_values(lift, hw, np.cos(theta) * lift.points[0]
+                                         + np.sin(theta) * normal, [80])[0])
+    deviation = float(np.max(np.abs(values / values[0] - np.exp(-w ** 2))))
     ok = deviation < 0.02
-    assert report("gaussian-profile", ok, f"max |ratio - exp(-w_perp^2)| = {deviation:.2e} < 0.02")
+    assert report("gaussian-profile", ok, f"max |ratio - exp(-w^2)| = {deviation:.2e} < 0.02")
 
 
 # ---------------------------------------------------------------------------

@@ -8,21 +8,26 @@ import warnings
 import numpy as np
 import pytest
 
-from bpu_lab import asymptotics, bpu, hardy, leaf
+from bpu_lab import asymptotics, bpu, experiments, hardy, leaf
 from bpu_lab.bpu import (
     bpu_map,
     d_bpu,
-    decay_check,
     f_integrand,
     fd_d_bpu,
     fs_pullback,
     norm_sweep,
-    pointwise_profile,
+    pointwise_values,
     zk_orthogonalize,
 )
 from bpu_lab.errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from bpu_lab.fourier import grid_nodes
-from bpu_lab.geometry import PlanckianLift, horizontal_lift, latitude_loop, normal_frame
+from bpu_lab.geometry import (
+    PlanckianLift,
+    fs_distance,
+    horizontal_lift,
+    latitude_loop,
+    normal_frame,
+)
 from bpu_lab.hardy import basis, monomial_values
 from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
 
@@ -306,10 +311,13 @@ def test_latitude_nodes_fall_in_one_family(half_setup, two_thirds_setup):
     ("half_setup", [1012, 1014, 1024], ["finite", "inf", "nan"]),
     ("third_setup", [1020, 1023], ["finite", "nan"])])
 def test_first_non_finite_norm_levels(request, setup, ks, kinds):
-    # The mid-band basis norms near the subnormal range (see `bpu_map`).
+    # The mid-band basis norms near the subnormal range (see `bpu_map`);
+    # norm_sweep names the first level whose norm_sq is not finite.
     _, lift, hw = request.getfixturevalue(setup)
-    values = [row["norm_sq"] for row in norm_sweep(lift, hw, ks)]
+    values = [bpu_map(lift, hw, k).norm_sq for k in ks]
     assert ["nan" if np.isnan(x) else "inf" if np.isinf(x) else "finite" for x in values] == kinds
+    with pytest.raises(DomainError, match=f"level {ks[1]}: basis norms left the double range"):
+        norm_sweep(lift, hw, ks)
 
 
 def test_norm_sweep_over_the_ladder_stays_near_the_ratio_table(third_setup):
@@ -346,41 +354,58 @@ def test_kernel_restarts_below_the_held_level(half_setup):
 # Pointwise structure
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("setup", ["half_setup", "third_setup"])
+def test_pointwise_values_are_the_projections_at_the_points(request, setup):
+    loop, lift, hw = request.getfixturevalue(setup)
+    r = lift.winding
+    points = np.vstack([lift.points[::37], latitude_loop(0.9, 64).points[::9],
+                        latitude_loop(0.1, 64).points[5]])
+    ks = [r, 7 * r + 1, 12 * r, 5 * r, 7]
+    values = pointwise_values(lift, hw, points, ks)
+    assert values.shape == (len(ks), len(points))
+    for k, row in zip(ks, values):
+        if k % r:
+            assert not np.any(row), k
+        else:
+            expected = bpu_map(lift, hw, k).evaluate(points)
+            assert np.all(np.abs(row - expected) <= 1e-14 * np.abs(expected)), k
+    assert pointwise_values(lift, hw, points[0], [12 * r]).shape == (1, 1)
+    assert pointwise_values(lift, hw, points, []).shape == (0, len(points))
+
+
 def test_profile_at_origin_and_tangent(half_setup):
+    # From node 0 of the lift by the C^2 angle s/sqrt(k), along the unit normal
+    # and the unit tangent of the base, each turned by the node's fiber phase.
     loop, lift, hw = half_setup
-    state = bpu_map(lift, hw, 80)
-    x = lift.points[0]
-    table = pointwise_profile(state, x, normal_frame(loop)[0], samples=np.array([0.0, 1.0]))
-    assert table.ratio[0] == pytest.approx(1.0, abs=1e-12)
-    assert table.ratio[1] == pytest.approx(math.exp(-1.0), rel=2e-2)
-    tangent = pointwise_profile(state, x, loop.unit_tangents()[0],
-                                samples=np.array([0.0, 1.0, 1.5]))
-    assert np.abs(tangent.ratio - 1.0).max() < 1e-10
-    assert np.abs(tangent.w_perp_norm).max() < 1e-10
+    x, theta = lift.points[0], np.array([0.0, 1.0, 1.5])[:, None] / math.sqrt(80)
+    base = abs(bpu_map(lift, hw, 80).evaluate(x))
 
+    def ratios(v):
+        u = lift.phases[0] * v / np.linalg.norm(v)
+        points = np.cos(theta) * x + np.sin(theta) * u
+        return np.abs(pointwise_values(lift, hw, points, [80])[0]) / base
 
-def test_profile_rejects_off_locus_point(half_setup):
-    loop, lift, hw = half_setup
-    state = bpu_map(lift, hw, 20)
-    far = latitude_loop(0.9, 64).points[0]
-    with pytest.raises(ContractViolation):
-        pointwise_profile(state, far, normal_frame(loop)[0], samples=np.array([0.0, 1.0]))
+    normal, tangent = ratios(normal_frame(loop)[0]), ratios(loop.unit_tangents()[0])
+    assert normal[0] == pytest.approx(1.0, abs=1e-12)
+    assert normal[1] == pytest.approx(math.exp(-1.0), rel=2e-2)
+    assert np.abs(tangent - 1.0).max() < 1e-10
 
 
 def test_decay_far_point_passes_and_near_point_inconclusive(half_setup):
     loop, lift, hw = half_setup
     ks = list(range(2, 81, 2))
-    far = latitude_loop(0.9, 64).points[3]
-    report = decay_check(lift, hw, far, ks, -10.0)
+    points = np.array([latitude_loop(0.9, 64).points[3], latitude_loop(0.52, 64).points[0]])
+    far = np.abs(pointwise_values(lift, hw, points, ks)[:, 0])
+    report = asymptotics.superpoly_decay(list(zip(ks, far)), -10.0)
     assert report.passed and not report.inconclusive
     # The verdict reads the threshold it is given.
-    strict = decay_check(lift, hw, far, ks, -1000.0)
+    strict = asymptotics.superpoly_decay(list(zip(ks, far)), -1000.0)
     assert not strict.passed and strict.threshold == -1000.0
     sl = report.slopes
     assert np.all(np.diff(sl[len(sl) // 2:]) < 0)  # slopes keep decreasing
-    near = latitude_loop(0.52, 64).points[0]
-    near_report = decay_check(lift, hw, near, ks, -10.0)
-    assert near_report.inconclusive
+    # A decay run gives the near point no verdict.
+    distance = fs_distance(points[:, None, :], loop.points[None, :, :]).min(axis=1)
+    assert distance[1] < experiments.DECAY_MIN_DISTANCE <= distance[0]
 
 
 def test_off_loop_decay_rate_above_the_old_alias_bound(half_setup):
@@ -627,6 +652,21 @@ def test_kernel_rejects_a_normal_field_off_the_sphere(half_setup, monkeypatch, r
     monkeypatch.setattr(bpu, "normal_frame", lambda lp: normal_frame(lp) + radial * lp.points)
     with pytest.raises(ContractViolation, match="tangent"):
         d_bpu(lift, hw, [w], [8])
+
+
+def test_kernel_accepts_a_large_tangent_field():
+    # On the c = 1/64 latitude, f = 1000 cos(30 phi) has fields up to 1.2e5 in
+    # size; their radial parts, up to 4.6e-10, are rounding (3.8e-15 relative).
+    loop = latitude_loop(1.0 / 64.0, N)
+    lift, hw = horizontal_lift(loop), HalfWeight.constant(loop)
+    w = constrained(loop, hw, 1000.0 * np.cos(30 * PHI), np.zeros(N))
+    field = ((lift.phases * leaf.hamiltonian_normal_components(loop, w.f))[:, None]
+             * normal_frame(loop))
+    radial = np.abs(np.real(np.sum(np.conj(lift.circuit) * field, axis=1)))
+    assert np.max(np.abs(field)) > 1e5 and radial.max() > 1e-10
+    rows = d_bpu(lift, hw, [w], [64, 128])
+    assert all(np.all(np.isfinite(r)) and np.any(r) for r in rows)
+    assert np.all(np.isfinite(fs_pullback(lift, hw, [w], [64, 128])))
 
 
 def test_derivative_signs_come_from_one_place(half_setup, monkeypatch):

@@ -456,6 +456,56 @@ def test_cli_tolerance_failure_exits_1(tmp_path):
     assert report["threshold"] == TOLERANCES["decay_slope"]
 
 
+def test_decay_run_makes_one_kernel_pass_for_all_points(monkeypatch):
+    passes = []
+    kernel = bpu._frame_moments
+
+    def counted(lift, hw, tangents, ks):
+        passes.append(list(ks))
+        return kernel(lift, hw, tangents, ks)
+
+    monkeypatch.setattr(bpu, "_frame_moments", counted)
+    config = ExperimentConfig.from_json((CONFIG_DIR / "decay_far_points.json").read_bytes())
+    rows, fits, _ = experiments._run_decay(config)
+    assert passes == [list(range(2, 81, 2))]
+    assert len(fits["points"]) == 3 and len(rows) == 3 * 40
+
+
+def test_decay_reads_every_point_before_any_kernel_pass(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a kernel pass ran before the points were read")
+
+    monkeypatch.setattr(bpu, "_frame_moments", never)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"kind": "decay", "points": [{"c": 0.9}, {"c": 0.88}, {"c": "x"}]}))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: point c must be a finite number")
+
+
+def test_decay_point_near_the_loop_gets_no_verdict():
+    # c = 0.52 lies 0.011 from the c = 1/2 loop, inside DECAY_MIN_DISTANCE.
+    config = ExperimentConfig.from_dict({"kind": "decay", "c": "1/2",
+                                         "points": [{"c": 0.9}, {"c": 0.52}]})
+    result = run_experiment(config)
+    far, near = result.fits["points"]
+    assert far["distance"] >= experiments.DECAY_MIN_DISTANCE > near["distance"]
+    assert far["report"].passed and not far["report"].inconclusive
+    assert near["report"].inconclusive and not near["report"].passed
+    assert result.verdicts == {"point0_decay": True, "point1_decay": False}
+    assert not result.passed
+
+
+def test_cli_norm_sweep_names_the_first_non_finite_level(tmp_path):
+    # Past k = 1012 the c = 1/2 sweep's norm_sq overflows (see bpu.bpu_map).
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/2", "l_max": 520}))
+    proc = run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert ("experiment failed: level 1014: basis norms left the double range (norm_sq inf)"
+            in proc.stderr)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/3", "n": 64, "l_max": 8}))

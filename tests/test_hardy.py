@@ -228,6 +228,12 @@ def test_directional_derivative_rejects_non_tangent():
     pts = np.stack([x, random_bundle_point(seed=1)])
     with pytest.raises(ContractViolation):
         monomial_derivatives(b, pts, np.stack([1j * pts[0], pts[1]]))
+    # The limit scales with |w|: radial vectors of any size fail, and a large
+    # tangent vector with rounding-sized radial part passes.
+    for size in (1e6, 1e-3, 1e-12):
+        with pytest.raises(ContractViolation):
+            monomial_derivatives(b, pts, np.stack([1j * pts[0], size * pts[1]]))
+    monomial_derivatives(b, pts, 1e6 * np.stack([1j * pts[0], 1j * pts[1] + 1e-15 * pts[1]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Source layout rules: every import of the package sits at module level,
-no module loads hashlib, numpy.random, argparse or fractions, every name a
+no module loads hashlib, numpy.random, argparse or fractions, the projection
+module imports no fit or verdict module, every name a
 module exports exists, every name the benchmark tracer summarizes exists in
 the package, README's table of config keys lists exactly the keys a config
 may set, and README names every constant a module exports."""
@@ -68,6 +69,26 @@ def test_no_heavy_stdlib_or_numpy_modules():
     costs = "; ".join(f"{name}: {cost}" for name, cost in _HEAVY_MODULES.items())
     assert not found, (f"modules that load what a CLI process does not need ({costs}): "
                        f"{', '.join(found)}")
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules a module imports by `from` statements, relative or absolute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").split(".")[0] == "bpu_lab"):
+            module = (node.module or "").removeprefix("bpu_lab").strip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+    return found
+
+
+def test_projection_module_imports_no_fit_or_verdict_module():
+    # bpu projects and evaluates; asymptotics fits, calibration and
+    # experiments judge, so they build on bpu and never the other way round.
+    imported = package_imports(SRC / "bpu.py")
+    assert {"hardy", "leaf", "geometry"} <= imported
+    assert not imported & {"asymptotics", "calibration", "experiments"}, sorted(imported)
 
 
 def test_every_exported_name_resolves():
