@@ -34,12 +34,11 @@ from numpy.typing import NDArray
 from . import hardy
 from .errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from .fourier import TWO_PI, _powers
-from .geometry import PlanckianLift, SQRT_PI, as_point_array, normal_frame
+from .geometry import PlanckianLift, as_point_array, normal_frame
 from .hardy import SectionBasis, _require_sphere_tangent, basis as hardy_basis
 from .leaf import HalfWeight, LeafTangent, flow_state, gamma_flow, hamiltonian_normal_components
 
 __all__ = [
-    "TRANSVERSE_SCALE",
     "CONVENTION_SIGNS",
     "C_OMEGA",
     "C_G",
@@ -57,11 +56,6 @@ __all__ = [
     "norm_sweep",
     "pointwise_values",
 ]
-
-# Heisenberg transverse unit: the norm in which the leading transverse
-# profile is the standard Gaussian exp(-|w|^2).  On this model it is
-# sqrt(pi) times the area-1 FS norm (the C^2-horizontal norm).
-TRANSVERSE_SCALE = SQRT_PI
 
 # Signs (sigma_theta, sigma_p) of the fiber and normal terms of the analytic
 # derivative pairing, which the kernel applies when it runs, and the constants
@@ -126,8 +120,7 @@ def _ratio_table(points: np.ndarray, rows: int):
     second = np.abs(points[:, 0]) > np.abs(points[:, 1]) * (1.0 + FAMILY_MARGIN)
     lead = np.where(second, points[:, 0], points[:, 1])
     rho = np.where(second, points[:, 1], points[:, 0]).astype(np.clongdouble) / lead
-    table = np.ones((rows, len(points)), dtype=np.complex128)
-    _powers(rho.astype(np.complex128), rows - 1, into=table.T)
+    table = _powers(rho.astype(np.complex128), rows - 1)
     block, mod = int((rows - 1) ** 0.5) + 1, np.abs(rho)[:, None]
     fine = np.cumprod(np.hstack([mod ** 0] + [mod] * (block - 1)), axis=1)
     coarse = np.cumprod(np.hstack([mod ** 0] + [fine[:, -1:] * mod] * ((rows - 1) // block)), axis=1)
@@ -154,59 +147,96 @@ def _band(k: int, p_min: float, p_max: float) -> tuple[int, int]:
 
 def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
                    ks: Sequence[int]):
-    """Level-moment kernel: for each k in ks, the basis, the projection's
-    coefficients and the (T, k+1) rows of d_bpu, the base terms plus the
-    fiber and normal terms times the signs CONVENTION_SIGNS, read when the
-    first level is computed.
+    """Level-moment kernel: for each k in ks, in order, the basis, the
+    projection's coefficients and the (T, k+1) rows of d_bpu, the base terms
+    plus the fiber and normal terms times the signs CONVENTION_SIGNS, read
+    when the first level is computed.
 
     `points` (M, 2) on the sphere carry real amplitudes `amp` (M, 1 + 3T): the
     delta weights s_w, then per tangent the transport, fiber (per unit k) and
     half-density ones; `normal` (M, 2, T) holds the fields ups_i times s_w.
-    All pairings read P[a] = z0^a z1^(k-1-a), a < k: s_a = z1 P[a] (a < k),
-    s_k = z0 P[k-1] and ds_a(ups) = a ups0 P[a-1] + (k-a) ups1 P[a].  So
-    each is a row of conj(P V), V = [conj(z1) amp, conj(ups0) s_w,
-    conj(ups1) s_w] built once for all levels, but for the row a = k, which
-    pairs conj(P[k-1]) with conj(z0) amp.  P is rows of one `_ratio_table`
-    per pass, up to the top of the last level's band, times lead^(k-1): per
-    node family, a level pairs the rows of its `_band` with its conj(V) times
-    lead^(k-1) in one product, and the two moduli factors in one real product
-    for the snapping bound; the other rows, P[k-1] of s_k included, are
-    zeros.  Valid while the band's loop frequencies stay below N (on a
-    latitude, t(k) < N) and norm_sq stays finite (see `bpu_map`).
+    With P[a] = z0^a z1^(k-1-a), s_a = z1 P[a] (a < k), s_k = z0 P[k-1] and
+    ds_a(ups) = a ups0 P[a-1] + (k-a) ups1 P[a], each pairing is a row of
+    conj(P V), V = conj(z1) [s_w, transport + k (density - i sigma_theta fiber)]
+    and conj(ups_i) s_w, but for s_k, which pairs conj(z0 P[k-1]) with the same
+    split of amp.  P is rows of one `_ratio_table` per pass times lead^(k-1), a
+    running product along the sorted levels.  Per chunk of levels, whose blocks
+    take an eighth of the table's bytes, and per node family, one product pairs
+    the union of the levels' `_band` rows with all their conj(V) lead^(k-1);
+    each level keeps its band, snapped against the moduli factors' bound, and
+    zeros elsewhere, P[k-1] of s_k included.  Valid in the range of `bpu_map`.
     """
-    t, (sigma_theta, sigma_p) = normal.shape[2], CONVENTION_SIGNS
-    head = np.hstack([points[:, 1:] * amp, normal[:, 0], normal[:, 1]])  # conj(V)
-    p = np.min(np.abs(points) ** 2, axis=1)
-    top = _band(max([1, *ks]), 0.0, p.max())[1]  # the band top grows with k
-    table, (coarse, fine), second, lead = _ratio_table(points, top + 1)
-    families = [(flip, np.where(nodes[:, None], head, 0), p[nodes].min(), p[nodes].max(), nodes)
+    if not all(isinstance(k, (int, np.integer)) and k > 0 for k in ks):
+        raise DomainError(f"levels must be positive integers, got {list(ks)}")
+    (m, t), (sigma_theta, sigma_p) = (len(points), normal.shape[2]), CONVENTION_SIGNS
+    fiber = amp[:, 1 + 2 * t:] + 1j * sigma_theta * amp[:, 1 + t:1 + 2 * t]
+    head = np.hstack([points[:, 1:] * amp[:, :1 + t], normal[:, 0], normal[:, 1]])
+    tail = np.hstack([0 * head[:, :1], points[:, 1:] * fiber, 0 * head[:, 1 + t:]])  # V = head + k tail
+    z0amp, p = points[:, :1] * np.hstack([amp[:, :1 + t], fiber]), np.min(np.abs(points) ** 2, axis=1)
+    k_max = max([1, *ks])
+    table, (coarse, fine), second, lead = _ratio_table(points, _band(k_max, 0.0, p.max())[1] + 1)
+    families = [(flip, nodes, p[nodes].min(), p[nodes].max())
                 for flip, nodes in ((False, ~second), (True, second)) if np.any(nodes)]
-    for k in ks:
-        b, d, scale = hardy_basis(k), k - 1, _power(lead, k - 1)
-        g, bound, edge = np.zeros((k, head.shape[1]), complex), np.zeros(k + 1), np.zeros_like(lead)
-        # One product per node family, summed over all N nodes of a row-contiguous
-        # operand: BLAS sums a transposed view or a node subset in a thread-dependent order.
-        for flip, part, p_min, p_max, nodes in families:  # part: conj(V) at the family's nodes
-            lo, hi = _band(k, p_min, p_max)
-            rows, step = (slice(d - hi, d - lo + 1), -1) if flip else (slice(lo, hi + 1), 1)
-            g[rows] += (table[lo:hi + 1] @ (scale[:, None] * part))[::step]
-            # Rows lo..hi of |table| @ w: rows a = qB + i of coarse @ (fine w).
-            w, q = fine * np.abs(scale[:, None] * part[:, :1]), fine.shape[1]
-            bound[rows] += (coarse[lo // q:hi // q + 1] @ w).ravel()[lo % q:][:hi + 1 - lo][::step]
-            edge = np.where(nodes & ((lo if flip else d - hi) == 0), table[0 if flip else hi], edge)
-        g, last = np.conj(g), edge * scale * points[:, 0]  # z0 P[k-1]
-        values = np.vstack([g[:, :1 + 3 * t], np.conj(last @ amp)])
+    log_norms, q, c = hardy._log_norms(k_max), fine.shape[1], head.shape[1]
+    at, scale, gap, power = 0, 1.0, 0, 1.0  # a running product: scale = lead^at, power = lead^gap
+    # A chunk's complex blocks, (N + 2 x table rows) x columns per level, take an eighth of the table.
+    size = max(1, table.nbytes // (8 * 16 * c * (m + 2 * len(table))))
+    for start in range(0, len(ks), size):
+        levels = sorted(set(ks[start:start + size]))
+        n, kk, ds = len(levels), np.array(levels)[:, None], [k - 1 for k in levels]
+        scales = np.empty((n, m), dtype=complex)
+        for i, d in enumerate(ds):
+            at, scale = (at, scale) if d >= at else (0, 1.0)  # restarts below the held level
+            gap, power = (gap, power) if d - at == gap else (d - at, _power(lead, d - at))
+            at, scale = d, scale * power
+            scales[i] = scale
+        bands = [[_band(k, *f[2:]) for k in levels] for f in families]
+        spans = [(d - hi, d - lo) if f[0] else (lo, hi)
+                 for f, band in zip(families, bands) for (lo, hi), d in zip(band, ds)]
+        a_lo = min(lo for lo, _ in spans)
+        a = np.arange(a_lo, max(hi for _, hi in spans) + 2)  # the band rows, and one for s_k
+        vals, bound, edge = np.zeros((n, c, len(a)), dtype=complex), np.zeros((n, len(a))), {}
+        for (flip, nodes, *_), band in zip(families, bands):
+            lo_u, hi_u = min(lo for lo, _ in band), max(hi for _, hi in band)
+            # One product per node family, summed over all N nodes of a row-contiguous
+            # operand: BLAS sums a transposed view or a node subset in a thread-dependent order.
+            w = head[:, None] + kk[None] * tail[:, None]  # conj(V) lead^(k-1) at the family's nodes
+            w *= (scales.T * nodes[:, None])[:, :, None]
+            g, w = (table[lo_u:hi_u + 1] @ w.reshape(m, -1)).reshape(-1, n, c), np.abs(w[:, :, 0])
+            for i, ((lo, hi), d) in enumerate(zip(band, ds)):
+                rows, step = (slice(d - hi - a_lo, d - lo + 1 - a_lo), -1) if flip else \
+                    (slice(lo - a_lo, hi + 1 - a_lo), 1)
+                vals[i, :, rows] += g[lo - lo_u:hi + 1 - lo_u, i][::step].T
+                # Rows lo..hi of |table| @ w: rows a = qB + i of coarse @ (fine w).
+                bound[i, rows] += (coarse[lo // q:hi // q + 1] @ (fine * w[:, i:i + 1])).ravel()[
+                    lo % q:][:hi + 1 - lo][::step]
+                if (lo if flip else d - hi) == 0:  # the band holds P[k-1]
+                    edge[i] = edge.get(i, 0) + nodes * table[0 if flip else d]
+            del g, w
+        if edge:  # s_k = z0 P[k-1]
+            hit = list(edge)
+            edge, rows = np.array(list(edge.values())) * scales[hit], kk[hit, 0] - a_lo
+            s = edge @ z0amp
+            s[:, 1:1 + t] += kk[hit] * s[:, 1 + t:]
+            vals[hit, :1 + t, rows], bound[hit, rows] = s[:, :1 + t], np.abs(edge) @ np.abs(z0amp[:, 0])
         # Snap pairings below the quadrature floor of their no-cancellation bound.
-        bound[k] = np.abs(last) @ np.abs(amp[:, 0])
-        values[np.abs(values[:, 0]) <= 1e-10 * bound, 0] = 0.0
-        deriv = np.zeros((k + 1, t), dtype=np.complex128)
-        deriv[1:] = np.arange(1, k + 1)[:, None] * g[:, 1 + 3 * t:1 + 4 * t]
-        deriv[:-1] += np.arange(k, 0, -1)[:, None] * g[:, 1 + 4 * t:]
-        coeffs = values.T / b.norms_sq
-        transport, fiber, density = coeffs[1:].reshape(3, t, k + 1)
-        # conj of the fiber derivative i*k*s_a is -i*k*conj(s_a).
-        yield b, coeffs[0], (transport + k * density + sigma_theta * (-1j * k * fiber)
-                             + sigma_p * (deriv.T / b.norms_sq))
+        np.conjugate(vals, out=vals)
+        vals[:, 0][np.abs(vals[:, 0]) <= 1e-10 * bound] = 0.0
+        bases, norms = [SectionBasis(int(k), log_norms(k)) for k in levels], bound  # in bound's place
+        for i, b in enumerate(bases):
+            norms[i, :b.k + 1 - a_lo] = b.log_norms[a_lo:a_lo + len(a)]
+        norms = np.exp(norms)
+        deriv = (kk - a)[:, None] * vals[:, 1 + 2 * t:]
+        deriv[:, :, 1:] += a[1:] * vals[:, 1 + t:1 + 2 * t, :-1]
+        vals[:, 0] /= norms
+        rows = (vals[:, 1:1 + t] + sigma_p * deriv) / norms[:, None]
+        del bound, norms, deriv, scales  # the levels read vals, rows and bases
+        for k in ks[start:start + size]:
+            i, span = levels.index(k), slice(a_lo, a_lo + len(a))
+            u, du = np.zeros(k + 1, dtype=complex), np.zeros((t, k + 1), dtype=complex)
+            u[span], du[:, span] = vals[i, 0, :k + 1 - a_lo], rows[i, :, :k + 1 - a_lo]
+            yield bases[i], u, du
+        del vals, rows, bases
 
 
 def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],

@@ -33,7 +33,7 @@ SIGN_REL_TOL = 1e-6
 # Reference leaf of both checks (the c = 1/2 latitude, winding 2); the signs
 # are checked at level SIGN_LEVEL, the constants at k = 2, 4, ..., 2 * CONSTANT_L_MAX.
 REFERENCE_C = 0.5
-REFERENCE_N = 256
+REFERENCE_N = 64
 SIGN_LEVEL = 8
 CONSTANT_L_MAX = 24
 

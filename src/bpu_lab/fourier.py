@@ -50,26 +50,22 @@ def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
     return out.real if np.isrealobj(samples) else out
 
 
-def _powers(z: np.ndarray, n: int, into: np.ndarray | None = None) -> NDArray[np.complex128]:
-    """Powers z^j, j = 0..n, of a vector z as an (M, n+1) matrix, or multiplied
-    in place into the (M, n+1) array `into`.
+def _powers(z: np.ndarray, n: int) -> NDArray[np.complex128]:
+    """Powers z^j, j = 0..n, of a vector z (M,) as a row-contiguous (n+1, M) table.
 
-    Entry j = q*B + i is (z^i)(z^B)^q with B = floor(sqrt n) + 1; both factors
+    Row j = q*B + i is (z^i)(z^B)^q with B = floor(sqrt n) + 1; both factors
     come from short running products, so each entry costs one complex
     multiply.  0^0 = 1 and the other powers of 0 are exact zeros.
     """
-    z = np.asarray(z, dtype=np.complex128)[:, None]
+    z = np.asarray(z, dtype=np.complex128)
     block = int(n ** 0.5) + 1
-    small = np.cumprod(np.hstack([np.ones_like(z), np.repeat(z, block - 1, axis=1)]), axis=1)
-    step = small[:, -1:] * z  # z^B
-    big = np.cumprod(np.hstack([np.ones_like(z), np.repeat(step, n // block, axis=1)]), axis=1)
-    out = np.empty((z.shape[0], n + 1), dtype=np.complex128) if into is None else into
-    for q in range(big.shape[1]):
-        cols = out[:, q * block:(q + 1) * block]
-        if into is None:
-            np.multiply(small[:, :cols.shape[1]], big[:, q:q + 1], out=cols)
-        else:
-            cols *= small[:, :cols.shape[1]] * big[:, q:q + 1]
+    small = np.cumprod(np.vstack([np.ones_like(z), np.repeat(z[None], block - 1, axis=0)]), axis=0)
+    step = small[-1] * z  # z^B
+    big = np.cumprod(np.vstack([np.ones_like(z), np.repeat(step[None], n // block, axis=0)]), axis=0)
+    out = np.empty((n + 1, len(z)), dtype=np.complex128)
+    for q in range(big.shape[0]):
+        rows = out[q * block:(q + 1) * block]
+        np.multiply(small[:len(rows)], big[q], out=rows)
     return out
 
 

@@ -156,12 +156,6 @@ class LagrangianLoop:
     def periodicity_residual(self) -> float:
         return tail_fraction(self.points)
 
-    # -- off-node evaluation --------------------------------------------------
-
-    def point_at(self, phi) -> NDArray[np.complex128]:
-        p = self._interp_points(phi)
-        return p / np.linalg.norm(p, axis=-1, keepdims=True)
-
 
 class PlanckianLift:
     """Horizontal closed lift of a loop, winding r times over the base: the

@@ -43,7 +43,7 @@ def trig_dense(samples, phi, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     shared = np.where((m == 0) | (2 * m == n), 0.5, 1.0)[:, None]
     pos, neg = shared * coeffs[m], shared * coeffs[-m % n]
     phi = np.ravel(np.asarray(phi, dtype=np.float64))
-    basis = _powers(np.cos(phi) + 1j * np.sin(phi), n // 2)
+    basis = _powers(np.cos(phi) + 1j * np.sin(phi), n // 2).T
     im = 1j * m[:, None]
     coef = np.hstack([c for p in orders for c in (pos * im ** p, np.conj(neg * (-im) ** p))])
     vals = (basis @ coef).reshape(phi.size, len(orders), 2, -1)
@@ -66,6 +66,13 @@ def signed_area(loop: LagrangianLoop) -> float:
     raw = spectral_derivative(loop.points)
     dpsi = np.imag(raw[:, 0] / z0) - np.imag(raw[:, 1] / z1)
     return float(-trapezoid(np.abs(z0) ** 2 * dpsi) / (2.0 * np.pi))
+
+
+def point_at(loop: LagrangianLoop, phi) -> np.ndarray:
+    """Loop points at off-node parameters: the trigonometric interpolant of
+    the node points, normalized back onto the sphere."""
+    p = TrigInterpolator(loop.points)(phi)
+    return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
 def polygonal_length(point_fn, m: int = 20000) -> float:

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +351,63 @@ def test_kernel_restarts_below_the_held_level(half_setup):
     assert d_bpu(lift, hw, frame, []) == [] and norm_sweep(lift, hw, []) == []
 
 
+@pytest.mark.parametrize("ks", [[0], [4, -2], [4.0]])
+def test_kernel_rejects_a_level_that_is_not_a_positive_integer(half_setup, ks):
+    _, lift, hw = half_setup
+    with pytest.raises(DomainError, match="positive integers"):
+        norm_sweep(lift, hw, ks)
+
+
+@pytest.mark.parametrize("setup", ["wavy", "third_setup"])
+def test_chunked_passes_match_one_level_passes(request, setup):
+    # A chunk of the kernel holds fewer than N/16 levels, so these 46 levels,
+    # unsorted and with repeats, span several chunks, and the running product
+    # of lead^(k-1) restarts at every chunk that starts below the one before.
+    if setup == "wavy":  # both node families
+        loop = wavy_loop(0.5, N, seed=1, amplitude=0.04)
+        lift, hw = horizontal_lift(loop), HalfWeight.constant(loop)
+    else:
+        loop, lift, hw = request.getfixturevalue(setup)
+    r = lift.winding
+    ks = [int(k) for k in np.random.default_rng(3).permutation(np.arange(r, 301, r))[:40]]
+    ks += ks[5:11]
+    frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),
+             constrained(loop, hw, np.cos(2 * PHI), np.zeros(N))]
+    points = np.vstack([lift.points[::37], latitude_loop(0.4, 64).points[::9]])
+    sweep, rows = norm_sweep(lift, hw, ks), d_bpu(lift, hw, frame, ks)
+    forms, values = fs_pullback(lift, hw, frame, ks), pointwise_values(lift, hw, points, ks)
+    for n, k in enumerate(ks):
+        assert sweep[n]["norm_sq"] == pytest.approx(norm_sweep(lift, hw, [k])[0]["norm_sq"],
+                                                    rel=1e-13, abs=0.0), k
+        # d_bpu rows compared in the bundle norm of the level: coefficient by
+        # coefficient, mid-band rows hold seam noise over norms far below 1.
+        norms_sq, single = basis(k).norms_sq, d_bpu(lift, hw, frame, [k])[0]
+        assert (bundle_norm_sq((rows[n] - single) * norms_sq, norms_sq)
+                <= 1e-13 ** 2 * bundle_norm_sq(single * norms_sq, norms_sq)), k
+        single = fs_pullback(lift, hw, frame, [k])[0]
+        assert np.linalg.norm(forms[n] - single) <= 1e-13 * np.linalg.norm(single), k
+        single = pointwise_values(lift, hw, points, [k])[0]
+        assert np.linalg.norm(values[n] - single) <= 1e-13 * np.linalg.norm(single), k
+
+
+def test_fs_pullback_over_the_pullback_frame_stays_near_the_per_level_peak():
+    # The benchmark's pullback workload: theorem_check_r2's four tangents on
+    # c = 1/2 at k = 2..160.  Level by level, one product per level, the pass
+    # peaked at 1,344,384 B; chunks may add at most 5%, so they cannot raise
+    # the workload's peak RSS.
+    path = Path(__file__).resolve().parents[1] / "configs" / "theorem_check_r2.json"
+    config = experiments.ExperimentConfig.from_json(path.read_bytes())
+    loop, lift, hw = experiments._setup(config)
+    frame = [experiments._build_tangent(loop, hw, d, i) for i, d in enumerate(config.tangents)]
+    tracemalloc.start()
+    try:
+        fs_pullback(lift, hw, frame, list(range(2, 161, 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * 1_344_384
+
+
 # ---------------------------------------------------------------------------
 # Pointwise structure
 # ---------------------------------------------------------------------------
@@ -622,8 +680,7 @@ def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):
              constrained(loop, hw, np.cos(2 * phi), np.zeros(64))]
     builds, gammas = [], []
     real_powers, real_gamma = bpu._powers, bpu.gamma_flow
-    monkeypatch.setattr(bpu, "_powers",
-                        lambda z, n, into=None: builds.append(n) or real_powers(z, n, into))
+    monkeypatch.setattr(bpu, "_powers", lambda z, n: builds.append(n) or real_powers(z, n))
     monkeypatch.setattr(bpu, "gamma_flow", lambda lp, f: gammas.append(1) or real_gamma(lp, f))
 
     def no_monomial_matrix(*args):

@@ -22,7 +22,7 @@ from bpu_lab.geometry import (
 )
 
 from conftest import wavy_loop
-from oracles import exp_map, phase_path_rk4, polygonal_length, signed_area, trig_dense
+from oracles import exp_map, phase_path_rk4, point_at, polygonal_length, signed_area, trig_dense
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def _count_derivative_calls(monkeypatch) -> list:
 def test_foot_projection_builds_one_basis_per_newton_step(monkeypatch):
     # One interpolant evaluation per Newton step, of the orders (0, 1, 2).
     loop = latitude_loop(0.5, 64)
-    off_node = loop.point_at(loop.phi + 0.3 * (2 * np.pi / loop.n))
+    off_node = point_at(loop, loop.phi + 0.3 * (2 * np.pi / loop.n))
     calls = _count_derivative_calls(monkeypatch)
     # On the nodes the nearest-node seed is already the foot: one step.
     feet = foot_parameters(loop, loop.points)
@@ -222,7 +222,7 @@ def test_equator_length_matches_closed_form_and_polygonal_oracle():
     loop = latitude_loop(0.5, 64)
     closed_form = 2.0 * math.sqrt(math.pi) * math.sqrt(0.25)  # area-1 normalization
     assert loop.length == pytest.approx(closed_form, rel=1e-12)
-    assert loop.length == pytest.approx(polygonal_length(loop.point_at), rel=1e-7)
+    assert loop.length == pytest.approx(polygonal_length(lambda phi: point_at(loop, phi)), rel=1e-7)
 
 
 def test_latitude_length_shrinks_toward_pole():

@@ -67,8 +67,8 @@ def test_norms_positive_and_closed_form():
 
 
 def test_norms_match_the_closed_form_up_to_k1000():
-    # The log ratios and the anchor add up in long double; a float64 running
-    # sum drifted to 1.6e-12 relative by k = 967.
+    # The log factorials add up in long double; a float64 running sum of the
+    # log ratios drifted to 1.6e-12 relative by k = 967.
     ks = [*range(1, 1001, 7), 1000]
     worst = max(np.max(np.abs(basis(k).norms_sq / basis_norms_sq(k) - 1.0)) for k in ks)
     assert worst <= 1e-13
