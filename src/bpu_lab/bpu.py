@@ -13,10 +13,10 @@ when the winding number r divides k, and exactly zero otherwise.
 the same coefficients; the decay and transverse-profile experiments read it
 and judge the values themselves.
 
-Two derivative routes are implemented and cross-checked: the analytic
-pairing (function/half-density/transport/fiber terms, with the two
+Two derivative routes are cross-checked, both through the kernel: the
+analytic pairing (function/half-density/transport/fiber terms, with the two
 convention signs CONVENTION_SIGNS) and the geometric finite-difference
-oracle built on the contact transport of `leaf.flow_state`.
+oracle, which pairs the Richardson-weighted states of `leaf.flow_state`.
 Pullback values are Gram ratios of the orthogonalized derivatives and are
 independent of the global bundle measure scale.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -91,11 +92,11 @@ class BpuState:
     coefficients: NDArray[np.complex128]
     lift: PlanckianLift
 
-    @property
+    @cached_property
     def norm_sq(self) -> float:
         return hardy.norm_sq(self.sec_basis, self.coefficients)
 
-    @property
+    @cached_property
     def is_admissible(self) -> bool:
         """Membership in the open set where the projectivized map is defined."""
         return bool(np.max(np.abs(self.coefficients)) > COEFF_FLOOR)
@@ -314,30 +315,31 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
              ks: Sequence[int]) -> list[NDArray[np.complex128]]:
     """Finite-difference ground truth for d_bpu via the contact transport.
 
-    Each tangent's legs (f, 0) and (0, ell) are transported by one
-    `flow_state` call to +-FD_STEP and +-FD_STEP/2, and each transported
-    state is projected at all levels in one kernel pass; at every level the
-    central differences of the projected states are Richardson-combined
-    into d_f and d_ell, and row i of the level-k array is d_f + k*d_ell, as
-    in d_bpu.  A leg that is identically zero is skipped; the (0, ell) leg
-    keeps the lift and moves only lambda.
+    Each nonzero leg (f, 0), (0, ell) of a tangent is transported by one
+    `flow_state` call to +-FD_STEP and +-FD_STEP/2.  One kernel pass per tangent
+    pairs the states' delta weights times their Richardson coefficients
+    (-1, 1, 8, -8)/(6 FD_STEP): the f leg's as transport weights on its circuits,
+    the (0, ell) leg's, on the lift, summed as half-density weights that the
+    kernel multiplies by k.  Row i at level k is d_f + k*d_ell, unsnapped, as in d_bpu.
     """
-    loop = lift.base
-    zero = np.zeros(loop.n)
-    steps = (FD_STEP, 0.5 * FD_STEP)
-    times = [t for h in steps for t in (h, -h)]
+    loop, n, h, r_dphi = lift.base, lift.base.n, FD_STEP, lift.winding * TWO_PI / lift.base.n
+    zero, times, coef = np.zeros(n), (h, -h, h / 2, -h / 2), np.array([-1.0, 1.0, 8.0, -8.0]) / (6 * h)
     out = [np.zeros((len(tangents), k + 1), dtype=np.complex128) for k in ks]
     for i, w in enumerate(tangents):
-        for leg, rescaled in ((LeafTangent(loop, w.f, zero), False),
-                              (LeafTangent(loop, zero, w.s_ell), True)):
-            if not (np.any(leg.f) or np.any(leg.s_ell)):
-                continue
-            moved = [[c for _, c, _ in _frame_moments(*state, (), ks)]
-                     for state in flow_state(lift, hw, leg, times)]
-            for n, (k, rows) in enumerate(zip(ks, out)):
-                d1, d2 = ((plus[n] - minus[n]) / (2.0 * h)
-                          for h, plus, minus in zip(steps, moved[::2], moved[1::2]))
-                rows[i] += (float(k) if rescaled else 1.0) * ((4.0 * d2 - d1) / 3.0)
+        moved, held = (flow_state(lift, hw, LeafTangent(loop, f, s), times) if np.any(f) or np.any(s) else []
+                       for f, s in ((w.f, zero), (zero, w.s_ell)))
+        if not (moved or held):
+            continue
+        # Each state's delta weights s_lambda speed r dphi, as in `_frame_moments`, times its coef.
+        transport = [zero] + [c * s.s_lambda * m.base.speed * r_dphi for c, (m, s) in zip(coef, moved)]
+        amp = np.zeros((n * len(transport), 4))  # delta, transport, fiber and half-density weights
+        amp[:, 1] = np.concatenate(transport)
+        amp[:n, 3] = r_dphi * loop.speed * sum(c * s.s_lambda for c, (_, s) in zip(coef, held))
+        points, normal = np.vstack([lift.circuit] + [m.circuit for m, _ in moved]), np.zeros((len(amp), 2, 1))
+        lattice = _level_moments(points, amp, normal, [k for k in ks if k % lift.winding == 0])
+        for k, rows in zip(ks, out):
+            if k % lift.winding == 0:  # the other levels keep the deck rule's zeros
+                rows[i] = next(lattice)[2][0]
     return out
 
 
@@ -349,7 +351,7 @@ def zk_orthogonalize(u: BpuState, du: NDArray[np.complex128]) -> NDArray[np.comp
     """Components of the coefficient rows du orthogonal to u (Gram-Schmidt step)."""
     if not u.is_admissible:
         raise OutsideAdmissibleSetError(
-            "projection vanishes at this level; orthogonalization undefined")
+            f"projection vanishes at level {u.k}: (L, lambda) lies outside its domain")
     du = np.asarray(du, dtype=np.complex128)
     coeff = du @ (np.conj(u.coefficients) * u.sec_basis.norms_sq) / u.norm_sq
     return du - np.multiply.outer(coeff, u.coefficients)
@@ -386,8 +388,6 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     for n, (k, (b, coeffs, rows)) in enumerate(zip(ks, moments)):
         u = BpuState(k, b, coeffs, lift)
         norm_sq = _finite_norm_sq(u)
-        if not u.is_admissible:
-            raise OutsideAdmissibleSetError(f"(L, lambda) lies outside the level-{k} domain")
         z = zk_orthogonalize(u, rows)
         gram = (np.conj(z) * b.norms_sq) @ z.T / norm_sq
         forms[n] = 0.5 * (gram + gram.conj().T)

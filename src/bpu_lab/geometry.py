@@ -71,8 +71,8 @@ POLE_1 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
 # ---------------------------------------------------------------------------
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hermitian product sum(conj(a) * b) over the last axis."""
-    return np.sum(np.conj(a) * b, axis=-1)
+    """Hermitian product conj(a) . b of C^2 vectors, over the last axis."""
+    return np.conj(a[..., 0]) * b[..., 0] + np.conj(a[..., 1]) * b[..., 1]
 
 
 def fs_inner(v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 
 from .errors import ContractViolation, DomainError
 from .fourier import _powers
-from .geometry import as_point_array
+from .geometry import _inner, as_point_array
 
 __all__ = [
     "BUNDLE_VOLUME",
@@ -90,7 +90,7 @@ def monomial_values(b: SectionBasis, points: np.ndarray) -> NDArray[np.complex12
 def _require_sphere_tangent(pts: np.ndarray, w: np.ndarray) -> None:
     """Raise ContractViolation unless every vector w is tangent to the sphere at
     its point x: |Re<x, w>| <= 1e-10 |w|, as the rounding of that product grows with |w|."""
-    radial = np.real(np.sum(np.conj(pts) * w, axis=-1))
+    radial = np.real(_inner(pts, w))
     if np.any(np.abs(radial) > 1e-10 * np.linalg.norm(w, axis=-1)):
         raise ContractViolation("direction is not tangent to the 3-sphere")
 

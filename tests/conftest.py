@@ -26,6 +26,10 @@ def wavy_loop(c0: float = 0.5, n: int = 256, seed: int = 0, amplitude: float = 0
     return graph_loop(area)
 
 
+class Drawn(Exception):
+    """Stops a run once the seeded object under test is built."""
+
+
 @pytest.fixture(scope="session")
 def equator():
     return latitude_loop(0.5, 256)

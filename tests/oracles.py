@@ -9,9 +9,11 @@ spectral paths and the level-moment kernel.  The lift phase is integrated
 by RK4 on the interpolated connection rate, and the half-density
 derivative by finite differences of geodesically displaced loops.  The
 trigonometric interpolant is summed densely over its modes, and the
-enclosed area is a flux of the area form.  The exception is the
+enclosed area is a flux of the area form.  The exceptions are the
 all-circuit transport, which reuses the package's tube field but none of
-the shortcuts of `leaf.flow_state`.
+the shortcuts of `leaf.flow_state`, and the per-state finite-difference
+oracle, which differences the kernel's snapped projections of the states
+that `bpu.fd_d_bpu` pairs in one pass.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import operator
 
 import numpy as np
 
+from bpu_lab import bpu
 from bpu_lab.fourier import TrigInterpolator, _powers, spectral_derivative, trapezoid
 from bpu_lab.geometry import LagrangianLoop, foot_parameters, fs_distance, normal_frame
 from bpu_lab.hardy import BUNDLE_VOLUME, monomial_values
-from bpu_lab.leaf import hamiltonian_field, hamiltonian_normal_components
+from bpu_lab.leaf import LeafTangent, flow_state, hamiltonian_field, hamiltonian_normal_components
 
 
 def trig_dense(samples, phi, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -275,6 +278,30 @@ def flow_all_circuits(lift, hw, w, t: float):
     speed = TrigInterpolator(loop.speed)
     s_new = eta(loop.phi + delta) * np.sqrt(speed(loop.phi + delta) * dfeet / new_loop.speed)
     return x, s_new
+
+
+def fd_d_bpu_per_state(lift, hw, tangents, ks):
+    """`bpu.fd_d_bpu` state by state: each of the four transported states of
+    a leg is projected at every level by a kernel pass of its own, with the
+    coefficients snapped as `bpu_map` snaps them; at each level the central
+    differences at FD_STEP and FD_STEP/2 are Richardson-combined into d_f and
+    d_ell, and row i is d_f + k d_ell."""
+    loop, zero = lift.base, np.zeros(lift.base.n)
+    steps = (bpu.FD_STEP, 0.5 * bpu.FD_STEP)
+    times = [t for h in steps for t in (h, -h)]
+    out = [np.zeros((len(tangents), k + 1), dtype=np.complex128) for k in ks]
+    for i, w in enumerate(tangents):
+        for leg, rescaled in ((LeafTangent(loop, w.f, zero), False),
+                              (LeafTangent(loop, zero, w.s_ell), True)):
+            if not (np.any(leg.f) or np.any(leg.s_ell)):
+                continue
+            moved = [[c for _, c, _ in bpu._frame_moments(*state, (), ks)]
+                     for state in flow_state(lift, hw, leg, times)]
+            for n, (k, rows) in enumerate(zip(ks, out)):
+                d1, d2 = ((plus[n] - minus[n]) / (2.0 * h)
+                          for h, plus, minus in zip(steps, moved[::2], moved[1::2]))
+                rows[i] += (float(k) if rescaled else 1.0) * ((4.0 * d2 - d1) / 3.0)
+    return out
 
 
 def phase_path_rk4(loop) -> np.ndarray:

@@ -32,9 +32,10 @@ from bpu_lab.geometry import (
 from bpu_lab.hardy import basis, monomial_values
 from bpu_lab.leaf import HalfWeight, LeafTangent, flow_state, project_constraints
 
-from conftest import wavy_loop
+from conftest import Drawn, wavy_loop
 from oracles import (
     delta_pair,
+    fd_d_bpu_per_state,
     inner,
     latitude_norm_sq,
     lift_weights,
@@ -545,15 +546,21 @@ def test_d_bpu_matches_fd_for_a_pure_half_weight_tangent(half_setup):
         assert np.linalg.norm(ana - fd) <= 1e-8 * np.linalg.norm(fd), k
 
 
-@pytest.mark.parametrize("c, ks", [(1.0 / 3.0, [9, 18, 36]), (0.2, [10, 20, 40])])
-def test_d_bpu_matches_fd_off_the_equator(c, ks):
-    # Off the geodesic equator the half-density derivative Gamma is nonzero,
-    # so this checks the term that the c = 1/2 cross-checks cannot see.
+def off_equator_frame(c):
+    """Lift, Fourier half-weight and two-tangent frame on the latitude of area c."""
     loop = latitude_loop(c, N)
     lift = horizontal_lift(loop)
     hw = HalfWeight.from_samples(loop, 1.0 + 0.3 * np.cos(PHI) + 0.1 * np.sin(3 * PHI))
     frame = [constrained(loop, hw, np.cos(2 * PHI) + 0.5 * np.sin(3 * PHI), np.cos(PHI)),
              constrained(loop, hw, np.sin(PHI), np.zeros(N))]
+    return lift, hw, frame
+
+
+@pytest.mark.parametrize("c, ks", [(1.0 / 3.0, [9, 18, 36]), (0.2, [10, 20, 40])])
+def test_d_bpu_matches_fd_off_the_equator(c, ks):
+    # Off the geodesic equator the half-density derivative Gamma is nonzero,
+    # so this checks the term that the c = 1/2 cross-checks cannot see.
+    lift, hw, frame = off_equator_frame(c)
     ana, fd = d_bpu(lift, hw, frame, ks), fd_d_bpu(lift, hw, frame, ks)
     worst = max(np.linalg.norm(a - d) / np.linalg.norm(d)
                 for rows_a, rows_d in zip(ana, fd) for a, d in zip(rows_a, rows_d))
@@ -623,21 +630,68 @@ def test_fd_d_bpu_transports_each_leg_once(monkeypatch):
     phi = grid_nodes(64)
     both = constrained(loop, hw, np.cos(phi), np.cos(phi))
     f_only = constrained(loop, hw, np.cos(2 * phi), np.zeros(64))
-    calls = []
+    still = LeafTangent(loop, np.zeros(64), np.zeros(64))
+    calls, passes = [], []
+    kernel = bpu._level_moments
 
     def counting(lift_, hw_, w, ts):
         calls.append((w, list(ts)))
         return flow_state(lift_, hw_, w, ts)
 
+    def counted(points, amp, normal, ks):
+        passes.append(len(points))
+        return kernel(points, amp, normal, ks)
+
     monkeypatch.setattr(bpu, "flow_state", counting)
-    out = fd_d_bpu(lift, hw, [both, f_only], [4, 8, 16])
-    assert [arr.shape for arr in out] == [(2, 5), (2, 9), (2, 17)]
+    monkeypatch.setattr(bpu, "_level_moments", counted)
+    out = fd_d_bpu(lift, hw, [both, still, f_only], [4, 5, 8, 16])
+    assert [arr.shape for arr in out] == [(3, 5), (3, 6), (3, 9), (3, 17)]
+    # The zero tangent and the level 5, which the winding 2 does not divide, get zeros.
+    assert not np.any(out[1]) and not any(np.any(arr[1]) for arr in out)
+    assert all(np.any(out[n][i]) for n in (0, 2, 3) for i in (0, 2))
     # Both legs of `both` and the f-leg of `f_only`, each once, at
     # +-FD_STEP and +-FD_STEP/2.
     assert len(calls) == 2 + 1
     h = bpu.FD_STEP
     assert all(sorted(ts) == [-h, -h / 2, h / 2, h] for _, ts in calls)
     assert np.array_equal(calls[2][0].f, f_only.f)
+    # One kernel pass per tangent with a nonzero leg, over the lift's nodes
+    # and those of the f-leg's four transported circuits.
+    assert passes == [5 * 64, 5 * 64]
+
+
+def shipped_crosscheck(monkeypatch):
+    """Lift, half-weight, tangents and levels of the shipped derivative-crosscheck."""
+    def capture(*args):
+        raise Drawn(args)
+
+    monkeypatch.setattr(bpu, "d_bpu", capture)
+    config = experiments.ExperimentConfig.from_json(
+        (Path(__file__).resolve().parents[1] / "configs" / "derivative_crosscheck.json").read_bytes())
+    with pytest.raises(Drawn) as caught:
+        experiments.run_experiment(config)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("frame, ks", [("seed 7", [8, 16, 32, 64, 128]), (1.0 / 3.0, [9, 18, 36, 96]),
+                                       (0.2, [10, 20, 40])], ids=["seed7", "c1/3", "c1/5"])
+def test_fd_d_bpu_matches_the_per_state_oracle(monkeypatch, frame, ks):
+    # One pass over the Richardson-weighted states against a pass per state.
+    # The reference snaps each state's projection at 1e-10 of its bound, which
+    # moves its rows by up to 1.5e-9 at k = 64 on seed 7 and by 1.3e-8 at k = 80
+    # on c = 1/5; the levels stop below that.  Both oracles carry rounding near
+    # 1e-12 of the row norm, which a gap to d_bpu of 2.4e-11 (seed 7, k = 8)
+    # shows at 2%; the gaps are compared to 1% above that floor.
+    if frame == "seed 7":
+        lift, hw, tangents, _ = shipped_crosscheck(monkeypatch)
+    else:
+        lift, hw, tangents = off_equator_frame(frame)
+    ana, fd = d_bpu(lift, hw, tangents, ks), fd_d_bpu(lift, hw, tangents, ks)
+    for k, rows_a, rows_d, rows_ref in zip(ks, ana, fd, fd_d_bpu_per_state(lift, hw, tangents, ks)):
+        for a, d, ref in zip(rows_a, rows_d, rows_ref):
+            assert np.linalg.norm(d - ref) <= 2e-9 * np.linalg.norm(ref), k
+            gap, ref_gap = (np.linalg.norm(a - x) / np.linalg.norm(x) for x in (d, ref))
+            assert abs(gap - ref_gap) <= 0.01 * ref_gap + 1e-12, (k, gap, ref_gap)
 
 
 # ---------------------------------------------------------------------------
