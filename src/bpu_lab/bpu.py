@@ -71,7 +71,7 @@ COEFF_FLOOR = 1e-11
 
 # A node is in the kernel's second family where |z0| > |z1| (1 + FAMILY_MARGIN): far
 # above rounding, so no latitude splits, and |rho|^a <= e^(FAMILY_MARGIN k) ~ 1.
-# A level pairs the rows of its `_band`, leaving out under k BAND_EPS of a node's weights.
+# A level pairs the rows of its `_band`, leaving out under BAND_EPS of a node's weights.
 FAMILY_MARGIN = 1e-12
 BAND_EPS = 1e-24
 
@@ -110,14 +110,14 @@ class BpuState:
 # ---------------------------------------------------------------------------
 
 def _ratio_table(points: np.ndarray, rows: int):
-    """Monomials z0^a z1^(d-a), a < rows, at points (M, 2) as rho^a lead^d: the
-    row-contiguous (rows, M) table of rho^a (rows - 1 is the kernel's top band
-    row), moduli factors (coarse, fine), the second family's mask, and lead.
-    Nodes with |z0| <= |z1| (1 + FAMILY_MARGIN) have rho = z0/z1, lead = z1; the
-    second family has rho = z1/z0, lead = z0 and reads the rows reversed.  rho
-    is rounded once.  |rho|^(qB + i) = coarse[q] fine[:, i] for i < B =
-    floor(sqrt(rows - 1)) + 1, the split of `_powers`, from long-double
-    products of the unrounded |rho|."""
+    """Level-k monomials s_a = z0^a z1^(k-a) at points (M, 2) as o^b lead^(k-b) =
+    rho^b lead^k: the row-contiguous (rows, M) table of rho^b, b < rows (rows - 1
+    is the kernel's top band row), moduli factors (coarse, fine), the second
+    family's mask, and lead.  Nodes with |z0| <= |z1| (1 + FAMILY_MARGIN) have
+    lead = z1, o = z0 and b = a; the second family has lead = z0, o = z1 and
+    b = k - a.  rho = o/lead is rounded once.  |rho|^(qB + i) = coarse[q] fine[:, i]
+    for i < B = floor(sqrt(rows - 1)) + 1, the split of `_powers`, from
+    long-double products of the unrounded |rho|."""
     second = np.abs(points[:, 0]) > np.abs(points[:, 1]) * (1.0 + FAMILY_MARGIN)
     lead = np.where(second, points[:, 0], points[:, 1])
     rho = np.where(second, points[:, 1], points[:, 0]).astype(np.clongdouble) / lead
@@ -138,12 +138,12 @@ def _power(z: np.ndarray, n: int) -> NDArray[np.complex128]:
 
 def _band(k: int, p_min: float, p_max: float) -> tuple[int, int]:
     """Rows lo..hi of the ratio table that level k pairs for nodes of one family
-    with p = min(|z0|^2, |z1|^2) in [p_min, p_max]: within t = sqrt(d ln(2/BAND_EPS)/2),
-    d = k-1, of [d p_min, d p_max].  By Hoeffding's inequality the rows outside carry
-    under k BAND_EPS of a node's weights |P[a]|^2/||s_a||^2, k(k+1)/(k-a) binomial(d, p)."""
-    d = k - 1
-    t = math.sqrt(d * math.log(2.0 / BAND_EPS) / 2.0)
-    return max(0, math.floor(d * p_min - t)), min(d, math.floor(d * p_max + t))
+    with p = min(|z0|^2, |z1|^2) in [p_min, p_max]: within t = sqrt(k ln(2/BAND_EPS)/2)
+    of [k p_min, k p_max].  A node's weights |s_a|^2/||s_a||^2 are (k+1) binomial(k, p)
+    in b over the bundle volume, so by Hoeffding's inequality the rows outside
+    carry under BAND_EPS of them."""
+    t = math.sqrt(k * math.log(2.0 / BAND_EPS) / 2.0)
+    return max(0, math.floor(k * p_min - t)), min(k, math.floor(k * p_max + t))
 
 
 def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
@@ -155,27 +155,34 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
 
     `points` (M, 2) on the sphere carry real amplitudes `amp` (M, 1 + 3T): the
     delta weights s_w, then per tangent the transport, fiber (per unit k) and
-    half-density ones; `normal` (M, 2, T) holds the fields ups_i times s_w.
-    With P[a] = z0^a z1^(k-1-a), s_a = z1 P[a] (a < k), s_k = z0 P[k-1] and
-    ds_a(ups) = a ups0 P[a-1] + (k-a) ups1 P[a], each pairing is a row of
-    conj(P V), V = conj(z1) [s_w, transport + k (density - i sigma_theta fiber)]
-    and conj(ups_i) s_w, but for s_k, which pairs conj(z0 P[k-1]) with the same
-    split of amp.  P is rows of one `_ratio_table` per pass times lead^(k-1), a
-    running product along the sorted levels.  Per chunk of levels, whose blocks
-    take an eighth of the table's bytes, and per node family, one product pairs
-    the union of the levels' `_band` rows with all their conj(V) lead^(k-1);
-    each level keeps its band, snapped against the moduli factors' bound, and
-    zeros elsewhere, P[k-1] of s_k included.  Valid in the range of `bpu_map`.
+    half-density ones; `normal` (M, 2, T) holds the fields n_i = ups_i s_w, or
+    is (M, 2, 0) for none.  Each pairing sums conj(s_a V / lead) over the nodes,
+    with s_a = rho^b lead^k from one `_ratio_table` per pass.  By Euler's identity
+    ds_a(n) = s_a (b n_o/o + (k - b) n_lead/lead), V is lead [s_w, transport +
+    k (density + i sigma_theta fiber)] + k sigma_p [0, n_lead] and, per tangent,
+    one column sigma_p (lead n_o/o - n_lead) whose product rows are multiplied
+    by their index b and added to the tangent's column.  That column divides by
+    o: a pass with normal fields raises DomainError at a node on a pole.
+    lead^(k-1) is a running product along the sorted levels.  Per chunk of
+    levels, whose blocks take an eighth of the table's bytes, and per node
+    family, one product pairs the union of the levels' `_band` rows with all
+    their V lead^(k-1); each level keeps its band, snapped against the moduli
+    factors' bound, and zeros elsewhere.  Valid in the range of `bpu_map`.
     """
     if not all(isinstance(k, (int, np.integer)) and k > 0 for k in ks):
         raise DomainError(f"levels must be positive integers, got {list(ks)}")
-    (m, t), (sigma_theta, sigma_p) = (len(points), normal.shape[2]), CONVENTION_SIGNS
-    fiber = amp[:, 1 + 2 * t:] + 1j * sigma_theta * amp[:, 1 + t:1 + 2 * t]
-    head = np.hstack([points[:, 1:] * amp[:, :1 + t], normal[:, 0], normal[:, 1]])
-    tail = np.hstack([0 * head[:, :1], points[:, 1:] * fiber, 0 * head[:, 1 + t:]])  # V = head + k tail
-    z0amp, p = points[:, :1] * np.hstack([amp[:, :1 + t], fiber]), np.min(np.abs(points) ** 2, axis=1)
-    k_max = max([1, *ks])
+    (m, t), (sigma_theta, sigma_p) = (len(points), (amp.shape[1] - 1) // 3), CONVENTION_SIGNS
+    p, k_max = np.min(np.abs(points) ** 2, axis=1), max([1, *ks])
     table, (coarse, fine), second, lead = _ratio_table(points, _band(k_max, 0.0, p.max())[1] + 1)
+    o = np.where(second, points[:, 1], points[:, 0])
+    n_lead, n_o = (np.where(second[:, None], normal[:, j], normal[:, 1 - j]) for j in (0, 1))
+    if n_lead.shape[1] and not np.all(o):
+        raise DomainError("normal fields at a node on a pole: their pairing divides by min(|z0|, |z1|)")
+    index = sigma_p * (lead[:, None] * n_o / o[:, None] - n_lead)
+    head = np.hstack([lead[:, None] * amp[:, :1 + t], index])
+    fiber = amp[:, 1 + 2 * t:] + 1j * sigma_theta * amp[:, 1 + t:1 + 2 * t]
+    tail = np.hstack([0 * head[:, :1], lead[:, None] * fiber, 0 * index])  # V = head + k tail
+    tail[:, 1:1 + index.shape[1]] += sigma_p * n_lead
     families = [(flip, nodes, p[nodes].min(), p[nodes].max())
                 for flip, nodes in ((False, ~second), (True, second)) if np.any(nodes)]
     log_norms, q, c = hardy._log_norms(k_max), fine.shape[1], head.shape[1]
@@ -192,52 +199,41 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
             at, scale = d, scale * power
             scales[i] = scale
         bands = [[_band(k, *f[2:]) for k in levels] for f in families]
-        spans = [(d - hi, d - lo) if f[0] else (lo, hi)
-                 for f, band in zip(families, bands) for (lo, hi), d in zip(band, ds)]
+        spans = [(k - hi, k - lo) if f[0] else (lo, hi)
+                 for f, band in zip(families, bands) for (lo, hi), k in zip(band, levels)]
         a_lo = min(lo for lo, _ in spans)
-        a = np.arange(a_lo, max(hi for _, hi in spans) + 2)  # the band rows, and one for s_k
-        vals, bound, edge = np.zeros((n, c, len(a)), dtype=complex), np.zeros((n, len(a))), {}
+        width = max(hi for _, hi in spans) + 1 - a_lo
+        vals, bound = np.zeros((n, 1 + t, width), dtype=complex), np.zeros((n, width))
         for (flip, nodes, *_), band in zip(families, bands):
             lo_u, hi_u = min(lo for lo, _ in band), max(hi for _, hi in band)
             # One product per node family, summed over all N nodes of a row-contiguous
             # operand: BLAS sums a transposed view or a node subset in a thread-dependent order.
-            w = head[:, None] + kk[None] * tail[:, None]  # conj(V) lead^(k-1) at the family's nodes
+            w = head[:, None] + kk[None] * tail[:, None]  # V lead^(k-1) at the family's nodes
             w *= (scales.T * nodes[:, None])[:, :, None]
             g, w = (table[lo_u:hi_u + 1] @ w.reshape(m, -1)).reshape(-1, n, c), np.abs(w[:, :, 0])
-            for i, ((lo, hi), d) in enumerate(zip(band, ds)):
-                rows, step = (slice(d - hi - a_lo, d - lo + 1 - a_lo), -1) if flip else \
+            g[:, :, 1:1 + index.shape[1]] += np.arange(lo_u, hi_u + 1)[:, None, None] * g[:, :, 1 + t:]
+            for i, ((lo, hi), k) in enumerate(zip(band, levels)):
+                rows, step = (slice(k - hi - a_lo, k - lo + 1 - a_lo), -1) if flip else \
                     (slice(lo - a_lo, hi + 1 - a_lo), 1)
-                vals[i, :, rows] += g[lo - lo_u:hi + 1 - lo_u, i][::step].T
-                # Rows lo..hi of |table| @ w: rows a = qB + i of coarse @ (fine w).
+                vals[i, :, rows] += g[lo - lo_u:hi + 1 - lo_u, i, :1 + t][::step].T
+                # Rows lo..hi of |table| @ w: rows b = qB + i of coarse @ (fine w).
                 bound[i, rows] += (coarse[lo // q:hi // q + 1] @ (fine * w[:, i:i + 1])).ravel()[
                     lo % q:][:hi + 1 - lo][::step]
-                if (lo if flip else d - hi) == 0:  # the band holds P[k-1]
-                    edge[i] = edge.get(i, 0) + nodes * table[0 if flip else d]
             del g, w
-        if edge:  # s_k = z0 P[k-1]
-            hit = list(edge)
-            edge, rows = np.array(list(edge.values())) * scales[hit], kk[hit, 0] - a_lo
-            s = edge @ z0amp
-            s[:, 1:1 + t] += kk[hit] * s[:, 1 + t:]
-            vals[hit, :1 + t, rows], bound[hit, rows] = s[:, :1 + t], np.abs(edge) @ np.abs(z0amp[:, 0])
         # Snap pairings below the quadrature floor of their no-cancellation bound.
         np.conjugate(vals, out=vals)
         vals[:, 0][np.abs(vals[:, 0]) <= 1e-10 * bound] = 0.0
         bases, norms = [SectionBasis(int(k), log_norms(k)) for k in levels], bound  # in bound's place
         for i, b in enumerate(bases):
-            norms[i, :b.k + 1 - a_lo] = b.log_norms[a_lo:a_lo + len(a)]
-        norms = np.exp(norms)
-        deriv = (kk - a)[:, None] * vals[:, 1 + 2 * t:]
-        deriv[:, :, 1:] += a[1:] * vals[:, 1 + t:1 + 2 * t, :-1]
-        vals[:, 0] /= norms
-        rows = (vals[:, 1:1 + t] + sigma_p * deriv) / norms[:, None]
-        del bound, norms, deriv, scales  # the levels read vals, rows and bases
+            norms[i, :b.k + 1 - a_lo] = b.log_norms[a_lo:a_lo + width]
+        vals /= np.exp(norms)[:, None]
+        del bound, norms, scales  # the levels read vals and bases
         for k in ks[start:start + size]:
-            i, span = levels.index(k), slice(a_lo, a_lo + len(a))
+            i, span = levels.index(k), slice(a_lo, a_lo + width)
             u, du = np.zeros(k + 1, dtype=complex), np.zeros((t, k + 1), dtype=complex)
-            u[span], du[:, span] = vals[i, 0, :k + 1 - a_lo], rows[i, :, :k + 1 - a_lo]
+            u[span], du[:, span] = vals[i, 0, :k + 1 - a_lo], vals[i, 1:, :k + 1 - a_lo]
             yield bases[i], u, du
-        del vals, rows, bases
+        del vals, bases
 
 
 def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
@@ -335,7 +331,7 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
         amp = np.zeros((n * len(transport), 4))  # delta, transport, fiber and half-density weights
         amp[:, 1] = np.concatenate(transport)
         amp[:n, 3] = r_dphi * loop.speed * sum(c * s.s_lambda for c, (_, s) in zip(coef, held))
-        points, normal = np.vstack([lift.circuit] + [m.circuit for m, _ in moved]), np.zeros((len(amp), 2, 1))
+        points, normal = np.vstack([lift.circuit] + [m.circuit for m, _ in moved]), np.zeros((len(amp), 2, 0))
         lattice = _level_moments(points, amp, normal, [k for k in ks if k % lift.winding == 0])
         for k, rows in zip(ks, out):
             if k % lift.winding == 0:  # the other levels keep the deck rule's zeros

@@ -72,13 +72,13 @@ def d_pair(lift, hw, w, b, a):
 
 
 def rows_in_every_band(pts, k):
-    """Mask of the rows P[a], a < k, that every node family of the kernel pairs at level k."""
+    """Mask of the rows s_a, a <= k, that every node family of the kernel pairs at level k."""
     second, p = bpu._ratio_table(pts, 1)[2], np.min(np.abs(pts) ** 2, axis=1)
-    inside = np.ones(k, dtype=bool)
+    inside = np.ones(k + 1, dtype=bool)
     for nodes, flip in ((~second, False), (second, True)):
         if np.any(nodes):
             lo, hi = bpu._band(k, p[nodes].min(), p[nodes].max())
-            rows = (np.arange(k) >= lo) & (np.arange(k) <= hi)
+            rows = (np.arange(k + 1) >= lo) & (np.arange(k + 1) <= hi)
             inside &= rows[::-1] if flip else rows
     return inside
 
@@ -230,14 +230,14 @@ def test_norm_sweep_over_the_ladder_matches_exact_oracle(third_setup):
     for row in rows:
         exact = latitude_norm_sq(lift, hw, 1.0 / 3.0, row["k"])
         assert row["norm_sq"] == pytest.approx(exact, rel=1e-11), row["k"]
-    # The sweep's ratio table times lead^599 gives the monomials of degree 599
-    # that level 600 reads, and the products of its two moduli factors their moduli.
-    table, (coarse, fine), second, lead = bpu._ratio_table(lift.points, ks[-1])
+    # The sweep's ratio table times lead^600 gives the monomials that level 600
+    # reads, and the products of its two moduli factors their moduli.
+    table, (coarse, fine), second, lead = bpu._ratio_table(lift.points, ks[-1] + 1)
     m = len(lift.points)
-    assert coarse.shape == (599 // 25 + 1, m) and fine.shape == (m, 25)
-    mods = (coarse[:, None, :] * fine.T[None, :, :]).reshape(-1, m)[:600]
-    rows, scale = np.where(second, table[::-1], table), bpu._power(lead, 599)
-    re, im = (part.T for part in polar_monomials(lift.points, 599))
+    assert coarse.shape == (600 // 25 + 1, m) and fine.shape == (m, 25)
+    mods = (coarse[:, None, :] * fine.T[None, :, :]).reshape(-1, m)[:601]
+    rows, scale = np.where(second, table[::-1], table), bpu._power(lead, 600)
+    re, im = (part.T for part in polar_monomials(lift.points, 600))
     mag = np.hypot(re, im)
     assert np.all(np.hypot((rows * scale).real - re, (rows * scale).imag - im) <= 1e-13 * mag)
     mods = np.where(second, mods[::-1], mods) * np.abs(scale)
@@ -258,8 +258,7 @@ def test_mixed_node_families_match_long_double_quadrature():
         pairings = state.coefficients * state.sec_basis.norms_sq
         re, im = (r * (weights @ part) for part in polar_monomials(lift.circuit, k))
         bound = r * (weights @ np.hypot(*polar_monomials(lift.circuit, k)))
-        rows = rows_in_every_band(lift.circuit, k)
-        inside = np.append(rows, rows[-1])  # s_k = z0 P[k-1]
+        inside = rows_in_every_band(lift.circuit, k)
         kept = pairings != 0.0
         gap = np.hypot(pairings.real - re, pairings.imag + im)
         assert np.all(gap[kept & inside] <= 1e-14 * bound[kept & inside]), k
@@ -700,10 +699,12 @@ def test_fd_d_bpu_matches_the_per_state_oracle(monkeypatch, frame, ks):
 
 @pytest.mark.parametrize("k", [1, 2, 8, 160])
 def test_kernel_normal_block_matches_exact_derivative_oracle(k):
+    # Random nodes of both families, and four near the poles, where the normal
+    # column divides by a smaller coordinate o of 1e-3 or 1e-2.
     rng = np.random.default_rng(k)
-    pts = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-    pts = np.vstack([pts / np.linalg.norm(pts, axis=1, keepdims=True),
-                     [[1.0, 0.0], [0.0, 1.0], [0.0, 1j], [np.exp(0.3j), 0.0]]])
+    near = [(1e-3, 1.0), (1e-2j, np.exp(0.7j)), (1.0, 1e-3 * np.exp(2j)), (np.exp(0.3j), 1e-2)]
+    pts = np.vstack([rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)), near])
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     s_w = rng.uniform(0.5, 1.5, size=len(pts))
     ups = rng.normal(size=(len(pts), 2, 2)) + 1j * rng.normal(size=(len(pts), 2, 2))
     amp = np.hstack([s_w[:, None], np.zeros((len(pts), 6))])
@@ -712,9 +713,7 @@ def test_kernel_normal_block_matches_exact_derivative_oracle(k):
     # With zero transport, fiber and half-density amplitudes the d_bpu rows are
     # the normal term alone, times sigma_p.
     deriv = bpu.CONVENTION_SIGNS[1] * signed * b.norms_sq
-    # Row a reads P[a-1] (a > 0) and P[a] (a < k).
-    rows = np.concatenate([[True], rows_in_every_band(pts, k), [True]])
-    inside = rows[:-1] & rows[1:]
+    inside = rows_in_every_band(pts, k)
     for i in range(2):
         exact = np.conj(monomial_derivative_oracle(pts, ups[:, :, i], k)).T @ s_w
         scale = monomial_derivative_oracle(np.abs(pts), np.abs(ups[:, :, i]), k).real.T @ s_w
@@ -722,6 +721,19 @@ def test_kernel_normal_block_matches_exact_derivative_oracle(k):
         outside = bundle_norm_sq((deriv[i] - exact)[~inside], b.norms_sq[~inside])
         assert outside <= 1e-13 ** 2 * bundle_norm_sq(exact, b.norms_sq)
     assert k < 160 or not inside.all()
+
+
+@pytest.mark.parametrize("pole", [[1.0, 0.0], [0.0, 1.0], [0.0, 1j], [np.exp(0.3j), 0.0]])
+def test_kernel_normal_block_refuses_a_node_on_a_pole(pole):
+    # The normal column divides by the node's smaller coordinate; a pass
+    # without normal fields keeps the pole, and pairs it exactly.
+    pts, s_w = np.array([[0.6, 0.8j], pole]), np.array([1.0, 0.5])
+    amp = np.hstack([s_w[:, None], np.ones((2, 3))])
+    with pytest.raises(DomainError, match="pole"):
+        next(bpu._level_moments(pts, amp, np.ones((2, 2, 1), dtype=complex), [8]))
+    b, coeffs, rows = next(bpu._level_moments(pts, amp, np.zeros((2, 2, 0)), [8]))
+    exact = np.conj(monomial_values(b, pts)).T @ s_w / b.norms_sq
+    assert rows.shape == (1, 9) and np.allclose(coeffs, exact, rtol=1e-13, atol=0.0)
 
 
 def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):
@@ -743,12 +755,12 @@ def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):
     for name in ("_monomials", "monomial_values", "monomial_derivatives"):
         monkeypatch.setattr(hardy, name, no_monomial_matrix)
         assert not hasattr(bpu, name)
-    # One ratio table per kernel pass, of max(ks) rows, however many levels it serves.
+    # One ratio table per kernel pass, of max(ks) + 1 rows, however many levels it serves.
     for ks in ([2, 4, 8, 16], [16, 2], [8]):
         forms = fs_pullback(lift, hw, frame, ks)
         assert forms.shape == (len(ks), 3, 3)
         d_bpu(lift, hw, frame, ks)
-        assert builds == [max(ks) - 1] * 2
+        assert builds == [max(ks)] * 2
         assert len(gammas) == 2 * len(frame)
         builds.clear()
         gammas.clear()

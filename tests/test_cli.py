@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpu_lab import bpu, calibration, cli, experiments
+from bpu_lab import asymptotics, bpu, calibration, cli, experiments
 from bpu_lab.errors import ConfigError
 from bpu_lab.experiments import (
     EXPERIMENT_KINDS,
@@ -102,6 +102,29 @@ def test_unreduced_c_runs_in_lowest_terms():
 def test_shipped_configs_parse(path):
     config = ExperimentConfig.from_json(path.read_text())
     assert config.raw == json.loads(path.read_text())
+
+
+# Ladder reports whose remainder stays under the noise floor, so they pass with
+# no slope to judge: on c = 1/2 both targets of pair [0, 1] and the diagonal
+# pairs' Omega are 0, and pair [2, 3]'s Omega series is its leading term.
+INCONCLUSIVE_LADDERS = {"theorem_check_r2.json": {
+    "pairs[0].g_ladder", "pairs[0].omega_ladder", "pairs[1].omega_ladder",
+    "pairs[2].omega_ladder", "pairs[3].omega_ladder"}}
+
+
+def inconclusive_ladders(fits):
+    """Paths of the ladder reports marked inconclusive in a run's fits."""
+    named = [*fits.items(), *((f"pairs[{i}].{key}", value)
+                              for i, pair in enumerate(fits.get("pairs", [])) for key, value in pair.items())]
+    return {key for key, value in named if isinstance(value, asymptotics.LadderReport) and value.inconclusive}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_pin_their_inconclusive_ladders(path):
+    # An inconclusive ladder passes its verdict, so a new one must fail here instead.
+    result = run_experiment(ExperimentConfig.from_json(path.read_bytes()))
+    assert result.passed
+    assert inconclusive_ladders(result.fits) == INCONCLUSIVE_LADDERS.get(path.name, set())
 
 
 def test_fourier_modes_at_or_above_half_the_nodes_are_rejected():
