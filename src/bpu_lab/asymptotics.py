@@ -46,7 +46,7 @@ class ExpansionFit:
 
 @dataclass(frozen=True)
 class LadderReport:
-    slope: float
+    slope: float | None     # None where the remainder supports no slope estimate
     predicted: float
     consistent: bool        # residual decays at least as fast as the ladder term
     matches: bool           # |slope - predicted| within the band
@@ -142,7 +142,7 @@ def ladder_residual_check(samples, alpha: float, m: int,
     # exact at this depth), which supports no slope estimate.
     res_signs = np.sign(residual[usable])
     if usable.sum() < 2 or np.any(res_signs != res_signs[0]):
-        return LadderReport(slope=float("nan"), predicted=predicted, consistent=True,
+        return LadderReport(slope=None, predicted=predicted, consistent=True,
                             matches=False, inconclusive=True, residual_scale=scale)
     logk = np.log(ks[usable])
     logr = np.log(np.abs(residual[usable]))

@@ -9,9 +9,9 @@ whose projection onto the level-k space has coefficients
 c_a = <delta, conj(s_a)> / ||s_a||^2: r times the first circuit's pairings
 when the winding number r divides k, and exactly zero otherwise.
 
-`pointwise_values`, the one pointwise entry, evaluates u_k at points from
-the same coefficients; the decay and transverse-profile experiments read it
-and judge the values themselves.
+Each level is one `BpuState` from the kernel pass.  `pointwise_values`, the
+one pointwise entry, evaluates u_k at points from its coefficients; the decay
+and transverse-profile experiments read it and judge the values themselves.
 
 Two derivative routes are cross-checked, both through the kernel: the
 analytic pairing (function/half-density/transport/fiber terms, with the two
@@ -43,7 +43,6 @@ __all__ = [
     "CONVENTION_SIGNS",
     "C_OMEGA",
     "C_G",
-    "COEFF_FLOOR",
     "FAMILY_MARGIN",
     "BAND_EPS",
     "FD_STEP",
@@ -66,9 +65,6 @@ CONVENTION_SIGNS = (-1, +1)
 C_OMEGA = -0.5
 C_G = +0.5
 
-# Coefficients below this magnitude count as exactly zero (quadrature floor).
-COEFF_FLOOR = 1e-11
-
 # A node is in the kernel's second family where |z0| > |z1| (1 + FAMILY_MARGIN): far
 # above rounding, so no latitude splits, and |rho|^a <= e^(FAMILY_MARGIN k) ~ 1.
 # A level pairs the rows of its `_band`, leaving out under BAND_EPS of a node's weights.
@@ -85,24 +81,25 @@ FD_STEP = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class BpuState:
-    """Level-k projection of the delta distribution of (P, lambda)."""
+    """Level-k projection u_k of the delta distribution of (P, lambda) in the
+    monomial basis; only the kernel pass, `_frame_moments`, builds one."""
 
     k: int
     sec_basis: SectionBasis
     coefficients: NDArray[np.complex128]
-    lift: PlanckianLift
 
     @cached_property
     def norm_sq(self) -> float:
-        return hardy.norm_sq(self.sec_basis, self.coefficients)
+        """||u_k||^2; DomainError where the basis norms left the double range."""
+        norm_sq = hardy.norm_sq(self.sec_basis, self.coefficients)
+        if not math.isfinite(norm_sq):
+            raise DomainError(f"level {self.k}: basis norms left the double range (norm_sq {norm_sq})")
+        return norm_sq
 
     @cached_property
     def is_admissible(self) -> bool:
-        """Membership in the open set where the projectivized map is defined."""
-        return bool(np.max(np.abs(self.coefficients)) > COEFF_FLOOR)
-
-    def evaluate(self, points) -> complex | NDArray[np.complex128]:
-        return hardy.eval_section(self.sec_basis, self.coefficients, points)
+        """Where the projectivized map is defined: a coefficient survived the kernel's snap."""
+        return bool(np.any(self.coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +236,10 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
 def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
                    ks: Sequence[int]):
     """The level-moment kernel on a lift and a tangent frame, over the first
-    circuit's N nodes.  Circuit q pairs at level k as the first one times
-    e^{-2 pi i q k turns/r}, so the weights carry the factor r, and the deck
-    selection rule makes levels r does not divide exact zeros, never computed."""
+    circuit's N nodes: per k in ks, the `BpuState` and the (T, k+1) rows of d_bpu.
+    Circuit q pairs at level k as the first one times e^{-2 pi i q k turns/r}, so
+    the weights carry the factor r, and the deck selection rule makes levels r
+    does not divide exact zeros, never computed."""
     loop, t = lift.base, len(tangents)
     if hw.loop is not loop:
         raise ContractViolation("half-weight and lift live on different loops")
@@ -259,7 +257,8 @@ def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafT
     for k in ks:
         if k % lift.winding:
             b, zero = hardy_basis(k), np.zeros((t + 1, k + 1), dtype=np.complex128)
-        yield (b, zero[0], zero[1:]) if k % lift.winding else next(lattice)
+        b, coeffs, rows = (b, zero[0], zero[1:]) if k % lift.winding else next(lattice)
+        yield BpuState(k, b, coeffs), rows
 
 
 def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
@@ -278,10 +277,10 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
     below N, the first circuit's nodes, not r*N (a latitude is alias-free while
     t(k) < N, to k ~ 2300 at N = 256; a general loop aliases from its frequency
     bound), and while norm_sq stays finite: it is first inf at k = 1014 on
-    c = 1/2 and NaN at k = 1023 on c = 1/3, as mid-band norms near 1e-307.
+    c = 1/2 and NaN at k = 1023 on c = 1/3, as mid-band norms near 1e-307, and
+    reading it there raises DomainError.
     """
-    b, coeffs, _ = next(_frame_moments(lift, hw, (), [k]))
-    return BpuState(k, b, coeffs, lift)
+    return next(_frame_moments(lift, hw, (), [k]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,7 @@ def d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
         if k % lift.winding:
             warnings.warn(f"level {k} is not divisible by the winding {lift.winding}; "
                           "the projection is identically zero", stacklevel=2)
-    return [rows for _, _, rows in _frame_moments(lift, hw, tangents, ks)]
+    return [rows for _, rows in _frame_moments(lift, hw, tangents, ks)]
 
 
 def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
@@ -380,45 +379,32 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     levels gives u and the derivatives together; a non-finite norm_sq raises DomainError.
     """
     forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
-    moments = _frame_moments(lift, hw, tangents, ks)
-    for n, (k, (b, coeffs, rows)) in enumerate(zip(ks, moments)):
-        u = BpuState(k, b, coeffs, lift)
-        norm_sq = _finite_norm_sq(u)
+    for n, (u, rows) in enumerate(_frame_moments(lift, hw, tangents, ks)):
         z = zk_orthogonalize(u, rows)
-        gram = (np.conj(z) * b.norms_sq) @ z.T / norm_sq
+        gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
         forms[n] = 0.5 * (gram + gram.conj().T)
     return forms
-
-
-def _finite_norm_sq(u: BpuState) -> float:
-    """u.norm_sq, or DomainError naming the level where it is not finite (see `bpu_map`)."""
-    norm_sq = u.norm_sq
-    if not math.isfinite(norm_sq):
-        raise DomainError(f"level {u.k}: basis norms left the double range (norm_sq {norm_sq})")
-    return norm_sq
 
 
 def norm_sweep(lift: PlanckianLift, hw: HalfWeight, ks: Sequence[int]) -> list[dict]:
     """Table of squared norms over levels, with admissibility records, from
     one kernel pass; a non-finite norm_sq raises DomainError."""
-    r, rows = lift.winding, []
-    for k, (b, coeffs, _) in zip(ks, _frame_moments(lift, hw, (), ks)):
-        state = BpuState(k, b, coeffs, lift)
-        rows.append({"k": int(k), "l": int(k // r) if k % r == 0 else 0, "r": r,
-                     "norm_sq": _finite_norm_sq(state), "admissible": state.is_admissible})
-    return rows
+    r = lift.winding
+    return [{"k": int(u.k), "l": int(u.k // r) if u.k % r == 0 else 0, "r": r,
+             "norm_sq": u.norm_sq, "admissible": u.is_admissible}
+            for u, _ in _frame_moments(lift, hw, (), ks)]
 
 
 def pointwise_values(lift: PlanckianLift, hw: HalfWeight, points,
                      ks: Sequence[int]) -> NDArray[np.complex128]:
     """Values u_k(x) of the level-k projections at the bundle points x, shape
-    (len(ks), M) for M points, from one kernel pass over all the levels.
+    (len(ks), M) for M points: the monomials at x times the coefficients of
+    each state from one kernel pass over all the levels.
 
     Rows of levels the winding does not divide are zeros.  Past the range of
-    `bpu_map` the values are not finite.
+    `bpu_map` the values are not finite: no norm is read, so none is named.
     """
     pts = np.atleast_2d(as_point_array(points))
-    out = np.empty((len(ks), len(pts)), dtype=np.complex128)
-    for n, (k, (b, coeffs, _)) in enumerate(zip(ks, _frame_moments(lift, hw, (), ks))):
-        out[n] = BpuState(k, b, coeffs, lift).evaluate(pts)
-    return out
+    rows = [hardy.monomial_values(u.sec_basis, pts) @ u.coefficients
+            for u, _ in _frame_moments(lift, hw, (), ks)]
+    return np.array(rows, dtype=np.complex128).reshape(len(ks), len(pts))

@@ -11,7 +11,8 @@ stored in the log domain.  BUNDLE_VOLUME = sqrt(pi) is the single global
 measure scale of the model; it is the unique choice for which the latitude
 norm sweeps of the projection module reach the leading constant
 sqrt(2/pi) * r^2 (see the bpu module and the acceptance suite).  Inner
-products are conjugate-linear in the first slot.
+products are conjugate-linear in the first slot.  A section with coefficients
+v takes the values `monomial_values(b, x) @ v` at the points x.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "basis",
     "monomial_values",
     "monomial_derivatives",
-    "eval_section",
     "norm_sq",
 ]
 
@@ -115,18 +115,6 @@ def monomial_derivatives(b: SectionBasis, points: np.ndarray,
     out[:, 1:] = w[:, [0]] * (a[1:] * prod)
     out[:, :-1] += w[:, [1]] * ((b.k - a[:-1]) * prod)
     return out
-
-
-def eval_section(b: SectionBasis, coefficients: np.ndarray, x) -> complex | NDArray[np.complex128]:
-    """Value at bundle point(s) x of the level-b.k section with these
-    coefficients in the monomial basis."""
-    if np.shape(coefficients) != (b.k + 1,):
-        raise ContractViolation(f"level-{b.k} basis needs {b.k + 1} coefficients, "
-                                f"got shape {np.shape(coefficients)}")
-    vals = monomial_values(b, x) @ coefficients
-    if np.ndim(as_point_array(x)) == 1:
-        return complex(vals[0])
-    return vals
 
 
 def norm_sq(b: SectionBasis, coefficients: np.ndarray) -> float:

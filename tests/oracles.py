@@ -208,6 +208,14 @@ def latitude_norm_sq(lift, hw, c: float, k: int) -> float:
     return math.exp(log_val)
 
 
+def rotated(loop: LagrangianLoop, g: np.ndarray) -> LagrangianLoop:
+    """The loop's points turned by g in SU(2), on the same nodes and phi.  The
+    Hardy space, the FS metric and the contact form are U(2)-invariant, so
+    half-weight and tangent samples carry over, u_k turns by Sym^k(g), and the
+    norms, the pulled-back forms and |u_k(g x)| are the loop's."""
+    return LagrangianLoop(loop.points @ g.T)
+
+
 def monomial_derivative_oracle(points, vectors, k: int) -> np.ndarray:
     """Derivatives of the level-k monomials along per-point C^2 vectors, shape (M, k+1).
 
@@ -295,7 +303,7 @@ def fd_d_bpu_per_state(lift, hw, tangents, ks):
                               (LeafTangent(loop, zero, w.s_ell), True)):
             if not (np.any(leg.f) or np.any(leg.s_ell)):
                 continue
-            moved = [[c for _, c, _ in bpu._frame_moments(*state, (), ks)]
+            moved = [[u.coefficients for u, _ in bpu._frame_moments(*state, (), ks)]
                      for state in flow_state(lift, hw, leg, times)]
             for n, (k, rows) in enumerate(zip(ks, out)):
                 d1, d2 = ((plus[n] - minus[n]) / (2.0 * h)

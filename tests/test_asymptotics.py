@@ -97,7 +97,7 @@ def test_ladder_slope_for_two_term_data():
 
 def test_ladder_inconclusive_at_floor():
     rep = ladder_residual_check([(k, 3.0 * k ** 2) for k in KS], alpha=2.0, m=1)
-    assert rep.inconclusive
+    assert rep.inconclusive and rep.slope is None
 
 
 def test_ladder_band_controls_consistency():

@@ -41,6 +41,7 @@ from oracles import (
     lift_weights,
     monomial_derivative_oracle,
     polar_monomials,
+    rotated,
 )
 
 N = 256
@@ -123,7 +124,7 @@ def test_array_holding_states_compare_and_hash_by_identity(half_setup):
     loop, lift, hw = half_setup
     state = bpu_map(lift, hw, 4)
     for obj, twin in ((hw, HalfWeight(loop, hw.s_lambda)),
-                      (state, bpu.BpuState(state.k, state.sec_basis, state.coefficients, lift))):
+                      (state, bpu.BpuState(state.k, state.sec_basis, state.coefficients))):
         assert obj == obj and obj != twin
         assert hash(obj) == object.__hash__(obj)
         assert len({obj, twin}) == 2
@@ -149,8 +150,8 @@ def test_single_coefficient_below_the_alias_bound(request, setup, c):
     _, lift, hw = request.getfixturevalue(setup)
     top = {0.5: 1012, 1.0 / 3.0: 1020}[c]  # the last finite levels
     ks = list(range(lift.winding, top + 1, lift.winding))
-    for k, (_, coeffs, _) in zip(ks, bpu._frame_moments(lift, hw, (), ks)):
-        assert np.flatnonzero(coeffs).tolist() == [round(c * k)], k
+    for k, (u, _) in zip(ks, bpu._frame_moments(lift, hw, (), ks)):
+        assert np.flatnonzero(u.coefficients).tolist() == [round(c * k)], k
 
 
 def test_projectivization_phase_invariance(half_setup):
@@ -313,10 +314,13 @@ def test_latitude_nodes_fall_in_one_family(half_setup, two_thirds_setup):
     ("third_setup", [1020, 1023], ["finite", "nan"])])
 def test_first_non_finite_norm_levels(request, setup, ks, kinds):
     # The mid-band basis norms near the subnormal range (see `bpu_map`);
-    # norm_sweep names the first level whose norm_sq is not finite.
+    # a state's norm_sq and norm_sweep name the first level where it is not finite.
     _, lift, hw = request.getfixturevalue(setup)
-    values = [bpu_map(lift, hw, k).norm_sq for k in ks]
+    states = [bpu_map(lift, hw, k) for k in ks]
+    values = [hardy.norm_sq(u.sec_basis, u.coefficients) for u in states]
     assert ["nan" if np.isnan(x) else "inf" if np.isinf(x) else "finite" for x in values] == kinds
+    with pytest.raises(DomainError, match=f"level {ks[1]}: basis norms left the double range"):
+        states[1].norm_sq
     with pytest.raises(DomainError, match=f"level {ks[1]}: basis norms left the double range"):
         norm_sweep(lift, hw, ks)
 
@@ -425,7 +429,7 @@ def test_pointwise_values_are_the_projections_at_the_points(request, setup):
         if k % r:
             assert not np.any(row), k
         else:
-            expected = bpu_map(lift, hw, k).evaluate(points)
+            expected = monomial_values(basis(k), points) @ bpu_map(lift, hw, k).coefficients
             assert np.all(np.abs(row - expected) <= 1e-14 * np.abs(expected)), k
     assert pointwise_values(lift, hw, points[0], [12 * r]).shape == (1, 1)
     assert pointwise_values(lift, hw, points, []).shape == (0, len(points))
@@ -436,7 +440,7 @@ def test_profile_at_origin_and_tangent(half_setup):
     # and the unit tangent of the base, each turned by the node's fiber phase.
     loop, lift, hw = half_setup
     x, theta = lift.points[0], np.array([0.0, 1.0, 1.5])[:, None] / math.sqrt(80)
-    base = abs(bpu_map(lift, hw, 80).evaluate(x))
+    base = abs(pointwise_values(lift, hw, x, [80])[0, 0])
 
     def ratios(v):
         u = lift.phases[0] * v / np.linalg.norm(v)
@@ -475,8 +479,9 @@ def test_off_loop_decay_rate_above_the_old_alias_bound(half_setup):
     x = np.array([math.sqrt(0.9), math.sqrt(0.1)])
     rate = -0.5 * (0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1))
     assert rate == pytest.approx(-0.2554128, abs=1e-7)
-    log_r = {k: math.log(abs(state.evaluate(x)) / abs(state.evaluate(lift.points[0])))
-             for k, state in ((k, bpu_map(lift, hw, k)) for k in (160, 320, 640))}
+    ks = (160, 320, 640)
+    values = np.abs(pointwise_values(lift, hw, np.array([x, lift.points[0]]), ks))
+    log_r = {k: math.log(far / near) for k, (far, near) in zip(ks, values)}
     for k in (160, 320):
         assert (log_r[2 * k] - log_r[k]) / k == pytest.approx(rate, abs=1e-6), k
 
@@ -564,6 +569,43 @@ def test_d_bpu_matches_fd_off_the_equator(c, ks):
     worst = max(np.linalg.norm(a - d) / np.linalg.norm(d)
                 for rows_a, rows_d in zip(ana, fd) for a, d in zip(rows_a, rows_d))
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0 / 3.0])
+@pytest.mark.parametrize("a, b", [(0.9, 0.3 + 0.2j), (0.6, 0.7j), (0.3, 0.9)])
+def test_rotated_latitudes_keep_the_latitude_values(c, a, b):
+    # The rotated latitude's |z0|^2 sweeps an interval, so both node families
+    # and wide bands run, yet its values are exactly the latitude's.
+    a, b = np.array([a, b]) / math.hypot(abs(a), abs(b))
+    g = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+    lift, hw, frame = off_equator_frame(c)
+    loop = rotated(lift.base, g)
+    turned, r = horizontal_lift(loop), lift.winding
+    assert turned.winding == r and 0 < np.count_nonzero(bpu._ratio_table(turned.circuit, 1)[2]) < N
+    # Constant half-weight: every lattice level below 1000 against the exact oracle.
+    flat, ks = HalfWeight.constant(lift.base), list(range(r, 1000, r))
+    exact = np.array([latitude_norm_sq(lift, flat, c, k) for k in ks])
+    norms = [np.array([row["norm_sq"] for row in norm_sweep(each, HalfWeight(each.base, flat.s_lambda), ks)])
+             for each in (lift, turned)]
+    assert np.abs(norms[1] / norms[0] - 1.0).max() <= 1e-12
+    assert np.abs(norms[1] / exact - 1.0).max() <= 5e-12
+    # Fourier half-weight and a three-tangent frame.
+    frame.append(constrained(lift.base, hw, np.cos(3 * PHI), 0.5 * np.sin(2 * PHI)))
+    turned_hw = HalfWeight(loop, hw.s_lambda)
+    turned_frame = [LeafTangent(loop, w.f, w.s_ell) for w in frame]
+    ks = list(range(r, 301, r))
+    forms = fs_pullback(lift, hw, frame, ks)
+    gap = np.linalg.norm(fs_pullback(turned, turned_hw, turned_frame, ks) - forms, axis=(1, 2))
+    assert np.all(gap <= 1e-12 * np.linalg.norm(forms, axis=(1, 2)))
+    # |u_k| at the lift nodes and up to 1.5/sqrt(k) along the normal.
+    nodes, normal = lift.circuit[::16], lift.phases[::16, None] * normal_frame(lift.base)[::16]
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    for k in (r, 5 * r, 20 * r, r * (160 // r)):
+        theta = np.array([0.0, 0.5, 1.0, 1.5])[:, None, None] / math.sqrt(k)
+        points = (np.cos(theta) * nodes + np.sin(theta) * normal).reshape(-1, 2)
+        u = np.abs(pointwise_values(lift, hw, points, [k])[0])
+        turned_u = np.abs(pointwise_values(turned, turned_hw, points @ g.T, [k])[0])
+        assert np.abs(turned_u - u).max() <= 1e-12 * u.max(), k
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])

@@ -120,11 +120,14 @@ def inconclusive_ladders(fits):
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
-def test_shipped_configs_pin_their_inconclusive_ladders(path):
+def test_shipped_configs_pin_their_inconclusive_ladders(path, tmp_path):
     # An inconclusive ladder passes its verdict, so a new one must fail here instead.
+    # Its slope is null, so the manifest stays strict JSON.
     result = run_experiment(ExperimentConfig.from_json(path.read_bytes()))
     assert result.passed
     assert inconclusive_ladders(result.fits) == INCONCLUSIVE_LADDERS.get(path.name, set())
+    _, manifest = emit_report(result, tmp_path)
+    json.dumps(json.loads(manifest.read_text()), allow_nan=False)
 
 
 def test_fourier_modes_at_or_above_half_the_nodes_are_rejected():
