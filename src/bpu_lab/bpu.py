@@ -23,6 +23,7 @@ independent of the global bundle measure scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from . import hardy
 from .errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from .fourier import TWO_PI, _powers
 from .geometry import PlanckianLift, as_point_array, normal_frame
-from .hardy import SectionBasis, _require_sphere_tangent, basis as hardy_basis
+from .hardy import SectionBasis, _require_sphere_tangent
 from .leaf import HalfWeight, LeafTangent, flow_state, gamma_flow, hamiltonian_normal_components
 
 __all__ = [
@@ -82,7 +83,7 @@ FD_STEP = 1e-3
 @dataclass(frozen=True, eq=False)
 class BpuState:
     """Level-k projection u_k of the delta distribution of (P, lambda) in the
-    monomial basis; only the kernel pass, `_frame_moments`, builds one."""
+    monomial basis; only the kernel, `_level_moments`, builds one."""
 
     k: int
     sec_basis: SectionBasis
@@ -144,11 +145,12 @@ def _band(k: int, p_min: float, p_max: float) -> tuple[int, int]:
 
 
 def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
-                   ks: Sequence[int]):
-    """Level-moment kernel: for each k in ks, in order, the basis, the
-    projection's coefficients and the (T, k+1) rows of d_bpu, the base terms
-    plus the fiber and normal terms times the signs CONVENTION_SIGNS, read
-    when the first level is computed.
+                   ks: Sequence[int], winding: int):
+    """Level-moment kernel: for each k in ks, in order, the projection's
+    `BpuState` and the (T, k+1) rows of d_bpu, the base terms plus the fiber
+    and normal terms times the signs CONVENTION_SIGNS, read when the first
+    level is computed; levels that `winding` does not divide get the deck
+    rule's exact zeros, with no product.
 
     `points` (M, 2) on the sphere carry real amplitudes `amp` (M, 1 + 3T): the
     delta weights s_w, then per tangent the transport, fiber (per unit k) and
@@ -164,12 +166,14 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
     levels, whose blocks take an eighth of the table's bytes, and per node
     family, one product pairs the union of the levels' `_band` rows with all
     their V lead^(k-1); each level keeps its band, snapped against the moduli
-    factors' bound, and zeros elsewhere.  Valid in the range of `bpu_map`.
+    factors' bound (if it has delta weights), and divides only its nonzero
+    pairings by its basis norms: valid in the range of `bpu_map`.
     """
     if not all(isinstance(k, (int, np.integer)) and k > 0 for k in ks):
         raise DomainError(f"levels must be positive integers, got {list(ks)}")
     (m, t), (sigma_theta, sigma_p) = (len(points), (amp.shape[1] - 1) // 3), CONVENTION_SIGNS
-    p, k_max = np.min(np.abs(points) ** 2, axis=1), max([1, *ks])
+    lattice, log_norms = [k for k in ks if k % winding == 0], hardy._log_norms(max([1, *ks]))
+    p, k_max, snap = np.min(np.abs(points) ** 2, axis=1), max([1, *lattice]), np.any(amp[:, 0])
     table, (coarse, fine), second, lead = _ratio_table(points, _band(k_max, 0.0, p.max())[1] + 1)
     o = np.where(second, points[:, 1], points[:, 0])
     n_lead, n_o = (np.where(second[:, None], normal[:, j], normal[:, 1 - j]) for j in (0, 1))
@@ -182,12 +186,19 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
     tail[:, 1:1 + index.shape[1]] += sigma_p * n_lead
     families = [(flip, nodes, p[nodes].min(), p[nodes].max())
                 for flip, nodes in ((False, ~second), (True, second)) if np.any(nodes)]
-    log_norms, q, c = hardy._log_norms(k_max), fine.shape[1], head.shape[1]
+    q, c, rest = fine.shape[1], head.shape[1], iter(ks)  # rest: ks, in step with the lattice levels
     at, scale, gap, power = 0, 1.0, 0, 1.0  # a running product: scale = lead^at, power = lead^gap
+
+    def level(k, v=None, a_lo=0):  # v's nonzero pairings over the basis norms from row a_lo, else zeros
+        b, rows = SectionBasis(int(k), log_norms(k)), np.zeros((1 + t, k + 1), dtype=complex)
+        if v is not None:
+            np.divide(v, b.norms_sq[a_lo:][:len(v[0])], out=rows[:, a_lo:a_lo + len(v[0])], where=v != 0)
+        return BpuState(b.k, b, rows[0]), rows[1:]
+
     # A chunk's complex blocks, (N + 2 x table rows) x columns per level, take an eighth of the table.
     size = max(1, table.nbytes // (8 * 16 * c * (m + 2 * len(table))))
-    for start in range(0, len(ks), size):
-        levels = sorted(set(ks[start:start + size]))
+    for start in range(0, len(lattice), size):
+        levels = sorted(set(lattice[start:start + size]))
         n, kk, ds = len(levels), np.array(levels)[:, None], [k - 1 for k in levels]
         scales = np.empty((n, m), dtype=complex)
         for i, d in enumerate(ds):
@@ -213,24 +224,18 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
                 rows, step = (slice(k - hi - a_lo, k - lo + 1 - a_lo), -1) if flip else \
                     (slice(lo - a_lo, hi + 1 - a_lo), 1)
                 vals[i, :, rows] += g[lo - lo_u:hi + 1 - lo_u, i, :1 + t][::step].T
-                # Rows lo..hi of |table| @ w: rows b = qB + i of coarse @ (fine w).
-                bound[i, rows] += (coarse[lo // q:hi // q + 1] @ (fine * w[:, i:i + 1])).ravel()[
-                    lo % q:][:hi + 1 - lo][::step]
+                if snap:  # rows lo..hi of |table| @ w: rows b = qB + i of coarse @ (fine w)
+                    bound[i, rows] += (coarse[lo // q:hi // q + 1] @ (fine * w[:, i:i + 1])).ravel()[
+                        lo % q:][:hi + 1 - lo][::step]
             del g, w
         # Snap pairings below the quadrature floor of their no-cancellation bound.
         np.conjugate(vals, out=vals)
         vals[:, 0][np.abs(vals[:, 0]) <= 1e-10 * bound] = 0.0
-        bases, norms = [SectionBasis(int(k), log_norms(k)) for k in levels], bound  # in bound's place
-        for i, b in enumerate(bases):
-            norms[i, :b.k + 1 - a_lo] = b.log_norms[a_lo:a_lo + width]
-        vals /= np.exp(norms)[:, None]
-        del bound, norms, scales  # the levels read vals and bases
-        for k in ks[start:start + size]:
-            i, span = levels.index(k), slice(a_lo, a_lo + width)
-            u, du = np.zeros(k + 1, dtype=complex), np.zeros((t, k + 1), dtype=complex)
-            u[span], du[:, span] = vals[i, 0, :k + 1 - a_lo], vals[i, 1:, :k + 1 - a_lo]
-            yield bases[i], u, du
-        del vals, bases
+        for k in lattice[start:start + size]:
+            yield from map(level, itertools.takewhile(lambda j: j % winding, rest))  # consumes k
+            yield level(k, vals[levels.index(k), :, :k + 1 - a_lo], a_lo)
+        del vals  # no view of it outlives the chunk, so the next product reuses its memory
+    yield from map(level, rest)
 
 
 def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
@@ -238,8 +243,7 @@ def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafT
     """The level-moment kernel on a lift and a tangent frame, over the first
     circuit's N nodes: per k in ks, the `BpuState` and the (T, k+1) rows of d_bpu.
     Circuit q pairs at level k as the first one times e^{-2 pi i q k turns/r}, so
-    the weights carry the factor r, and the deck selection rule makes levels r
-    does not divide exact zeros, never computed."""
+    the weights carry the factor r and the levels r does not divide are zeros."""
     loop, t = lift.base, len(tangents)
     if hw.loop is not loop:
         raise ContractViolation("half-weight and lift live on different loops")
@@ -253,12 +257,7 @@ def _frame_moments(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafT
         field = hamiltonian_normal_components(loop, w.f)[:, None] * normal_frame(loop)
         _require_sphere_tangent(lift.circuit, lift.phases[:, None] * field)
         normal[:, :, i] = (lift.phases * s_w)[:, None] * field
-    lattice = _level_moments(lift.circuit, amp, normal, [k for k in ks if k % lift.winding == 0])
-    for k in ks:
-        if k % lift.winding:
-            b, zero = hardy_basis(k), np.zeros((t + 1, k + 1), dtype=np.complex128)
-        b, coeffs, rows = (b, zero[0], zero[1:]) if k % lift.winding else next(lattice)
-        yield BpuState(k, b, coeffs), rows
+    yield from _level_moments(lift.circuit, amp, normal, ks, lift.winding)
 
 
 def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
@@ -267,18 +266,17 @@ def bpu_map(lift: PlanckianLift, hw: HalfWeight, k: int) -> BpuState:
 
     Levels the winding does not divide are exact zeros of the deck rule.
     Within a level, pairings below the quadrature floor (relative to their
-    no-cancellation bound) are exact zeros of the rotational selection rule:
-    they are snapped to zero before dividing by the basis norms.  The floor
-    sits two orders above the lift seam noise; a pairing that small
-    contributes less than 1e-19 to any norm or Gram quantity, while the
-    mid-band basis norms are tiny enough that leaving such noise in place
-    would masquerade as O(1e-3) coefficients.
+    no-cancellation bound) are exact zeros of the rotational selection rule,
+    snapped to zero and so never divided by the tiny mid-band basis norms,
+    over which seam noise would masquerade as O(1e-3) coefficients.  The floor
+    sits two orders above that noise: a pairing so small adds under 1e-19 to
+    any norm or Gram quantity.
     Valid while the loop frequencies of the rows in the kernel's `_band` stay
     below N, the first circuit's nodes, not r*N (a latitude is alias-free while
     t(k) < N, to k ~ 2300 at N = 256; a general loop aliases from its frequency
-    bound), and while norm_sq stays finite: it is first inf at k = 1014 on
-    c = 1/2 and NaN at k = 1023 on c = 1/3, as mid-band norms near 1e-307, and
-    reading it there raises DomainError.
+    bound), and while norm_sq stays finite: a coefficient over a subnormal
+    mid-band norm overflows, first at k = 1014 on c = 1/2 and 1104 on c = 1/3,
+    and reading norm_sq there raises DomainError.
     """
     return next(_frame_moments(lift, hw, (), [k]))[0]
 
@@ -331,10 +329,8 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
         amp[:, 1] = np.concatenate(transport)
         amp[:n, 3] = r_dphi * loop.speed * sum(c * s.s_lambda for c, (_, s) in zip(coef, held))
         points, normal = np.vstack([lift.circuit] + [m.circuit for m, _ in moved]), np.zeros((len(amp), 2, 0))
-        lattice = _level_moments(points, amp, normal, [k for k in ks if k % lift.winding == 0])
-        for k, rows in zip(ks, out):
-            if k % lift.winding == 0:  # the other levels keep the deck rule's zeros
-                rows[i] = next(lattice)[2][0]
+        for rows, (_, du) in zip(out, _level_moments(points, amp, normal, ks, lift.winding)):
+            rows[i] = du[0]
     return out
 
 
@@ -376,10 +372,12 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
     Hermitian as (G + G^H) / 2.  Real parts are metric values, imaginary
     parts symplectic ones.  Independent of the bundle measure scale and of
     the lift's starting phase.  One level-moment kernel pass over all the
-    levels gives u and the derivatives together; a non-finite norm_sq raises DomainError.
+    levels gives u and the derivatives together; a non-finite norm_sq or row raises DomainError.
     """
     forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
     for n, (u, rows) in enumerate(_frame_moments(lift, hw, tangents, ks)):
+        if not np.all(np.isfinite(rows)):  # the derivatives' wider bands overflow first
+            raise DomainError(f"level {u.k}: basis norms left the double range (derivative rows)")
         z = zk_orthogonalize(u, rows)
         gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
         forms[n] = 0.5 * (gram + gram.conj().T)

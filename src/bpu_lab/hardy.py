@@ -60,7 +60,7 @@ def basis(k: int) -> SectionBasis:
     """Monomial basis with log-domain norms, from a long-double table of log j!
     rounded once (`_log_norms`): within 6.3e-14 of the closed form to k = 1000,
     and bit for bit the norms the level-moment kernel reads.  The log norms hold
-    for k up to thousands, `norms_sq` goes subnormal from k = 1019 (1.2e-308),
+    for k up to thousands; `norms_sq` is subnormal from k = 1019 and 0 from 1072,
     and `bpu.bpu_map` states where the projections stay valid.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:

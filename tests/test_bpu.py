@@ -145,10 +145,10 @@ def test_single_coefficient_below_the_alias_bound(request, setup, c):
     # The r-fold lift repeats the N base nodes, so the trapezoid rule aliases
     # once a frequency a - c*k of a paired row reaches N in modulus.  The
     # kernel pairs only the rows of its band, |a - c*k| <= t(k) + 1, so the
-    # bound t(k) = N lies far above the last finite level (k = 1012 at
-    # c = 1/2, 1020 at c = 1/3), and far above k*max(c, 1-c) = N.
+    # bound t(k) = N lies far above the first non-finite level (k = 1014 at
+    # c = 1/2, 1104 at c = 1/3), and far above k*max(c, 1-c) = N.
     _, lift, hw = request.getfixturevalue(setup)
-    top = {0.5: 1012, 1.0 / 3.0: 1020}[c]  # the last finite levels
+    top = {0.5: 1012, 1.0 / 3.0: 1020}[c]  # below the first non-finite levels
     ks = list(range(lift.winding, top + 1, lift.winding))
     for k, (u, _) in zip(ks, bpu._frame_moments(lift, hw, (), ks)):
         assert np.flatnonzero(u.coefficients).tolist() == [round(c * k)], k
@@ -308,13 +308,14 @@ def test_latitude_nodes_fall_in_one_family(half_setup, two_thirds_setup):
     assert np.all(bpu._ratio_table(two_thirds_setup[1].circuit, 1)[2])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in:RuntimeWarning")
 @pytest.mark.parametrize("setup, ks, kinds", [
-    ("half_setup", [1012, 1014, 1024], ["finite", "inf", "nan"]),
-    ("third_setup", [1020, 1023], ["finite", "nan"])])
+    ("half_setup", [1012, 1014, 1024], ["finite", "inf", "inf"]),
+    ("third_setup", [1101, 1104], ["finite", "inf"])])
 def test_first_non_finite_norm_levels(request, setup, ks, kinds):
     # The mid-band basis norms near the subnormal range (see `bpu_map`);
     # a state's norm_sq and norm_sweep name the first level where it is not finite.
+    # Only nonzero pairings are divided by the norms, so no level reads 0/0 = NaN.
     _, lift, hw = request.getfixturevalue(setup)
     states = [bpu_map(lift, hw, k) for k in ks]
     values = [hardy.norm_sq(u.sec_basis, u.coefficients) for u in states]
@@ -323,6 +324,34 @@ def test_first_non_finite_norm_levels(request, setup, ks, kinds):
         states[1].norm_sq
     with pytest.raises(DomainError, match=f"level {ks[1]}: basis norms left the double range"):
         norm_sweep(lift, hw, ks)
+
+
+def test_a_level_does_not_depend_on_the_level_list():
+    # Each level divides only its own nonzero pairings by its own basis norms,
+    # so the zeros of the other levels' bands in its chunk never meet an
+    # underflowing norm: k = 1070 reads the same alone and in a long sweep,
+    # and the sweep past it names the level where the norms really leave the range.
+    loop = latitude_loop(0.2, 1024)
+    lift, hw = horizontal_lift(loop), HalfWeight.constant(loop)
+    ks = list(range(5, 1396, 5))
+    alone = norm_sweep(lift, hw, [1070])[0]["norm_sq"]
+    assert norm_sweep(lift, hw, ks)[ks.index(1070)]["norm_sq"] == pytest.approx(alone, rel=1e-13, abs=0.0)
+    longer = (u for u, _ in bpu._frame_moments(lift, hw, (), list(range(5, 1596, 5))) if u.k == 1070)
+    assert next(longer).norm_sq == pytest.approx(alone, rel=1e-13, abs=0.0)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow encountered in", RuntimeWarning)
+        with pytest.raises(DomainError, match="level 1400: basis norms left the double range"):
+            norm_sweep(lift, hw, list(range(5, 1596, 5)))
+
+
+def test_norms_stay_exact_up_to_the_first_non_finite_level(third_setup):
+    # On c = 1/3 the norms below k = 1104 are subnormal or zero off the band,
+    # where the pairings are exact zeros; no level below 1104 warns.
+    _, lift, hw = third_setup
+    for row in norm_sweep(lift, hw, list(range(3, 1102, 3))):
+        exact = latitude_norm_sq(lift, hw, 1.0 / 3.0, row["k"])
+        assert row["norm_sq"] == pytest.approx(exact, rel=5e-12, abs=0.0), row["k"]
+    assert np.all(np.isfinite(pointwise_values(lift, hw, lift.points[::17], [1023, 1050, 1101])))
 
 
 def test_norm_sweep_over_the_ladder_stays_near_the_ratio_table(third_setup):
@@ -350,8 +379,21 @@ def test_kernel_restarts_below_the_held_level(half_setup):
     assert [row["norm_sq"] for row in sweep] == pytest.approx(
         [bpu_map(lift, hw, k).norm_sq for k in ks], rel=1e-13)
     # An empty level list never reaches max([]).
-    amp = np.ones((N, 1 + 3 * len(frame)))
-    assert list(bpu._level_moments(lift.circuit, amp, np.zeros((N, 2, len(frame))), [])) == []
+    amp, normal = np.ones((N, 1 + 3 * len(frame))), np.zeros((N, 2, len(frame)))
+    assert list(bpu._level_moments(lift.circuit, amp, normal, [], lift.winding)) == []
+    # Levels the winding does not divide, unsorted and repeated, come out as
+    # zero rows and leave every lattice level's rows as they were.
+    mixed = [5, 32, 8, 33, 8, 5, 2, 16, 1]
+    lattice = bpu._level_moments(lift.circuit, amp, normal, ks, lift.winding)
+    for k, (u, du) in zip(mixed, bpu._level_moments(lift.circuit, amp, normal, mixed, lift.winding),
+                          strict=True):
+        assert u.k == k and u.coefficients.shape == (k + 1,) and du.shape == (len(frame), k + 1), k
+        if k % lift.winding:
+            assert not np.any(u.coefficients) and not np.any(du), k
+        else:
+            alone, du_alone = next(lattice)
+            assert np.array_equal(u.coefficients, alone.coefficients) and np.array_equal(du, du_alone), k
+    assert next(lattice, None) is None
     assert d_bpu(lift, hw, frame, []) == [] and norm_sweep(lift, hw, []) == []
 
 
@@ -679,9 +721,9 @@ def test_fd_d_bpu_transports_each_leg_once(monkeypatch):
         calls.append((w, list(ts)))
         return flow_state(lift_, hw_, w, ts)
 
-    def counted(points, amp, normal, ks):
+    def counted(points, amp, normal, ks, winding):
         passes.append(len(points))
-        return kernel(points, amp, normal, ks)
+        return kernel(points, amp, normal, ks, winding)
 
     monkeypatch.setattr(bpu, "flow_state", counting)
     monkeypatch.setattr(bpu, "_level_moments", counted)
@@ -750,7 +792,8 @@ def test_kernel_normal_block_matches_exact_derivative_oracle(k):
     s_w = rng.uniform(0.5, 1.5, size=len(pts))
     ups = rng.normal(size=(len(pts), 2, 2)) + 1j * rng.normal(size=(len(pts), 2, 2))
     amp = np.hstack([s_w[:, None], np.zeros((len(pts), 6))])
-    b, coeffs, signed = next(bpu._level_moments(pts, amp, ups * s_w[:, None, None], [k]))
+    u, signed = next(bpu._level_moments(pts, amp, ups * s_w[:, None, None], [k], 1))
+    b, coeffs = u.sec_basis, u.coefficients
     assert coeffs.shape == (k + 1,) and signed.shape == (2, k + 1)
     # With zero transport, fiber and half-density amplitudes the d_bpu rows are
     # the normal term alone, times sigma_p.
@@ -772,10 +815,10 @@ def test_kernel_normal_block_refuses_a_node_on_a_pole(pole):
     pts, s_w = np.array([[0.6, 0.8j], pole]), np.array([1.0, 0.5])
     amp = np.hstack([s_w[:, None], np.ones((2, 3))])
     with pytest.raises(DomainError, match="pole"):
-        next(bpu._level_moments(pts, amp, np.ones((2, 2, 1), dtype=complex), [8]))
-    b, coeffs, rows = next(bpu._level_moments(pts, amp, np.zeros((2, 2, 0)), [8]))
-    exact = np.conj(monomial_values(b, pts)).T @ s_w / b.norms_sq
-    assert rows.shape == (1, 9) and np.allclose(coeffs, exact, rtol=1e-13, atol=0.0)
+        next(bpu._level_moments(pts, amp, np.ones((2, 2, 1), dtype=complex), [8], 1))
+    u, rows = next(bpu._level_moments(pts, amp, np.zeros((2, 2, 0)), [8], 1))
+    exact = np.conj(monomial_values(u.sec_basis, pts)).T @ s_w / u.sec_basis.norms_sq
+    assert rows.shape == (1, 9) and np.allclose(u.coefficients, exact, rtol=1e-13, atol=0.0)
 
 
 def test_pullback_builds_one_monomial_matrix_per_level(monkeypatch):
@@ -912,10 +955,12 @@ def test_fs_pullback_outside_domain(half_setup):
         fs_pullback(lift, hw, [w], [5])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_fs_pullback_names_the_norm_overflow(third_setup):
-    # At k = 1023 on c = 1/3 norm_sq is NaN (see test_first_non_finite_norm_levels);
-    # the loop is admissible, so the error names the basis norms, not the domain.
+    # On c = 1/3 norm_sq stays finite to k = 1101 (see test_first_non_finite_norm_levels),
+    # but the derivative rows pair wider bands, whose norms overflow their
+    # coefficients from k = 1023; the loop is admissible, so the error names
+    # the basis norms, not the domain, and no NaN form comes back.
     loop, lift, hw = third_setup
     w = constrained(loop, hw, np.cos(PHI), np.cos(PHI))
     assert np.all(np.isfinite(fs_pullback(lift, hw, [w], [1020])))
