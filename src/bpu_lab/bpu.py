@@ -17,8 +17,8 @@ Two derivative routes are cross-checked, both through the kernel: the
 analytic pairing (function/half-density/transport/fiber terms, with the two
 convention signs CONVENTION_SIGNS) and the geometric finite-difference
 oracle, which pairs the Richardson-weighted states of `leaf.flow_state`.
-Pullback values are Gram ratios of the orthogonalized derivatives and are
-independent of the global bundle measure scale.
+Pullback forms are Schur complements of the Gram of u and its derivatives, over
+||u||^2, and are independent of the global bundle measure scale.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "bpu_map",
     "d_bpu",
     "fd_d_bpu",
-    "zk_orthogonalize",
     "fs_pullback",
     "f_integrand",
     "norm_sweep",
@@ -162,12 +161,12 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
     one column sigma_p (lead n_o/o - n_lead) whose product rows are multiplied
     by their index b and added to the tangent's column.  That column divides by
     o: a pass with normal fields raises DomainError at a node on a pole.
-    lead^(k-1) is a running product along the sorted levels.  Per chunk of
-    levels, whose blocks take an eighth of the table's bytes, and per node
-    family, one product pairs the union of the levels' `_band` rows with all
-    their V lead^(k-1); each level keeps its band, snapped against the moduli
-    factors' bound (if it has delta weights), and divides only its nonzero
-    pairings by its basis norms: valid in the range of `bpu_map`.
+    lead^(k-1) is a running product along the sorted levels.  Per chunk of levels,
+    whose blocks take an eighth of the table's bytes, and per node family, one
+    product pairs the union of the levels' `_band` rows with all their V lead^(k-1);
+    each level keeps its band, snapped against the moduli factors' bound (if it has
+    delta weights), and divides only its nonzero pairings by its basis norms: valid
+    in the range of `bpu_map`, and DomainError where derivative rows overflow.
     """
     if not all(isinstance(k, (int, np.integer)) and k > 0 for k in ks):
         raise DomainError(f"levels must be positive integers, got {list(ks)}")
@@ -193,6 +192,8 @@ def _level_moments(points: np.ndarray, amp: np.ndarray, normal: np.ndarray,
         b, rows = SectionBasis(int(k), log_norms(k)), np.zeros((1 + t, k + 1), dtype=complex)
         if v is not None:
             np.divide(v, b.norms_sq[a_lo:][:len(v[0])], out=rows[:, a_lo:a_lo + len(v[0])], where=v != 0)
+            if t and not np.isfinite(rows[1:]).all():  # unsnapped, they overflow before u
+                raise DomainError(f"level {k}: basis norms left the double range (derivative rows)")
         return BpuState(b.k, b, rows[0]), rows[1:]
 
     # A chunk's complex blocks, (N + 2 x table rows) x columns per level, take an eighth of the table.
@@ -295,7 +296,7 @@ def d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent],
     k^2 leading term.  The fiber and normal terms carry the signs
     CONVENTION_SIGNS as they stand when d_bpu is called; `fs_pullback`
     reads the same rows.  A level the winding does not divide gets zero
-    rows and a warning.
+    rows and a warning; one whose rows overflow raises DomainError.
     """
     for k in ks:
         if k % lift.winding:
@@ -313,7 +314,7 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
     pairs the states' delta weights times their Richardson coefficients
     (-1, 1, 8, -8)/(6 FD_STEP): the f leg's as transport weights on its circuits,
     the (0, ell) leg's, on the lift, summed as half-density weights that the
-    kernel multiplies by k.  Row i at level k is d_f + k*d_ell, unsnapped, as in d_bpu.
+    kernel multiplies by k.  Row i at level k is d_f + k*d_ell, unsnapped and checked as in d_bpu.
     """
     loop, n, h, r_dphi = lift.base, lift.base.n, FD_STEP, lift.winding * TWO_PI / lift.base.n
     zero, times, coef = np.zeros(n), (h, -h, h / 2, -h / 2), np.array([-1.0, 1.0, 8.0, -8.0]) / (6 * h)
@@ -335,18 +336,8 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
 
 
 # ---------------------------------------------------------------------------
-# Orthogonalization and pullbacks
+# Pullbacks
 # ---------------------------------------------------------------------------
-
-def zk_orthogonalize(u: BpuState, du: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Components of the coefficient rows du orthogonal to u (Gram-Schmidt step)."""
-    if not u.is_admissible:
-        raise OutsideAdmissibleSetError(
-            f"projection vanishes at level {u.k}: (L, lambda) lies outside its domain")
-    du = np.asarray(du, dtype=np.complex128)
-    coeff = du @ (np.conj(u.coefficients) * u.sec_basis.norms_sq) / u.norm_sq
-    return du - np.multiply.outer(coeff, u.coefficients)
-
 
 def f_integrand(w: LeafTangent, wp: LeafTangent, hw: HalfWeight) -> complex:
     """Integral over L of the Hermitian pairing density
@@ -366,20 +357,21 @@ def fs_pullback(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTang
                 ks: Sequence[int]) -> NDArray[np.complex128]:
     """Level-k pullbacks of the Fubini-Study form over a frame of leaf tangents.
 
-    At each level builds u and the orthogonal parts Z_i of the rescaled
-    derivatives along the tangents, and returns the forms, shape
-    (len(ks), T, T), with entries <Z_i, Z_j> / <u, u> made exactly
-    Hermitian as (G + G^H) / 2.  Real parts are metric values, imaginary
-    parts symplectic ones.  Independent of the bundle measure scale and of
-    the lift's starting phase.  One level-moment kernel pass over all the
-    levels gives u and the derivatives together; a non-finite norm_sq or row raises DomainError.
+    With u and the rescaled derivatives du_i of each level from one kernel pass,
+    the Provost-Vallee form (<du_i, du_j> - <du_i, u><u, du_j>/<u, u>)/<u, u>:
+    the Schur complement of M[0, 0] in the basis-norm Gram M of [u; du], over
+    M[0, 0], made exactly Hermitian as (G + G^H)/2; shape (len(ks), T, T).  Real
+    parts are metric values, imaginary parts symplectic ones; independent of the
+    bundle measure scale and of the lift's starting phase.
     """
     forms = np.empty((len(ks), len(tangents), len(tangents)), dtype=np.complex128)
     for n, (u, rows) in enumerate(_frame_moments(lift, hw, tangents, ks)):
-        if not np.all(np.isfinite(rows)):  # the derivatives' wider bands overflow first
-            raise DomainError(f"level {u.k}: basis norms left the double range (derivative rows)")
-        z = zk_orthogonalize(u, rows)
-        gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
+        if not u.is_admissible:
+            raise OutsideAdmissibleSetError(
+                f"projection vanishes at level {u.k}: (L, lambda) lies outside its domain")
+        r = np.vstack([u.coefficients, rows])
+        m = (np.conj(r) * u.sec_basis.norms_sq) @ r.T
+        gram = (m[1:, 1:] - np.outer(m[1:, 0], m[0, 1:]) / m[0, 0]) / m[0, 0]
         forms[n] = 0.5 * (gram + gram.conj().T)
     return forms
 

@@ -5,7 +5,9 @@ from polygonal chord sums, bundle integrals from a dense product grid,
 derivatives from central finite differences or exact per-entry monomial
 arithmetic, monomial values from a long-double polar form, basis norms and latitude norms from closed forms, and delta
 pairings from a plain quadrature sum, so they can certify the closed-form /
-spectral paths and the level-moment kernel.  The lift phase is integrated
+spectral paths and the level-moment kernel.  Pullback forms are Gram matrices
+of the derivative rows orthogonalized against u_k, and the su(2) actions on
+u_k are exact index shifts of its coefficients.  The lift phase is integrated
 by RK4 on the interpolated connection rate, and the half-density
 derivative by finite differences of geodesically displaced loops.  The
 trigonometric interpolant is summed densely over its modes, and the
@@ -172,6 +174,33 @@ def inner(sec_basis, u, v) -> complex:
     """L2 pairing of two coefficient arrays of the level of `sec_basis`,
     conjugate-linear in the first slot."""
     return complex(np.sum(np.conj(u) * v * basis_norms_sq(sec_basis.k)))
+
+
+def zk_orthogonalize(u, du) -> np.ndarray:
+    """The coefficient rows du less their components along the state u in the
+    level's pairing with the closed-form basis norms: one Gram-Schmidt step."""
+    w = np.conj(u.coefficients) * basis_norms_sq(u.k)
+    du = np.asarray(du, dtype=np.complex128)
+    return du - np.multiply.outer(du @ w / (w @ u.coefficients).real, u.coefficients)
+
+
+def pullback_form(u, du) -> np.ndarray:
+    """<Z_i, Z_j> / <u, u> for the parts Z of the rows du orthogonal to u, made
+    Hermitian: the orthogonalize-then-Gram reference for `bpu.fs_pullback`."""
+    z, norms = zk_orthogonalize(u, du), basis_norms_sq(u.k)
+    gram = (np.conj(z) * norms) @ z.T / np.sum(np.abs(u.coefficients) ** 2 * norms)
+    return 0.5 * (gram + gram.conj().T)
+
+
+def su2_rows(u) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of up.u and dn.u for the su(2) actions up = z0 d/dz1 and
+    dn = z1 d/dz0 on the level-k state u with coefficients c:
+    (up.u)_a = (k-a+1) c_(a-1) and (dn.u)_a = (a+1) c_(a+1)."""
+    c, a = u.coefficients, np.arange(u.k + 1)
+    up, dn = np.zeros_like(c), np.zeros_like(c)
+    up[1:] = (u.k + 1 - a[1:]) * c[:-1]
+    dn[:-1] = (a[:-1] + 1) * c[1:]
+    return up, dn
 
 
 def lift_weights(lift, hw) -> np.ndarray:

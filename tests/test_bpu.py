@@ -18,7 +18,6 @@ from bpu_lab.bpu import (
     fs_pullback,
     norm_sweep,
     pointwise_values,
-    zk_orthogonalize,
 )
 from bpu_lab.errors import ContractViolation, DomainError, OutsideAdmissibleSetError
 from bpu_lab.fourier import grid_nodes
@@ -41,7 +40,10 @@ from oracles import (
     lift_weights,
     monomial_derivative_oracle,
     polar_monomials,
+    pullback_form,
     rotated,
+    su2_rows,
+    zk_orthogonalize,
 )
 
 N = 256
@@ -404,19 +406,26 @@ def test_kernel_rejects_a_level_that_is_not_a_positive_integer(half_setup, ks):
         norm_sweep(lift, hw, ks)
 
 
+@pytest.fixture(scope="module")
+def wavy():
+    # A graph loop whose nodes fall in both node families.
+    loop = wavy_loop(0.5, N, seed=1, amplitude=0.04)
+    return loop, horizontal_lift(loop), HalfWeight.constant(loop)
+
+
+def chunk_spanning_levels(r):
+    """40 lattice levels up to 300, unsorted, then six of them again.  A chunk
+    of the kernel holds fewer than N/16 levels, so they span several chunks,
+    and the running product of lead^(k-1) restarts at every chunk that starts
+    below the one before."""
+    ks = [int(k) for k in np.random.default_rng(3).permutation(np.arange(r, 301, r))[:40]]
+    return ks + ks[5:11]
+
+
 @pytest.mark.parametrize("setup", ["wavy", "third_setup"])
 def test_chunked_passes_match_one_level_passes(request, setup):
-    # A chunk of the kernel holds fewer than N/16 levels, so these 46 levels,
-    # unsorted and with repeats, span several chunks, and the running product
-    # of lead^(k-1) restarts at every chunk that starts below the one before.
-    if setup == "wavy":  # both node families
-        loop = wavy_loop(0.5, N, seed=1, amplitude=0.04)
-        lift, hw = horizontal_lift(loop), HalfWeight.constant(loop)
-    else:
-        loop, lift, hw = request.getfixturevalue(setup)
-    r = lift.winding
-    ks = [int(k) for k in np.random.default_rng(3).permutation(np.arange(r, 301, r))[:40]]
-    ks += ks[5:11]
+    loop, lift, hw = request.getfixturevalue(setup)
+    ks = chunk_spanning_levels(lift.winding)
     frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),
              constrained(loop, hw, np.cos(2 * PHI), np.zeros(N))]
     points = np.vstack([lift.points[::37], latitude_loop(0.4, 64).points[::9]])
@@ -888,9 +897,7 @@ def test_derivative_signs_come_from_one_place(half_setup, monkeypatch):
     for signs in itertools.product((1, -1), repeat=2):
         monkeypatch.setattr(bpu, "CONVENTION_SIGNS", signs)
         rows[signs] = d_bpu(lift, hw, frame, [8])[0]
-        z = zk_orthogonalize(u, rows[signs])
-        gram = (np.conj(z) * u.sec_basis.norms_sq) @ z.T / u.norm_sq
-        assert np.allclose(fs_pullback(lift, hw, frame, [8])[0], 0.5 * (gram + gram.conj().T),
+        assert np.allclose(fs_pullback(lift, hw, frame, [8])[0], pullback_form(u, rows[signs]),
                            rtol=1e-13, atol=0.0), signs
     assert np.array_equal(rows[pinned], pinned_rows)
     # Both signed terms are nonzero, so each pair gives its own rows, affine in the signs.
@@ -923,13 +930,6 @@ def test_zk_orthogonalize_cases(half_setup):
     assert rows.shape == (3, 9)
     assert np.abs(rows[0] - z).max() <= 1e-14 * np.abs(z).max()
     assert np.abs(rows[1]).max() < 1e-12 * np.abs(u.coefficients).max()
-
-
-def test_zk_requires_admissible_state(half_setup):
-    _, lift, hw = half_setup
-    u = bpu_map(lift, hw, 5)  # odd level: projection vanishes
-    with pytest.raises(OutsideAdmissibleSetError):
-        zk_orthogonalize(u, u.coefficients)
 
 
 def test_fs_pullback_diagonal_and_antisymmetry(half_setup):
@@ -968,21 +968,65 @@ def test_fs_pullback_names_the_norm_overflow(third_setup):
         fs_pullback(lift, hw, [w], [1020, 1023])
 
 
-def test_fs_pullback_entries_are_gram_ratios_of_orthogonal_parts(half_setup):
-    loop, lift, hw = half_setup
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("derivative", [d_bpu, fd_d_bpu], ids=["d_bpu", "fd_d_bpu"])
+def test_derivative_rows_name_their_overflow(third_setup, derivative):
+    # The kernel checks every pass with tangent columns, so the analytic rows
+    # and the finite-difference oracle name the level where fs_pullback does,
+    # instead of returning inf and NaN entries.
+    loop, lift, hw = third_setup
+    w = constrained(loop, hw, np.cos(PHI), np.cos(PHI))
+    assert np.all(np.isfinite(derivative(lift, hw, [w], [1020])[0]))
+    with pytest.raises(DomainError, match=r"level 1023: .* double range \(derivative rows\)"):
+        derivative(lift, hw, [w], [1020, 1023])
+
+
+@pytest.mark.parametrize("setup", ["wavy", "third_setup"])
+def test_fs_pullback_entries_are_gram_ratios_of_orthogonal_parts(request, setup):
+    # The Schur complement of <u, u> in the Gram of [u; du] against the Gram of
+    # the rows orthogonalized against u, level by level, across chunks and node families.
+    loop, lift, hw = request.getfixturevalue(setup)
+    ks = chunk_spanning_levels(lift.winding)
     frame = [constrained(loop, hw, np.cos(PHI), np.cos(PHI)),
              constrained(loop, hw, np.sin(PHI), np.cos(PHI)),
              constrained(loop, hw, np.cos(PHI) + np.cos(2 * PHI), np.cos(PHI) + np.sin(PHI))]
-    ks = [8, 16]
     forms = fs_pullback(lift, hw, frame, ks)
-    assert forms.shape == (2, 3, 3)
+    assert forms.shape == (len(ks), 3, 3)
     for n, k in enumerate(ks):
-        u = bpu_map(lift, hw, k)
-        z = [zk_orthogonalize(u, d_bpu(lift, hw, [w], [k])[0][0]) for w in frame]
-        for i in range(3):
-            for j in range(3):
-                expect = inner(u.sec_basis, z[i], z[j]) / u.norm_sq
-                assert abs(forms[n, i, j] - expect) <= 1e-12 * abs(expect)
+        expect = pullback_form(bpu_map(lift, hw, k), d_bpu(lift, hw, frame, [k])[0])
+        assert np.all(np.abs(forms[n] - expect) <= 1e-12 * np.abs(expect)), k
+
+
+def su2_miss(lift, hw, frame, k):
+    """Largest relative miss, in the basis-norm metric and modulo u_k, of the
+    d_bpu rows of the equator's tangents (cos phi, 0) and (sin phi, 0) from
+    i (up + dn) u_k and -(up - dn) u_k."""
+    u = bpu_map(lift, hw, k)
+    up, dn = su2_rows(u)
+    got = zk_orthogonalize(u, d_bpu(lift, hw, frame, [k])[0])
+    want = zk_orthogonalize(u, np.array([1j * (up + dn), -(up - dn)]))
+    return math.sqrt(max(hardy.norm_sq(u.sec_basis, g - w) / hardy.norm_sq(u.sec_basis, w)
+                         for g, w in zip(got, want)))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("weight", ["constant", "fourier"])
+def test_equator_rotation_rows_are_su2_actions(monkeypatch, n, weight):
+    # On the c = 1/2 latitude the tangents (cos phi, 0) and (sin phi, 0) are
+    # infinitesimal rotations of the sphere, so their rows are the su(2) action
+    # on u_k whatever the half-weight: an exact reference that pins the signs.
+    loop = latitude_loop(0.5, n)
+    lift, phi = horizontal_lift(loop), grid_nodes(n)
+    hw = (HalfWeight.constant(loop) if weight == "constant"
+          else HalfWeight.from_samples(loop, 1.0 + 0.3 * np.cos(phi) + 0.1 * np.sin(3 * phi)))
+    frame = [constrained(loop, hw, f, np.zeros(n)) for f in (np.cos(phi), np.sin(phi))]
+    even = np.arange(2, n + 1 if n == 64 else 601, 2)
+    ks = even if n == 64 else [2, 8, 600, *np.random.default_rng(5).choice(even, 40, replace=False)]
+    for k in ks:
+        assert su2_miss(lift, hw, frame, int(k)) <= 1e-12, k
+    for signs in set(itertools.product((1, -1), repeat=2)) - {bpu.CONVENTION_SIGNS}:
+        monkeypatch.setattr(bpu, "CONVENTION_SIGNS", signs)
+        assert su2_miss(lift, hw, frame, 8) > 0.1, signs
 
 
 # ---------------------------------------------------------------------------

@@ -540,6 +540,20 @@ def test_cli_norm_sweep_names_the_first_non_finite_level(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_derivative_crosscheck_names_the_derivative_row_overflow(tmp_path):
+    # At k = 1023 on c = 1/3 the derivative rows overflow while norm_sq stays
+    # finite (see bpu.d_bpu): the run names the level and writes nothing,
+    # where it once wrote nan errors and failed derivative_agreement.
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({"kind": "derivative-crosscheck", "c": "1/3", "n": 256, "seed": 7,
+                               "k_values": [1023]}))
+    proc = run_cli("run", "--config", str(cfg), "--output", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert ("experiment failed: level 1023: basis norms left the double range (derivative rows)"
+            in proc.stderr)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"kind": "norm-sweep", "c": "1/3", "n": 64, "l_max": 8}))

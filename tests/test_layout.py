@@ -3,7 +3,8 @@ no module loads hashlib, numpy.random, argparse or fractions, the projection
 module imports no fit or verdict module, every name a
 module exports exists, every name the benchmark tracer summarizes exists in
 the package, README's table of config keys lists exactly the keys a config
-may set, and README names every constant a module exports."""
+may set, README names every constant a module exports and every name `bpu`
+exports."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import importlib
 import re
 from pathlib import Path
 
-from bpu_lab import experiments
+from bpu_lab import bpu, experiments
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bpu_lab"
@@ -165,3 +166,10 @@ def test_readme_names_every_exported_bpu_constant():
     missing = [name for name in constants
                if not re.search(rf"\b{name.split('.')[1]}\b", text)]
     assert not missing, f"exported constants README.md does not name: {', '.join(missing)}"
+
+
+def test_readme_names_every_bpu_export():
+    text = README.read_text()
+    assert "fs_pullback" in bpu.__all__ and "BpuState" in bpu.__all__
+    missing = [name for name in bpu.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert not missing, f"bpu exports README.md does not name: {', '.join(missing)}"
