@@ -112,17 +112,14 @@ def _ratio_table(points: np.ndarray, rows: int):
     is the kernel's top band row), moduli factors (coarse, fine), the second
     family's mask, and lead.  Nodes with |z0| <= |z1| (1 + FAMILY_MARGIN) have
     lead = z1, o = z0 and b = a; the second family has lead = z0, o = z1 and
-    b = k - a.  rho = o/lead is rounded once.  |rho|^(qB + i) = coarse[q] fine[:, i]
-    for i < B = floor(sqrt(rows - 1)) + 1, the split of `_powers`, from
-    long-double products of the unrounded |rho|."""
+    b = k - a.  rho = o/lead is rounded once.  |rho^(qB + i)| = coarse[q] fine[:, i]
+    to rounding, for i < B = floor(sqrt(rows - 1)) + 1: the moduli of the two
+    factors (rho^B)^q and rho^i that `_powers` builds the table from."""
     second = np.abs(points[:, 0]) > np.abs(points[:, 1]) * (1.0 + FAMILY_MARGIN)
     lead = np.where(second, points[:, 0], points[:, 1])
-    rho = np.where(second, points[:, 1], points[:, 0]).astype(np.clongdouble) / lead
-    table = _powers(rho.astype(np.complex128), rows - 1)
-    block, mod = int((rows - 1) ** 0.5) + 1, np.abs(rho)[:, None]
-    fine = np.cumprod(np.hstack([mod ** 0] + [mod] * (block - 1)), axis=1)
-    coarse = np.cumprod(np.hstack([mod ** 0] + [fine[:, -1:] * mod] * ((rows - 1) // block)), axis=1)
-    return table, (coarse.T.astype(np.float64, order="C"), fine.astype(np.float64)), second, lead
+    rho = (np.where(second, points[:, 1], points[:, 0]).astype(np.clongdouble) / lead).astype(np.complex128)
+    table, small, big = _powers(rho, rows - 1)
+    return table, (np.abs(big), np.abs(small).T.copy()), second, lead
 
 
 def _power(z: np.ndarray, n: int) -> NDArray[np.complex128]:
@@ -309,26 +306,27 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
              ks: Sequence[int]) -> list[NDArray[np.complex128]]:
     """Finite-difference ground truth for d_bpu via the contact transport.
 
-    Each nonzero leg (f, 0), (0, ell) of a tangent is transported by one
-    `flow_state` call to +-FD_STEP and +-FD_STEP/2.  One kernel pass per tangent
-    pairs the states' delta weights times their Richardson coefficients
-    (-1, 1, 8, -8)/(6 FD_STEP): the f leg's as transport weights on its circuits,
-    the (0, ell) leg's, on the lift, summed as half-density weights that the
-    kernel multiplies by k.  Row i at level k is d_f + k*d_ell, unsnapped and checked as in d_bpu.
+    Each tangent's f leg (f, 0), if nonzero, is transported by one `flow_state`
+    call to +-FD_STEP and +-FD_STEP/2.  One kernel pass per tangent pairs the
+    moved states' delta weights times their Richardson coefficients
+    (-1, 1, 8, -8)/(6 FD_STEP) as transport weights on their circuits.  The
+    (0, ell) leg moves no lift point and its half-weight lambda + t ell is
+    linear in t, so its difference is exactly ell: the lift's half-density
+    weights are ell's delta weights, which the kernel multiplies by k.  Row i at
+    level k is d_f + k*d_ell, unsnapped and checked as in d_bpu.
     """
     loop, n, h, r_dphi = lift.base, lift.base.n, FD_STEP, lift.winding * TWO_PI / lift.base.n
     zero, times, coef = np.zeros(n), (h, -h, h / 2, -h / 2), np.array([-1.0, 1.0, 8.0, -8.0]) / (6 * h)
     out = [np.zeros((len(tangents), k + 1), dtype=np.complex128) for k in ks]
     for i, w in enumerate(tangents):
-        moved, held = (flow_state(lift, hw, LeafTangent(loop, f, s), times) if np.any(f) or np.any(s) else []
-                       for f, s in ((w.f, zero), (zero, w.s_ell)))
-        if not (moved or held):
+        if not (np.any(w.f) or np.any(w.s_ell)):
             continue
+        moved = flow_state(lift, hw, LeafTangent(loop, w.f, zero), times) if np.any(w.f) else []
         # Each state's delta weights s_lambda speed r dphi, as in `_frame_moments`, times its coef.
         transport = [zero] + [c * s.s_lambda * m.base.speed * r_dphi for c, (m, s) in zip(coef, moved)]
         amp = np.zeros((n * len(transport), 4))  # delta, transport, fiber and half-density weights
         amp[:, 1] = np.concatenate(transport)
-        amp[:n, 3] = r_dphi * loop.speed * sum(c * s.s_lambda for c, (_, s) in zip(coef, held))
+        amp[:n, 3] = r_dphi * loop.speed * w.s_ell
         points, normal = np.vstack([lift.circuit] + [m.circuit for m, _ in moved]), np.zeros((len(amp), 2, 0))
         for rows, (_, du) in zip(out, _level_moments(points, amp, normal, ks, lift.winding)):
             rows[i] = du[0]

@@ -50,12 +50,13 @@ def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
     return out.real if np.isrealobj(samples) else out
 
 
-def _powers(z: np.ndarray, n: int) -> NDArray[np.complex128]:
+def _powers(z: np.ndarray, n: int) -> tuple[NDArray[np.complex128], ...]:
     """Powers z^j, j = 0..n, of a vector z (M,) as a row-contiguous (n+1, M) table.
 
     Row j = q*B + i is (z^i)(z^B)^q with B = floor(sqrt n) + 1; both factors
-    come from short running products, so each entry costs one complex
-    multiply.  0^0 = 1 and the other powers of 0 are exact zeros.
+    come from short running products, so each entry costs one complex multiply,
+    and return with the table: rows z^i (B, M) and rows (z^B)^q (n//B + 1, M).
+    0^0 = 1 and the other powers of 0 are exact zeros.
     """
     z = np.asarray(z, dtype=np.complex128)
     block = int(n ** 0.5) + 1
@@ -66,7 +67,7 @@ def _powers(z: np.ndarray, n: int) -> NDArray[np.complex128]:
     for q in range(big.shape[0]):
         rows = out[q * block:(q + 1) * block]
         np.multiply(small[:len(rows)], big[q], out=rows)
-    return out
+    return out, small, big
 
 
 def trapezoid(values: np.ndarray, axis: int = 0) -> np.ndarray | float:
@@ -101,26 +102,25 @@ class TrigInterpolator:
     """Trigonometric interpolant of periodic samples (axis 0 is the node axis).
 
     Off the nodes every order is a Taylor series about the nearest node,
-    f^(q)(phi_j + d) = sum_p d^p/p! f^(q+p)(phi_j), over node derivatives
-    that `spectral_derivative` computes once per order on first use.  Their
-    odd-order Nyquist zero makes the single unpaired Nyquist mode
-    cos(N/2*phi), so real samples interpolate to real values.  Since
-    |d| <= pi/N, the terms past p are below (N/2*|d|)^p/p! times the
-    spectrum's scale; the series stops once that falls below 1e-17, after
-    about 23 terms at worst and one at the nodes.
+    f^(q)(phi_j + d) = sum_p d^p/p! f^(q+p)(phi_j), over one (orders, N, ...)
+    table of node derivatives that grows, one `spectral_derivative` per new
+    order, on first use.  Their odd-order Nyquist zero makes the single
+    unpaired Nyquist mode cos(N/2*phi), so real samples interpolate to real
+    values.  Since |d| <= pi/N, the terms past p are below (N/2*|d|)^p/p!
+    times the spectrum's scale; the series stops once that falls below 1e-17,
+    after about 23 terms at worst and one at the nodes.
     """
 
     def __init__(self, samples: np.ndarray):
-        self._nodes = [np.asarray(samples)]  # node derivatives by order
-        self.n = self._nodes[0].shape[0]
-        self._shape = self._nodes[0].shape[1:]
+        self._nodes = np.asarray(samples)[None]  # node derivatives by order
+        self.n, self._shape = self._nodes.shape[1], self._nodes.shape[2:]
 
     def __call__(self, phi: np.ndarray) -> np.ndarray:
         return self.derivative(phi, (0,))[0]
 
     def derivative(self, phi: np.ndarray, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """d^p/dphi^p at phi for each p in `orders`, one array per order, all
-        from one gather of node derivatives."""
+        from one gather of node derivatives, summed in place by Horner's rule."""
         scalar = np.ndim(phi) == 0
         phi = np.ravel(np.asarray(phi, dtype=np.float64))
         j = np.rint(phi * (self.n / TWO_PI))
@@ -130,15 +130,15 @@ class TrigInterpolator:
         while bound >= 1e-17:
             terms += 1
             bound *= x / terms
-        while len(self._nodes) < max(orders) + terms:
-            self._nodes.append(spectral_derivative(self._nodes[0], len(self._nodes)))
-        rows = j.astype(np.int64) % self.n
-        table = [d[rows] for d in self._nodes[:max(orders) + terms]]
+        grow = range(len(self._nodes), max(orders) + terms)  # orders the table lacks, one FFT each
+        if grow:
+            self._nodes = np.stack([*self._nodes, *(spectral_derivative(self._nodes[0], p) for p in grow)])
+        table = self._nodes[:max(orders) + terms].take(j.astype(np.int64) % self.n, axis=1)
         delta = delta.reshape((-1,) + (1,) * len(self._shape))
-        out = []
-        for q in orders:
+        for q in sorted(set(orders), reverse=True):  # into row q + terms - 1, which lower orders never read
             acc = table[q + terms - 1]
             for p in range(terms - 2, -1, -1):
-                acc = table[q + p] + acc * (delta / (p + 1))
-            out.append(acc)
-        return tuple(v[0] for v in out) if scalar else tuple(out)
+                acc *= delta / (p + 1)
+                acc += table[q + p]
+        out = table[np.add(orders, terms - 1)]  # a copy: no result holds the table
+        return tuple(out[:, 0] if scalar else out)

@@ -78,7 +78,7 @@ def _log_norms(k_max: int):
 
 def _monomials(pts: np.ndarray, k: int) -> NDArray[np.complex128]:
     """Monomials z0^a z1^(k-a), a = 0..k, at points (M, 2): an (M, k+1) matrix."""
-    return np.multiply(_powers(pts[:, 0], k).T, _powers(pts[:, 1], k)[::-1].T,
+    return np.multiply(_powers(pts[:, 0], k)[0].T, _powers(pts[:, 1], k)[0][::-1].T,
                        out=np.empty((len(pts), k + 1), dtype=np.complex128))
 
 

@@ -48,7 +48,7 @@ def trig_dense(samples, phi, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     shared = np.where((m == 0) | (2 * m == n), 0.5, 1.0)[:, None]
     pos, neg = shared * coeffs[m], shared * coeffs[-m % n]
     phi = np.ravel(np.asarray(phi, dtype=np.float64))
-    basis = _powers(np.cos(phi) + 1j * np.sin(phi), n // 2).T
+    basis = _powers(np.cos(phi) + 1j * np.sin(phi), n // 2)[0].T
     im = 1j * m[:, None]
     coef = np.hstack([c for p in orders for c in (pos * im ** p, np.conj(neg * (-im) ** p))])
     vals = (basis @ coef).reshape(phi.size, len(orders), 2, -1)
@@ -319,7 +319,8 @@ def flow_all_circuits(lift, hw, w, t: float):
 
 def fd_d_bpu_per_state(lift, hw, tangents, ks):
     """`bpu.fd_d_bpu` state by state: each of the four transported states of
-    a leg is projected at every level by a kernel pass of its own, with the
+    a leg, the (0, ell) leg's too, which `bpu.fd_d_bpu` differences in closed
+    form, is projected at every level by a kernel pass of its own, with the
     coefficients snapped as `bpu_map` snaps them; at each level the central
     differences at FD_STEP and FD_STEP/2 are Richardson-combined into d_f and
     d_ell, and row i is d_f + k d_ell."""

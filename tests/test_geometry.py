@@ -118,7 +118,9 @@ def test_node_table_matches_basis_evaluation_at_the_nodes(n, real):
     samples, _, _ = _trig_polynomial(n, real, seed=n + 1)
     interp = TrigInterpolator(samples)
     got_all = interp.derivative(grid_nodes(n), (0, 1, 2))
-    assert len(interp._nodes) == 3 and got_all[0] is not interp._nodes[0]
+    # One table of orders 0..2, which no returned array aliases.
+    assert interp._nodes.shape == (3,) + samples.shape
+    assert not any(np.shares_memory(got, interp._nodes) for got in got_all)
     for got, want in zip(got_all, trig_dense(samples, grid_nodes(n), (0, 1, 2))):
         assert np.isrealobj(got) == real and got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -4,7 +4,7 @@ module imports no fit or verdict module, every name a
 module exports exists, every name the benchmark tracer summarizes exists in
 the package, README's table of config keys lists exactly the keys a config
 may set, README names every constant a module exports and every name `bpu`
-exports."""
+exports, and long-double dtypes appear only where a value is rounded once."""
 
 from __future__ import annotations
 
@@ -173,3 +173,51 @@ def test_readme_names_every_bpu_export():
     assert "fs_pullback" in bpu.__all__ and "BpuState" in bpu.__all__
     missing = [name for name in bpu.__all__ if not re.search(rf"\b{name}\b", text)]
     assert not missing, f"bpu exports README.md does not name: {', '.join(missing)}"
+
+
+_LONG_DOUBLES = {"longdouble", "clongdouble", "float128", "complex256"}
+
+
+def _dtype_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+
+def long_double_uses(source: str, module: str) -> set[str]:
+    """`module.function targets` of each simple statement that names a long-double
+    dtype: its innermost enclosing function and the names it assigns, then
+    `rounded` where the statement's value is cast by `astype` to another dtype."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first, so a nested function overrides its parent
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    found = set()
+    for stmt in ast.walk(tree):
+        if (isinstance(stmt, ast.stmt) and not hasattr(stmt, "body")
+                and any(_dtype_name(node) in _LONG_DOUBLES for node in ast.walk(stmt))):
+            value = getattr(stmt, "value", None)
+            rounded = (isinstance(value, ast.Call) and getattr(value.func, "attr", None) == "astype"
+                       and _dtype_name(value.args[0]) not in _LONG_DOUBLES)
+            targets = ",".join(t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name))
+            found.add(f"{module}.{owner.get(stmt, '<module>')} {targets}" + " rounded" * rounded)
+    return found
+
+
+def test_long_doubles_only_round_values_once():
+    # hardy's table of log j!, rounded once per level, and the kernel's ratio
+    # rho = o/lead, rounded in the statement that divides; every other path,
+    # the snap bound's moduli included, is double precision.
+    rho = "bpu._ratio_table rho rounded"
+    allowed = {"hardy._log_norms log_fact", "hardy._log_norms volume", rho}
+    found = set().union(*(long_double_uses(p.read_text(), p.stem) for p in sorted(SRC.glob("*.py"))))
+    assert rho in found
+    assert found <= allowed, f"long-double dtypes outside their one rounding: {sorted(found - allowed)}"
+    # The check sees a long-double ratio kept past its division, and a moduli product.
+    kept = "def _ratio_table(o, lead):\n    rho = o.astype(np.clongdouble) / lead\n"
+    assert long_double_uses(kept, "bpu") == {"bpu._ratio_table rho"}
+    moduli = "def _ratio_table(rho):\n    mod = np.abs(rho.astype(np.clongdouble))\n"
+    assert long_double_uses(moduli, "bpu") == {"bpu._ratio_table mod"}
