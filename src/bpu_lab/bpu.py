@@ -307,7 +307,8 @@ def fd_d_bpu(lift: PlanckianLift, hw: HalfWeight, tangents: Sequence[LeafTangent
     """Finite-difference ground truth for d_bpu via the contact transport.
 
     Each tangent's f leg (f, 0), if nonzero, is transported by one `flow_state`
-    call to +-FD_STEP and +-FD_STEP/2.  One kernel pass per tangent pairs the
+    call to +-FD_STEP and +-FD_STEP/2, each node along its normal geodesic in
+    closed form, with no foot projection.  One kernel pass per tangent pairs the
     moved states' delta weights times their Richardson coefficients
     (-1, 1, 8, -8)/(6 FD_STEP) as transport weights on their circuits.  The
     (0, ell) leg moves no lift point and its half-weight lambda + t ell is

@@ -353,8 +353,7 @@ def foot_parameters(loop: LagrangianLoop, points: np.ndarray) -> NDArray[np.floa
 
     For each point m, finds phi maximizing |<L(phi), m>| (equivalently
     minimizing geodesic distance) by vectorized Newton iteration from the
-    node of largest overlap, an O(M*N) search for points with no
-    better seed (`leaf.flow_state` seeds its own feet at the nodes).  Raises
+    node of largest overlap, an O(M*N) search.  Raises
     if any point fails to converge to a maximum, which signals departure
     from the tube of unique projection.
     """

@@ -29,15 +29,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ContractViolation, NowhereVanishingError, TubeStepError
-from .fourier import TWO_PI, TrigInterpolator, spectral_derivative, trapezoid
+from .fourier import TWO_PI, spectral_derivative, trapezoid
 from .geometry import (
+    SQRT_PI,
     LagrangianLoop,
     PlanckianLift,
-    _foot_newton,
     _inner,
     normal_frame,
     pole_clearance,
-    project_tangent,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "psi_pushforward",
     "omega_weinstein",
     "hamiltonian_normal_components",
-    "hamiltonian_field",
     "gamma_flow",
     "flow_state",
     "tube_margin",
@@ -211,43 +209,32 @@ def hamiltonian_normal_components(loop: LagrangianLoop, f: np.ndarray) -> NDArra
     return -HAMILTONIAN_SCALE * df / loop.speed
 
 
-def hamiltonian_field(loop: LagrangianLoop, f: np.ndarray):
-    """Tube vector field of the extension of f, on copies of one circuit of nodes.
+def _jacobi_rate(loop: LagrangianLoop) -> tuple[NDArray[np.complex128], NDArray[np.float64]]:
+    """Unit normals n (C^2 magnitude 1) and the rate B of the node circles.
 
-    Returns a function mapping (M, 2) representatives, point i near the
-    normal geodesic through node i mod N, to the horizontal representatives
-    of upsilon_f there and the extension values f(beta(m)).  The field is
-    tangent to the level sets of the foot parameter, so Newton starts at
-    those nodes, on one interpolant of the columns [L, f]; its last
-    iterate's values also give the foot gradient (the implicit derivative
-    of the stationarity of |<L(phi), m>|^2), f and f'.
+    On the area-1 sphere (curvature 4*pi) the length density of the curves
+    cos(theta) L + sin(theta) n, theta the C^2 angle along the normal
+    geodesics, is exactly D(theta) = speed cos(2 theta) + B sin(2 theta).
+    2B = Re<T, h> / (pi speed) is D'(0), with h the theta-derivative at 0 of
+    the horizontal part of cos(theta) L' + sin(theta) n'.
     """
-    interp = TrigInterpolator(np.column_stack([loop.points, np.asarray(f, dtype=np.float64)]))
-
-    def field(points: np.ndarray):
-        seeds = np.arange(len(points)) % loop.n
-        _, (v, v1, _), u, u1, curv = _foot_newton(interp, points, seeds)
-        gvec = -(2.0 / curv)[:, None] * (u1[:, None] * v[:, :2] + u[:, None] * v1[:, :2])
-        grad_phi = np.pi * project_tangent(points, gvec)
-        upsilon = -HAMILTONIAN_SCALE * v1[:, 2:].real * (1j * grad_phi)
-        return upsilon, v[:, 2].real
-
-    return field
+    pts = loop.points
+    n = normal_frame(loop) / SQRT_PI
+    dl, dn = spectral_derivative(pts), spectral_derivative(n)
+    h = dn - (_inner(n, dl) + _inner(pts, dn))[:, None] * pts - _inner(pts, dl)[:, None] * n
+    return n, np.real(_inner(loop.tangents, h)) / (TWO_PI * loop.speed)
 
 
 def gamma_flow(loop: LagrangianLoop, f: np.ndarray) -> NDArray[np.float64]:
     """First-order change of the Riemannian half-density along the flow of f.
 
     The t-derivative of sqrt(speed_t / speed) as the loop moves with the
-    normal Hamiltonian velocity V = a * (unit normal), by the first variation
-    of the length density: Gamma = (Re<T, V'> + m Im<T, V>) / (2|T|^2), with
-    T the tangents, V' = dV/dphi and m = loop.phase_rate.  On the latitude of
-    area c it is -(1 - 2c) / (4c(1 - c)) * f'.
+    normal Hamiltonian velocity a * (unit normal): Gamma = kappa * a / 2, with
+    kappa = 2 sqrt(pi) B / speed = d log(speed)/ds along the unit normal and B
+    the rate of `_jacobi_rate`.  On the latitude of area c it is
+    -(1 - 2c) / (4c(1 - c)) * f'.
     """
-    v = hamiltonian_normal_components(loop, f)[:, None] * normal_frame(loop)
-    tang = loop.tangents
-    first = np.real(_inner(tang, spectral_derivative(v))) + loop.phase_rate * np.imag(_inner(tang, v))
-    return first / (2.0 * np.real(_inner(tang, tang)))
+    return SQRT_PI * _jacobi_rate(loop)[1] / loop.speed * hamiltonian_normal_components(loop, f)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +254,20 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     velocity plus fiber rate -f), so the transported lift stays Legendrian
     and depends smoothly on t; the half-weight follows the normal-geodesic
     pullback of lambda + t*ell.  The pair is the differentiable path with
-    velocity (f, ell) used as the finite-difference ground truth.  The flow
-    is fiber-equivariant, V(e^{ia} x) = e^{ia} V(x), so only the first
-    circuit is integrated, for all times at once: ceil(max|t| / 2e-3) RK4
-    steps of t/steps each on the stacked circuits.  Every foot projection
-    starts at the nodes, where the transported nodes' feet stay; the
-    retraction's last Newton iterate gives the pulled-back lambda, ell and
-    speed.  f = 0 moves no lift point.
+    velocity (f, ell) used as the finite-difference ground truth.  The field
+    is tangent to the normal geodesics, so node j stays on its own, with its
+    foot at phi_j and f constant: it reaches the C^2 angle theta solving
+    D(theta) theta' = sqrt(pi) a speed, D the Jacobi length of
+    `_jacobi_rate`, so
+
+        theta(t) = (delta + arcsin((2 sqrt(pi) a speed t - B) / R)) / 2
+
+    with R = hypot(speed, B) and delta = atan2(B, speed), and the moved
+    circuit is phases e^{-i f t} (cos(theta) L + sin(theta) n).  The
+    half-weight is (S_lambda + t S_ell) sqrt(speed / speed_t), with
+    speed_t = sqrt(D(theta)^2 + theta'^2 / pi).  f = 0 moves no lift point.
+    Raises TubeStepError past the tube margin or where a node's normal
+    geodesic reaches its focal point.
     """
     loop = lift.base
     if hw.loop is not loop or w.loop is not loop:
@@ -282,45 +276,23 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     if not np.any(w.f):
         return [(lift, HalfWeight(loop, hw.s_lambda + t * w.s_ell)) for t in ts]
 
-    t_max = float(np.max(np.abs(ts)))
-    reach = t_max * float(np.max(np.abs(hamiltonian_normal_components(loop, w.f))))
+    a = hamiltonian_normal_components(loop, w.f)
+    reach = float(np.max(np.abs(ts))) * float(np.max(np.abs(a)))
     if reach > tube_margin(loop):
         raise TubeStepError(f"flow times {ts} displace up to {reach:.3e}, "
                             f"beyond the tube margin {tube_margin(loop):.3e}")
 
-    field = hamiltonian_field(loop, w.f)
-
-    def velocity(x: np.ndarray) -> np.ndarray:
-        upsilon, fval = field(x)
-        return upsilon - (fval[:, None] * 1j) * x
-
-    steps = max(1, math.ceil(t_max / 2e-3))  # RK4 steps of at most 2e-3
-    h = np.repeat(ts / steps, loop.n)[:, None]
-    x = np.tile(lift.circuit, (len(ts), 1))
-    for _ in range(steps):
-        k1 = velocity(x)
-        k2 = velocity(x + 0.5 * h * k1)
-        k3 = velocity(x + 0.5 * h * k2)
-        k4 = velocity(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-
-    # De-phasing the first circuit gives a smooth periodic gauge for the new
-    # loop; the flow commutes with the deck phase, so the later circuits stay
-    # the first one's deck turns.
-    circuits = x.reshape(len(ts), loop.n, 2)
-    loops = [LagrangianLoop(c * np.conj(lift.phases)[:, None]) for c in circuits]
-
-    # Half-weight transport: pull lambda + t*ell back through the
-    # normal-geodesic retraction beta_t : L_t -> L.
-    pulled = TrigInterpolator(np.column_stack([loop.points, hw.s_lambda, w.s_ell, loop.speed]))
-    feet, (v, _, _), *_ = _foot_newton(pulled, np.concatenate([lp.points for lp in loops]),
-                                       np.tile(np.arange(loop.n), len(ts)))
-    delta = np.mod(feet.reshape(len(ts), loop.n) - loop.phi + np.pi, TWO_PI) - np.pi
-    dfeet = 1.0 + spectral_derivative(delta.T).T
-    if np.any(dfeet <= 0.0):
-        raise TubeStepError("retraction reversed orientation; step too large")
-    v = v.real.reshape(len(ts), loop.n, 5)
-    return [(PlanckianLift(c, new_loop, lift.winding, lift.turns),
-             HalfWeight(new_loop, (vt[:, 2] + t * vt[:, 3]) * np.sqrt(vt[:, 4] * d / new_loop.speed)))
-            for t, c, new_loop, vt, d in zip(ts, circuits, loops, v, dfeet)]
+    n, b = _jacobi_rate(loop)
+    speed = loop.speed
+    arg = (2.0 * SQRT_PI * a * speed * ts[:, None] - b) / np.hypot(speed, b)
+    if np.any(np.abs(arg) >= 1.0):
+        raise TubeStepError(f"flow times {ts} carry a node to the focal point of its normal geodesic")
+    theta = 0.5 * (np.arctan2(b, speed) + np.arcsin(arg))
+    speed_t = np.hypot(speed * np.cos(2.0 * theta) + b * np.sin(2.0 * theta),
+                       spectral_derivative(theta.T).T / SQRT_PI)
+    points = np.exp(-1j * np.multiply.outer(ts, w.f))[..., None] * (
+        np.cos(theta)[..., None] * loop.points + np.sin(theta)[..., None] * n)
+    loops = [LagrangianLoop(p) for p in points]
+    return [(PlanckianLift(lift.phases[:, None] * p, lp, lift.winding, lift.turns),
+             HalfWeight(lp, (hw.s_lambda + t * w.s_ell) * np.sqrt(speed / st)))
+            for t, p, lp, st in zip(ts, points, loops, speed_t)]

@@ -12,10 +12,10 @@ by RK4 on the interpolated connection rate, and the half-density
 derivative by finite differences of geodesically displaced loops.  The
 trigonometric interpolant is summed densely over its modes, and the
 enclosed area is a flux of the area form.  The exceptions are the
-all-circuit transport, which reuses the package's tube field but none of
-the shortcuts of `leaf.flow_state`, and the per-state finite-difference
-oracle, which differences the kernel's snapped projections of the states
-that `bpu.fd_d_bpu` pairs in one pass.
+all-circuit transport, RK4 on a tube field that reuses the package's foot
+Newton iteration but none of the closed form of `leaf.flow_state`, and the
+per-state finite-difference oracle, which differences the kernel's snapped
+projections of the states that `bpu.fd_d_bpu` pairs in one pass.
 """
 
 from __future__ import annotations
@@ -28,9 +28,16 @@ import numpy as np
 
 from bpu_lab import bpu
 from bpu_lab.fourier import TrigInterpolator, _powers, spectral_derivative, trapezoid
-from bpu_lab.geometry import LagrangianLoop, foot_parameters, fs_distance, normal_frame
+from bpu_lab.geometry import (
+    LagrangianLoop,
+    _foot_newton,
+    foot_parameters,
+    fs_distance,
+    normal_frame,
+    project_tangent,
+)
 from bpu_lab.hardy import BUNDLE_VOLUME, monomial_values
-from bpu_lab.leaf import LeafTangent, flow_state, hamiltonian_field, hamiltonian_normal_components
+from bpu_lab.leaf import HAMILTONIAN_SCALE, LeafTangent, flow_state, hamiltonian_normal_components
 
 
 def trig_dense(samples, phi, orders: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -278,14 +285,40 @@ def polar_monomials(pts: np.ndarray, k: int):
     return mag * np.cos(phase), mag * np.sin(phase)
 
 
-def flow_all_circuits(lift, hw, w, t: float):
+def hamiltonian_field(loop: LagrangianLoop, f: np.ndarray):
+    """Tube vector field of the extension of f, on copies of one circuit of nodes.
+
+    Returns a function mapping (M, 2) representatives, point i near the
+    normal geodesic through node i mod N, to the horizontal representatives
+    of upsilon_f = -(1/2pi) J grad(f o beta) there and the extension values
+    f(beta(m)).  Each call runs the foot Newton iteration from those nodes, on
+    one interpolant of the columns [L, f]; its last iterate's values give the
+    foot gradient (the implicit derivative of the stationarity of
+    |<L(phi), m>|^2), f and f'.
+    """
+    interp = TrigInterpolator(np.column_stack([loop.points, np.asarray(f, dtype=np.float64)]))
+
+    def field(points: np.ndarray):
+        seeds = np.arange(len(points)) % loop.n
+        _, (v, v1, _), u, u1, curv = _foot_newton(interp, points, seeds)
+        gvec = -(2.0 / curv)[:, None] * (u1[:, None] * v[:, :2] + u[:, None] * v1[:, :2])
+        grad_phi = np.pi * project_tangent(points, gvec)
+        upsilon = -HAMILTONIAN_SCALE * v1[:, 2:].real * (1j * grad_phi)
+        return upsilon, v[:, 2].real
+
+    return field
+
+
+def flow_all_circuits(lift, hw, w, t: float, max_step: float = 2e-3):
     """Transport of (lift, half-weight) with every one of the r*N lift nodes integrated.
 
-    The same RK4 steps as `leaf.flow_state` (at most 2e-3 each), with the
-    same tube field, applied circuit by circuit because the field takes one
-    circuit's nodes.  The half-weight is pulled back through feet that
-    `geometry.foot_parameters` finds from the nodes of largest overlap.
-    Returns the transported lift points (r*N, 2) and S_lambda samples (N,).
+    RK4 steps of at most `max_step` on the tube field, each stage a foot Newton
+    run, applied circuit by circuit because the field takes one circuit's
+    nodes.  The moved nodes' feet, found by `geometry.foot_parameters` from
+    the nodes of largest overlap, must be the nodes within 1e-12; the
+    half-weight is lambda + t*ell pulled back through them with unit foot
+    derivative.  Returns the transported lift points (r*N, 2) and S_lambda
+    samples (N,).
     """
     loop, n = lift.base, lift.base.n
     field = hamiltonian_field(loop, w.f)
@@ -297,7 +330,7 @@ def flow_all_circuits(lift, hw, w, t: float):
             out.append(upsilon - 1j * fval[:, None] * x[q * n:(q + 1) * n])
         return np.concatenate(out)
 
-    steps = max(1, math.ceil(abs(t) / 2e-3))
+    steps = max(1, math.ceil(abs(t) / max_step))
     h = t / steps
     x = lift.points.copy()
     for _ in range(steps):
@@ -310,10 +343,10 @@ def flow_all_circuits(lift, hw, w, t: float):
 
     new_loop = LagrangianLoop(x[:n] * np.conj(lift.phases)[:, None])
     delta = np.angle(np.exp(1j * (foot_parameters(loop, new_loop.points) - loop.phi)))
-    dfeet = 1.0 + spectral_derivative(delta)
+    assert np.abs(delta).max() <= 1e-12, "a moved node left the normal geodesic of its node"
     eta = TrigInterpolator(hw.s_lambda + t * w.s_ell)
     speed = TrigInterpolator(loop.speed)
-    s_new = eta(loop.phi + delta) * np.sqrt(speed(loop.phi + delta) * dfeet / new_loop.speed)
+    s_new = eta(loop.phi + delta) * np.sqrt(speed(loop.phi + delta) / new_loop.speed)
     return x, s_new
 
 

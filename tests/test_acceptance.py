@@ -7,11 +7,13 @@ single PASS/FAIL line (run pytest with -s to see them inline).
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bpu_lab import asymptotics, bpu, hardy, leaf
+from bpu_lab.experiments import TOLERANCES, ExperimentConfig, run_experiment
 from bpu_lab.geometry import (
     fs_distance,
     holonomy,
@@ -26,6 +28,7 @@ from oracles import delta_pair
 
 N = 256
 L_MAX = 40
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Admissible half-integer constants; the fitted pullback constant is snapped
 # to the nearest one and must equal the value pinned in bpu.
@@ -314,3 +317,29 @@ def test_isodrastic_invariance_of_order():
         orders.append(holonomy(loop).order)
     ok = orders == [2] * 10
     assert report("isodrastic-invariance", ok, f"orders along 10 flow steps: {orders}")
+
+
+# ---------------------------------------------------------------------------
+# Criteria 10 and 11: shipped runs on c = 1/3 with a varying half-weight
+# ---------------------------------------------------------------------------
+
+def shipped_run(name: str):
+    return run_experiment(ExperimentConfig.from_json((CONFIG_DIR / name).read_bytes()))
+
+
+def test_theorem_check_off_the_equator_with_a_varying_halfweight():
+    result = shipped_run("theorem_check_r3.json")
+    worst = max(value for pair in result.fits["pairs"] for key, value in pair.items()
+                if key.endswith("_deviation"))
+    passed = sum(result.verdicts.values())
+    ok = result.passed and worst < TOLERANCES["pair_rel"]
+    assert report("theorem-check-r3", ok, f"{passed} of {len(result.verdicts)} verdicts pass, "
+                  f"max pair deviation {worst:.2e} < {TOLERANCES['pair_rel']:.0e}")
+
+
+def test_derivative_crosscheck_off_the_equator_with_a_varying_halfweight():
+    result = shipped_run("derivative_crosscheck_r3.json")
+    worst = result.fits["worst"]
+    ok = result.passed and worst < TOLERANCES["fd_rel"]
+    assert report("derivative-crosscheck-r3", ok,
+                  f"worst relative vector error {worst:.2e} < {TOLERANCES['fd_rel']:.0e}")

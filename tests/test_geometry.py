@@ -177,37 +177,23 @@ def test_foot_projection_builds_one_basis_per_newton_step(monkeypatch):
         assert calls == [(0, 1, 2)] * steps
 
 
-def test_flow_step_builds_one_basis_per_newton_step(monkeypatch):
-    # One RK4 step: four field calls and the retraction, each one Newton run
-    # over the stacked circuits of every time.  Each Newton step evaluates
-    # its interpolant once; the pulled-back half-weight and speed, like the
-    # field, come from the last Newton iterate's values.
+def test_flow_state_runs_no_foot_newton_and_no_interpolant(monkeypatch):
+    # Each node moves along its own normal geodesic in closed form, its foot
+    # staying at its node: no Newton run and no off-node evaluation.
     loop = latitude_loop(1 / 3, 64)
     hw = leaf.HalfWeight.constant(loop)
     w = leaf.project_constraints(loop, np.cos(2 * loop.phi), np.sin(loop.phi) * hw.s_lambda, hw)
     lift = horizontal_lift(loop)
     runs = []
     real_newton = geometry._foot_newton
-    monkeypatch.setattr(leaf, "_foot_newton", lambda *args: runs.append(args) or real_newton(*args))
+    monkeypatch.setattr(geometry, "_foot_newton", lambda *args: runs.append(args) or real_newton(*args))
     calls = _count_derivative_calls(monkeypatch)
-    leaf.flow_state(lift, hw, w, [1e-3, -5e-4])
-    total = len(calls)
-    assert len(runs) == 5
-    assert all(len(args[1]) == 2 * loop.n for args in runs)
-
-    def newton_steps(args, max_iter=geometry._FOOT_MAX_ITER):
-        for cap in range(1, max_iter + 1):
-            monkeypatch.setattr(geometry, "_FOOT_MAX_ITER", cap)
-            try:
-                real_newton(*args)
-                return cap
-            except TubeStepError:
-                pass
-
-    steps = [newton_steps(args) for args in runs]
-    # Started at the nodes, each run converges within two steps.
-    assert max(steps) <= 2
-    assert total == sum(steps)
+    states = leaf.flow_state(lift, hw, w, [1e-3, -5e-4])
+    assert all(np.abs(moved.circuit - lift.circuit).max() > 1e-5 for moved, _ in states)
+    assert runs == [] and calls == []
+    # The counters see a foot projection.
+    foot_parameters(states[0][0].base, loop.points)
+    assert len(runs) == 1 and calls
 
 
 def test_quadrature_grid_kills_pure_modes():

@@ -1,6 +1,7 @@
 """Source layout rules: every import of the package sits at module level,
 no module loads hashlib, numpy.random, argparse or fractions, the projection
-module imports no fit or verdict module, every name a
+module imports no fit or verdict module, the transport module uses no
+trigonometric interpolant and no foot Newton iteration, every name a
 module exports exists, every name the benchmark tracer summarizes exists in
 the package, README's table of config keys lists exactly the keys a config
 may set, README names every constant a module exports and every name `bpu`
@@ -90,6 +91,29 @@ def test_projection_module_imports_no_fit_or_verdict_module():
     imported = package_imports(SRC / "bpu.py")
     assert {"hardy", "leaf", "geometry"} <= imported
     assert not imported & {"asymptotics", "calibration", "experiments"}, sorted(imported)
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module binds by `from` imports or reads as attributes."""
+    tree = ast.parse(source)
+    return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_transport_module_uses_no_interpolant_or_foot_newton():
+    # flow_state moves each node along its normal geodesic in closed form, and
+    # Gamma reads the same rate; the RK4 reference on the Newton-projected
+    # tube field lives in tests/oracles.py.
+    banned = {"TrigInterpolator", "_foot_newton"}
+    source = (SRC / "leaf.py").read_text()
+    assert "from .fourier import" in source and "from .geometry import (" in source
+    assert not referenced_names(source) & banned
+    # The check sees either one re-added, imported or read off its module.
+    for mutated in (source.replace("from .fourier import", "from .fourier import TrigInterpolator,", 1),
+                    source.replace("from .geometry import (", "from .geometry import (_foot_newton,", 1),
+                    source + "\nfield = fourier.TrigInterpolator\n"):
+        assert referenced_names(mutated) & banned
 
 
 def test_every_exported_name_resolves():

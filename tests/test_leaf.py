@@ -11,6 +11,7 @@ from bpu_lab.fourier import grid_nodes, trapezoid
 from bpu_lab.geometry import (
     foot_parameters,
     fs_inner,
+    graph_loop,
     holonomy,
     horizontal_lift,
     latitude_loop,
@@ -29,6 +30,7 @@ from bpu_lab.leaf import (
     omega_weinstein,
     project_constraints,
     psi_pushforward,
+    tube_margin,
 )
 
 from conftest import wavy_loop
@@ -319,6 +321,23 @@ def test_flow_rejects_large_steps(equator_setup):
         flow_state(horizontal_lift(loop), hw, w, [5.0])
 
 
+def test_flow_stops_at_the_focal_point_inside_the_tube_margin():
+    # The normal geodesics of a loop this curved focalize as near as 0.077,
+    # inside the tube margin of 0.104.  Under sin(6 phi) the first nodes reach
+    # their focal points at t = 0.011442, where the length D(theta) of the
+    # moved node circles vanishes.
+    loop = graph_loop(0.5 + 0.05 * np.cos(6 * PHI))
+    hw = HalfWeight.constant(loop)
+    w = project_constraints(loop, np.sin(6 * PHI), np.zeros(N), hw)
+    lift = horizontal_lift(loop)
+    t = 0.0115
+    assert t * np.abs(hamiltonian_normal_components(loop, w.f)).max() < 0.5 * tube_margin(loop)
+    (near, _), = flow_state(lift, hw, w, [0.011])
+    assert (near.base.speed / loop.speed).min() < 0.25
+    with pytest.raises(TubeStepError, match="focal point of its normal geodesic"):
+        flow_state(lift, hw, w, [0.011, t])
+
+
 def _latitude_state(c):
     loop = latitude_loop(c, N)
     hw = HalfWeight.constant(loop)
@@ -329,9 +348,10 @@ def _latitude_state(c):
 @pytest.mark.parametrize("c, r, t, tol", [(0.5, 2, 1e-3, 1e-13), (1 / 3, 3, 1e-3, 1e-13),
                                           (1 / 3, 3, 0.025, 1e-10)])
 def test_flow_of_one_circuit_matches_all_circuit_oracle(c, r, t, tol):
-    # One circuit integrated and turned by the deck phases, Newton started at
-    # the nodes: the same state as integrating all r*N nodes and searching
-    # the retraction's feet from scratch.  t = 0.025 takes 13 RK4 steps.
+    # One circuit moved in closed form and turned by the deck phases: the
+    # same state as integrating all r*N nodes by RK4 and searching their feet
+    # from scratch.  t = 0.025 takes 13 RK4 steps, off by their 2e-12
+    # truncation error.
     lift, hw, w = _latitude_state(c)
     assert lift.winding == r
     new_lift, new_hw = flow_state(lift, hw, w, [t])[0]
@@ -343,10 +363,8 @@ def test_flow_of_one_circuit_matches_all_circuit_oracle(c, r, t, tol):
 @pytest.mark.parametrize("c, t", [(0.5, 1e-3), (1 / 3, -1e-3), (1 / 3, 0.025)])
 def test_flow_of_zero_f_moves_only_the_half_weight(c, t):
     # f = 0 has no Hamiltonian field and no fiber rate: the lift stays, and
-    # the half-weight is lambda + t*ell on the same loop.  The oracle's
-    # half-weight is off by its own rounding: its feet carry the ~3e-14
-    # rounding of the spectral L', which the derivative of the feet scales
-    # by about N/2 (3.7e-12 on these states).
+    # the half-weight is lambda + t*ell on the same loop, as the oracle's is
+    # to 1e-14.
     lift, hw, w = _latitude_state(c)
     w = LeafTangent(lift.base, np.zeros(N), w.s_ell)
     new_lift, new_hw = flow_state(lift, hw, w, [t])[0]
@@ -354,13 +372,46 @@ def test_flow_of_zero_f_moves_only_the_half_weight(c, t):
     assert np.array_equal(new_hw.s_lambda, hw.s_lambda + t * w.s_ell)
     points, s_lambda = flow_all_circuits(lift, hw, w, t)
     assert np.abs(new_lift.points - points).max() <= 1e-13
-    assert np.abs(new_hw.s_lambda - s_lambda).max() <= 1e-11
+    assert np.abs(new_hw.s_lambda - s_lambda).max() <= 1e-13
+
+
+def _varying_weight_state(loop):
+    hw = HalfWeight.from_samples(loop, 1.0 + 0.3 * np.cos(loop.phi) + 0.1 * np.sin(3 * loop.phi))
+    w = project_constraints(loop, np.cos(2 * loop.phi) + 0.3 * np.sin(loop.phi),
+                            np.cos(loop.phi) * hw.s_lambda, hw)
+    return horizontal_lift(loop), hw, w
+
+
+FLOW_LOOPS = {"c=1/2": lambda n: latitude_loop(0.5, n), "c=1/3": lambda n: latitude_loop(1 / 3, n),
+              "wavy": lambda n: wavy_loop(0.5, n, seed=1, amplitude=0.04)}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_LOOPS))
+def test_flow_returns_the_half_weight_at_time_zero(name):
+    lift, hw, w = _varying_weight_state(FLOW_LOOPS[name](N))
+    new_lift, new_hw = flow_state(lift, hw, w, [0.0])[0]
+    assert np.abs(new_lift.points - lift.points).max() <= 1e-15
+    assert np.abs(new_hw.s_lambda / hw.s_lambda - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, t", [(N, 1e-3), (N, -1e-3), (64, 0.025)])
+@pytest.mark.parametrize("name", sorted(FLOW_LOOPS))
+def test_flow_points_match_the_rk4_oracle(name, n, t):
+    # The closed-form normal geodesics against RK4 on the Newton-projected
+    # tube field, in steps of at most 5e-4.  The oracle's field carries the
+    # (N/2)^2 eps rounding of its spectral L'' (7e-12 relative at N = 256),
+    # which moves its nodes by 3e-13 at t = 0.025 however fine its steps, so
+    # that time runs on 64 nodes.
+    lift, hw, w = _varying_weight_state(FLOW_LOOPS[name](n))
+    new_lift, _ = flow_state(lift, hw, w, [t])[0]
+    points, _ = flow_all_circuits(lift, hw, w, t, max_step=5e-4)
+    assert np.abs(new_lift.points - points).max() <= 1e-13
 
 
 @pytest.mark.parametrize("c", [0.5, 1 / 3])
 def test_flow_of_several_times_matches_one_time_each(c):
-    # The times share the RK4 stages and each stage's Newton run, so their
-    # states agree with separate transports to rounding, in the given order.
+    # Each time moves the nodes by its own closed form, so the states of
+    # several times agree with separate transports to rounding, in order.
     lift, hw, w = _latitude_state(c)
     ts = [1e-3, -1e-3, 5e-4, -5e-4]
     for (new_lift, new_hw), t in zip(flow_state(lift, hw, w, ts), ts, strict=True):
@@ -379,9 +430,9 @@ def test_flow_keeps_the_deck_turns(c):
 
 
 def test_flow_keeps_each_node_foot_at_its_node():
-    # The warm start's premise: the field is tangent to the level sets of the
-    # foot parameter.  A multi-step flow of a non-latitude state leaves
-    # node j's foot at phi_j, found here from the node of largest overlap.
+    # The closed form's premise: the field is tangent to the level sets of
+    # the foot parameter.  The flow of a non-latitude state leaves node j's
+    # foot at phi_j, found here from the node of largest overlap.
     lift, hw, w = _latitude_state(1 / 3)
     lift, hw = flow_state(lift, hw, w, [1e-3])[0]
     loop = lift.base

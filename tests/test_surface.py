@@ -15,10 +15,13 @@ from bpu_lab.experiments import ExperimentConfig, RunResult, run_experiment
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# The numeric kinds, each drawn from its shipped config; levels stay below
-# 1000, under the first norm overflow of every drawn latitude.
-SHIPPED = {raw["kind"]: raw for raw in (json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json")))
-           if raw["kind"] != "identity-suite"}
+# The numeric kinds, each drawn from the first shipped config of its kind by
+# name (the constant half-weight on c = 1/2); levels stay below 1000, under
+# the first norm overflow of every drawn latitude.
+SHIPPED = {}
+for raw in (json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))):
+    if raw["kind"] != "identity-suite":
+        SHIPPED.setdefault(raw["kind"], raw)
 FRACTIONS = ("1/16", "1/8", "1/5", "1/4", "1/3", "2/5", "1/2", "3/5", "2/3", "3/7")
 NODES = (64, 128, 256)
 TOP_LEVEL = 999
