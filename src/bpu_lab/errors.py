@@ -37,7 +37,9 @@ class IntegrationAccuracyError(BpuLabError):
 
 
 class TubeStepError(BpuLabError):
-    """A flow step left the tubular neighborhood where transport is defined."""
+    """A point left the domain of the tube: a flowed node reached the focal
+    point of its normal geodesic, a moved loop is not resolved on its nodes,
+    or a foot projection found no maximum."""
 
 
 class NowhereVanishingError(BpuLabError):

@@ -18,7 +18,7 @@ import json
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -50,14 +50,16 @@ __all__ = [
     "emit_report",
 ]
 
-EXPERIMENT_KINDS = (
-    "norm-sweep",
-    "theorem-check",
-    "derivative-crosscheck",
-    "profile",
-    "decay",
-    "identity-suite",
-)
+# The config keys each kind accepts: the keys it reads, and no others.
+_KIND_KEYS = {kind: {"kind", "c", "n", "halfweight", *keys} for kind, keys in (
+    ("norm-sweep", {"l_max"}),
+    ("theorem-check", {"l_max", "tangents", "pairs"}),
+    ("derivative-crosscheck", {"seed", "tangents", "k_values"}),
+    ("profile", {"k_values"}),
+    ("decay", {"k_values", "points"}),
+    ("identity-suite", {"seed"}),
+)}
+EXPERIMENT_KINDS = tuple(_KIND_KEYS)
 
 # The acceptance tolerance of every verdict; each manifest records them.
 TOLERANCES = {
@@ -80,6 +82,7 @@ DECAY_MIN_DISTANCE = 0.2 * SPHERE_DIAMETER
 _TANGENT_FLOOR = 1e-12
 
 MAX_NODES = 2 ** 16  # the largest node count n a config may set
+_DRAWN_MODES = 3  # the largest mode of a drawn tangent (`_random_tangent`)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +126,23 @@ def _descriptor(raw: Any, keys: set[str], name: str) -> dict:
     return raw
 
 
+def _fourier_terms(raw: Any, n: int) -> list[tuple[int, float, str]]:
+    """A Fourier term list as (mode, amplitude, kind) triples, each mode below n/2."""
+    terms = []
+    for term in _checked(raw, list, "Fourier terms"):
+        term = _descriptor(term, {"mode", "amplitude", "kind"}, "Fourier term")
+        mode = _number(term.get("mode", 1), "Fourier term mode", integer=True)
+        # On n nodes, mode m and n - m take the same samples.
+        if abs(mode) >= n // 2:
+            raise ConfigError(f"Fourier term mode {mode} must lie below n/2 = {n // 2}")
+        amp = _number(term.get("amplitude", 1.0), "Fourier term amplitude")
+        kind = term.get("kind", "cos")
+        if kind not in ("cos", "sin"):
+            raise ConfigError(f"unknown Fourier term kind {kind!r}")
+        terms.append((mode, amp, kind))
+    return terms
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str
@@ -130,8 +150,8 @@ class ExperimentConfig:
     n: int
     l_max: int
     seed: int
-    halfweight: dict
-    tangents: list[dict]
+    halfweight: list[tuple[int, float, str]] | None  # terms added to 1, None if constant
+    tangents: list[tuple[list, list]]  # the (f, s_ell) Fourier terms of each tangent
     pairs: list[tuple[int, int]]
     k_values: list[int]
     points: list[dict]
@@ -139,11 +159,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _descriptor(raw, _CONFIG_KEYS, "configuration")
-        kind = raw.get("kind")
-        if kind not in EXPERIMENT_KINDS:
+        kind = _checked(raw, dict, "configuration").get("kind")
+        if kind not in _KIND_KEYS:
             raise ConfigError(f"unknown experiment kind {kind!r}; "
                               f"choose one of {', '.join(EXPERIMENT_KINDS)}")
+        _descriptor(raw, _KIND_KEYS[kind], f"{kind} configuration")
         p, q = _parse_fraction(raw.get("c", "1/2"))
         if not 0 < p < q:
             raise ConfigError(f"circle parameter must lie in (0, 1), got {p}/{q}")
@@ -162,8 +182,22 @@ class ExperimentConfig:
             raise ConfigError(f"k_values must be positive integers, got {k_values}")
         if kind in ("profile", "decay") and len(k_values) > 1:
             raise ConfigError(f"{kind} reads one level, got k_values {k_values}")
-        tangents = [_descriptor(t, {"f", "s_ell"}, "tangent")
+        hw = _descriptor(raw.get("halfweight", {"type": "constant"}), {"type", "terms"}, "half-weight")
+        if hw.get("type", "constant") not in ("constant", "fourier"):
+            raise ConfigError(f"unknown half-weight descriptor type {hw.get('type')!r}")
+        terms = _fourier_terms(hw.get("terms", []), n)
+        halfweight = terms if hw.get("type") == "fourier" else None
+        tangents = [tuple(_fourier_terms(_descriptor(t, {"f", "s_ell"}, "tangent").get(leg, []), n)
+                          for leg in ("f", "s_ell"))
                     for t in _checked(raw.get("tangents", []), list, "tangents")]
+        # The paired integrands' band is about the half-weight's top mode plus the tangents'.
+        if "tangents" in _KIND_KEYS[kind]:
+            hw_mode = max((abs(m) for m, _, _ in halfweight or ()), default=0)
+            t_mode = max((abs(m) for t in tangents for leg in t for m, _, _ in leg),
+                         default=0) if tangents else _DRAWN_MODES
+            if hw_mode + t_mode >= n // 2:
+                raise ConfigError(f"half-weight mode {hw_mode} plus tangent mode {t_mode} reaches "
+                                  f"n/2 = {n // 2}: the paired integrands would alias")
         pairs = [tuple(_number(i, "pair index", integer=True) for i in _checked(p, list, "pair"))
                  for p in _checked(raw.get("pairs", []), list, "pairs")]
         for pair in pairs:
@@ -175,8 +209,7 @@ class ExperimentConfig:
             n=n,
             l_max=l_max,
             seed=seed,
-            halfweight=_descriptor(raw.get("halfweight", {"type": "constant"}), {"type", "terms"},
-                                   "half-weight"),
+            halfweight=halfweight,
             tangents=tangents,
             pairs=pairs,
             k_values=k_values,
@@ -197,9 +230,6 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"raw"}
-
-
 @dataclass
 class RunResult:
     rows: list[tuple[int, int, int, float, float]]
@@ -217,39 +247,23 @@ class RunResult:
 # Descriptor realization
 # ---------------------------------------------------------------------------
 
-def _fourier_samples(terms: list[dict], phi: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(phi)
-    for term in _checked(terms, list, "Fourier terms"):
-        term = _descriptor(term, {"mode", "amplitude", "kind"}, "Fourier term")
-        mode = _number(term.get("mode", 1), "Fourier term mode", integer=True)
-        # On n nodes, mode m and n - m take the same samples.
-        if abs(mode) >= phi.size // 2:
-            raise ConfigError(f"Fourier term mode {mode} must lie below n/2 = {phi.size // 2}")
-        amp = _number(term.get("amplitude", 1.0), "Fourier term amplitude")
-        kind = term.get("kind", "cos")
-        if kind not in ("cos", "sin"):
-            raise ConfigError(f"unknown Fourier term kind {kind!r}")
-        out = out + amp * (np.cos if kind == "cos" else np.sin)(mode * phi)
-    return out
+def _fourier_samples(terms: list[tuple[int, float, str]], phi: np.ndarray) -> np.ndarray:
+    return sum((amp * (np.cos if kind == "cos" else np.sin)(mode * phi) for mode, amp, kind in terms),
+               np.zeros_like(phi))
 
 
-def _build_halfweight(loop, descriptor: dict) -> HalfWeight:
-    kind = descriptor.get("type", "constant")
-    if kind == "constant":
+def _build_halfweight(loop, terms: list[tuple[int, float, str]] | None) -> HalfWeight:
+    if terms is None:
         return HalfWeight.constant(loop)
-    if kind == "fourier":
-        phi = loop.phi
-        raw = 1.0 + _fourier_samples(descriptor.get("terms", []), phi)
-        if np.min(raw) <= 0:
-            raise ConfigError("half-weight descriptor must stay positive")
-        return HalfWeight.from_samples(loop, raw)
-    raise ConfigError(f"unknown half-weight descriptor type {kind!r}")
+    raw = 1.0 + _fourier_samples(terms, loop.phi)
+    if np.min(raw) <= 0:
+        raise ConfigError("half-weight descriptor must stay positive")
+    return HalfWeight.from_samples(loop, raw)
 
 
-def _build_tangent(loop, hw: HalfWeight, descriptor: dict, index: int) -> LeafTangent:
-    phi = loop.phi
-    f = _fourier_samples(descriptor.get("f", []), phi)
-    s_ell = _fourier_samples(descriptor.get("s_ell", []), phi) * hw.s_lambda
+def _build_tangent(loop, hw: HalfWeight, legs: tuple[list, list], index: int) -> LeafTangent:
+    f = _fourier_samples(legs[0], loop.phi)
+    s_ell = _fourier_samples(legs[1], loop.phi) * hw.s_lambda
     w = project_constraints(loop, f, s_ell, hw)
     # A tangent that the moment constraints reduce to rounding moves nothing;
     # every ratio built from it would be 0/0 or a vacuous pass.
@@ -261,10 +275,10 @@ def _build_tangent(loop, hw: HalfWeight, descriptor: dict, index: int) -> LeafTa
 
 def _random_tangent(loop, hw: HalfWeight, rng: random.Random) -> LeafTangent:
     """The constrained tangent whose f and s_ell / s_lambda each sum two
-    cosines, drawn per term as amplitude in [0.5, 1.5), mode in {1, 2, 3} and
-    phase in [0, 2*pi)."""
+    cosines, drawn per term as amplitude in [0.5, 1.5), mode in
+    {1, ..., _DRAWN_MODES} and phase in [0, 2*pi)."""
     phi = loop.phi
-    f, s = (sum((0.5 + rng.random()) * np.cos((1 + int(3 * rng.random())) * phi
+    f, s = (sum((0.5 + rng.random()) * np.cos((1 + int(_DRAWN_MODES * rng.random())) * phi
                                               + 2 * np.pi * rng.random())
                 for _ in range(2))
             for _ in range(2))

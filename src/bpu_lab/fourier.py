@@ -29,8 +29,9 @@ def grid_nodes(n: int) -> NDArray[np.float64]:
 
 
 def mode_numbers(n: int) -> NDArray[np.int64]:
-    """Integer Fourier modes in FFT order: 0..n/2-1, -n/2..-1."""
-    return (np.fft.fftfreq(n) * n).astype(np.int64)
+    """Integer Fourier modes in FFT order: 0..n/2-1, -n/2..-1 (0..(n-1)/2,
+    -(n-1)/2..-1 for odd n), built in integers, so every mode is exact."""
+    return (np.arange(n, dtype=np.int64) + n // 2) % n - n // 2
 
 
 def spectral_derivative(samples: np.ndarray, order: int = 1) -> np.ndarray:
@@ -70,17 +71,17 @@ def _powers(z: np.ndarray, n: int) -> tuple[NDArray[np.complex128], ...]:
     return out, small, big
 
 
-def trapezoid(values: np.ndarray, axis: int = 0) -> np.ndarray | float:
-    """Periodic trapezoid rule over [0, 2*pi): sum * 2*pi/N.
+def trapezoid(values: np.ndarray) -> np.ndarray | float:
+    """Periodic trapezoid rule over [0, 2*pi) along axis 0: sum * 2*pi/N.
 
     Spectrally accurate for smooth periodic integrands and exact (to
     rounding) for trigonometric polynomials of degree < N.
     """
-    return values.sum(axis=axis) * (TWO_PI / values.shape[axis])
+    return values.sum(axis=0) * (TWO_PI / values.shape[0])
 
 
-def tail_fraction(samples: np.ndarray, band: float = 1.0 / 6.0) -> float:
-    """Relative spectral energy in the top `band` fraction of modes.
+def tail_fraction(samples: np.ndarray) -> float:
+    """Relative spectral energy in the top sixth of the modes, |m| >= n/3.
 
     Used as a smoothness / periodicity residual: analytic periodic data on
     an adequate grid has a tail at rounding level.
@@ -88,14 +89,13 @@ def tail_fraction(samples: np.ndarray, band: float = 1.0 / 6.0) -> float:
     coeffs = np.fft.fft(np.asarray(samples), axis=0)
     n = coeffs.shape[0]
     m = np.abs(mode_numbers(n))
-    cutoff = (0.5 - band) * n
     energy = np.abs(coeffs) ** 2
     if energy.ndim > 1:
         energy = energy.sum(axis=tuple(range(1, energy.ndim)))
     total = float(energy.sum())
     if total == 0.0:
         return 0.0
-    return float(np.sqrt(energy[m >= cutoff].sum() / total))
+    return float(np.sqrt(energy[3 * m >= n].sum() / total))
 
 
 class TrigInterpolator:

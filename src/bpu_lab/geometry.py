@@ -42,6 +42,7 @@ from .fourier import TWO_PI, TrigInterpolator, grid_nodes, spectral_derivative, 
 __all__ = [
     "SQRT_PI",
     "MAX_HOLONOMY_ORDER",
+    "PERIODICITY_TOL",
     "LagrangianLoop",
     "PlanckianLift",
     "HolonomyResult",
@@ -55,15 +56,13 @@ __all__ = [
     "project_tangent",
     "fs_distance",
     "foot_parameters",
-    "pole_clearance",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Poles of the coordinate latitude family; normal geodesics of latitude-like
-# loops focalize here, which bounds the usable tube width.
-POLE_0 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-POLE_1 = np.array([0.0 + 0.0j, 1.0 + 0.0j])
+# The largest periodicity residual (spectral tail) of a loop the package
+# accepts as resolved on its nodes.
+PERIODICITY_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,7 @@ def graph_loop(area) -> LagrangianLoop:
     return LagrangianLoop(pts)
 
 
-def latitude_loop(c: float, n: int = 512) -> LagrangianLoop:
+def latitude_loop(c: float, n: int) -> LagrangianLoop:
     """Latitude circle {|z0|^2 = c} with its FS-area coordinate.
 
     Parametrized so that the connection holonomy is exp(2*pi*i*c) and the
@@ -250,7 +249,7 @@ def _phase_path(loop: LagrangianLoop) -> NDArray[np.float64]:
 
 def _phase_and_holonomy(loop: LagrangianLoop) -> tuple[NDArray[np.float64], HolonomyResult]:
     """The exact lift phase over one circuit (`_phase_path`) and the holonomy it ends at."""
-    if loop.periodicity_residual() > 1e-6:
+    if loop.periodicity_residual() > PERIODICITY_TOL:
         raise ContractViolation("loop samples are not smoothly periodic")
     chi = _phase_path(loop)
     phase = complex(np.exp(1j * chi[-1]))
@@ -293,17 +292,6 @@ def horizontal_lift(loop: LagrangianLoop) -> PlanckianLift:
 def normal_frame(loop: LagrangianLoop) -> NDArray[np.complex128]:
     """Per-node unit normal J * (unit tangent), as horizontal representatives."""
     return 1j * loop.unit_tangents()
-
-
-def pole_clearance(loop: LagrangianLoop) -> float:
-    """Distance from the loop to the nearer coordinate pole.
-
-    The normal geodesics of latitude-like loops focalize at the poles, so
-    this bounds the usable width of the normal tube.
-    """
-    d0 = fs_distance(loop.points, POLE_0[None, :])
-    d1 = fs_distance(loop.points, POLE_1[None, :])
-    return float(min(d0.min(), d1.min()))
 
 
 # ---------------------------------------------------------------------------

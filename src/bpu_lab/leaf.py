@@ -30,14 +30,8 @@ from numpy.typing import NDArray
 
 from .errors import ContractViolation, NowhereVanishingError, TubeStepError
 from .fourier import TWO_PI, spectral_derivative, trapezoid
-from .geometry import (
-    SQRT_PI,
-    LagrangianLoop,
-    PlanckianLift,
-    _inner,
-    normal_frame,
-    pole_clearance,
-)
+from .geometry import (PERIODICITY_TOL, SQRT_PI, LagrangianLoop, PlanckianLift, _inner,
+                       normal_frame)
 
 __all__ = [
     "HAMILTONIAN_SCALE",
@@ -53,7 +47,6 @@ __all__ = [
     "hamiltonian_normal_components",
     "gamma_flow",
     "flow_state",
-    "tube_margin",
 ]
 
 HAMILTONIAN_SCALE = 1.0 / TWO_PI
@@ -95,8 +88,8 @@ class HalfWeight:
     def mass(self) -> float:
         return _integrate_density(self.loop, self.s_lambda ** 2)
 
-    def is_nowhere_vanishing(self, tol: float = 1e-9) -> bool:
-        return bool(np.min(np.abs(self.s_lambda)) > tol)
+    def is_nowhere_vanishing(self) -> bool:
+        return bool(np.min(np.abs(self.s_lambda)) > 1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,11 +234,6 @@ def gamma_flow(loop: LagrangianLoop, f: np.ndarray) -> NDArray[np.float64]:
 # Isodrastic transport
 # ---------------------------------------------------------------------------
 
-def tube_margin(loop: LagrangianLoop) -> float:
-    """Usable half-width of the normal tube (quarter of the focal clearance)."""
-    return 0.25 * pole_clearance(loop)
-
-
 def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
                ts: Sequence[float]) -> list[tuple[PlanckianLift, HalfWeight]]:
     """Transport (lift, half-weight) along the tangent (f, ell), one state per time in ts.
@@ -266,8 +254,11 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     circuit is phases e^{-i f t} (cos(theta) L + sin(theta) n).  The
     half-weight is (S_lambda + t S_ell) sqrt(speed / speed_t), with
     speed_t = sqrt(D(theta)^2 + theta'^2 / pi).  f = 0 moves no lift point.
-    Raises TubeStepError past the tube margin or where a node's normal
-    geodesic reaches its focal point.
+    That is the whole domain of the closed form: TubeStepError is raised
+    where a node's normal geodesic reaches its focal point (|arcsin
+    argument| >= 1), and where a moved loop is not resolved on the N nodes
+    (its periodicity residual exceeds PERIODICITY_TOL, the bound every
+    lifted loop meets).
     """
     loop = lift.base
     if hw.loop is not loop or w.loop is not loop:
@@ -277,11 +268,6 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
         return [(lift, HalfWeight(loop, hw.s_lambda + t * w.s_ell)) for t in ts]
 
     a = hamiltonian_normal_components(loop, w.f)
-    reach = float(np.max(np.abs(ts))) * float(np.max(np.abs(a)))
-    if reach > tube_margin(loop):
-        raise TubeStepError(f"flow times {ts} displace up to {reach:.3e}, "
-                            f"beyond the tube margin {tube_margin(loop):.3e}")
-
     n, b = _jacobi_rate(loop)
     speed = loop.speed
     arg = (2.0 * SQRT_PI * a * speed * ts[:, None] - b) / np.hypot(speed, b)
@@ -293,6 +279,10 @@ def flow_state(lift: PlanckianLift, hw: HalfWeight, w: LeafTangent,
     points = np.exp(-1j * np.multiply.outer(ts, w.f))[..., None] * (
         np.cos(theta)[..., None] * loop.points + np.sin(theta)[..., None] * n)
     loops = [LagrangianLoop(p) for p in points]
+    for t, lp in zip(ts, loops):
+        if (tail := lp.periodicity_residual()) > PERIODICITY_TOL:
+            raise TubeStepError(f"flow time {t} leaves the moved loop unresolved on {loop.n} nodes "
+                                f"(periodicity residual {tail:.1e})")
     return [(PlanckianLift(lift.phases[:, None] * p, lp, lift.winding, lift.turns),
              HalfWeight(lp, (hw.s_lambda + t * w.s_ell) * np.sqrt(speed / st)))
             for t, p, lp, st in zip(ts, points, loops, speed_t)]

@@ -132,20 +132,59 @@ def test_shipped_configs_pin_their_inconclusive_ladders(path, tmp_path):
     json.dumps(json.loads(manifest.read_text()), allow_nan=False)
 
 
+def fourier_halfweight(terms, **raw):
+    return dict(raw, halfweight={"type": "fourier", "terms": terms})
+
+
 def test_fourier_modes_at_or_above_half_the_nodes_are_rejected():
-    # On 256 nodes cos(200 phi) takes the samples of cos(56 phi).
+    # On 256 nodes cos(200 phi) takes the samples of cos(56 phi).  Every term
+    # list is checked when the config is read, before any numerics.
     phi = grid_nodes(256)
     assert np.allclose(np.cos(200 * phi), np.cos(56 * phi), atol=1e-12)
     for mode in (200, 128, -128):
         with pytest.raises(ConfigError, match="n/2 = 128"):
-            experiments._fourier_samples([{"mode": mode}], phi)
-    assert np.array_equal(experiments._fourier_samples([{"mode": -127}], phi),
-                          np.cos(127 * phi))
-    tangent = ExperimentConfig.from_dict({
-        "kind": "theorem-check", "c": "1/2", "n": 64, "pairs": [[0, 0]],
-        "tangents": [{"f": [{"mode": 1}], "s_ell": [{"mode": 32, "kind": "sin"}]}]})
+            ExperimentConfig.from_dict(fourier_halfweight([{"mode": mode}], kind="norm-sweep"))
+    config = ExperimentConfig.from_dict(fourier_halfweight([{"mode": -127}], kind="norm-sweep"))
+    assert np.array_equal(experiments._fourier_samples(config.halfweight, phi), np.cos(127 * phi))
     with pytest.raises(ConfigError, match="mode 32 .* n/2 = 32"):
-        run_experiment(tangent)
+        ExperimentConfig.from_dict({
+            "kind": "theorem-check", "c": "1/2", "n": 64, "pairs": [[0, 0]],
+            "tangents": [{"f": [{"mode": 1}], "s_ell": [{"mode": 32, "kind": "sin"}]}]})
+
+
+def mode_tangents(m):
+    return [{"f": [{"mode": m, "kind": kind}], "s_ell": [{"mode": m, "kind": other}]}
+            for kind in ("cos", "sin") for other in ("cos", "sin")]
+
+
+@pytest.mark.parametrize("kind", ["theorem-check", "derivative-crosscheck"])
+def test_paired_integrands_must_stay_below_half_the_nodes(kind):
+    # The half-weight's top mode plus the tangents' is the paired integrands'
+    # band: m + m = 124 stays resolved on 256 nodes, m + m = 200 does not.
+    for m, ok in ((62, True), (100, False)):
+        raw = fourier_halfweight([{"mode": m, "amplitude": 0.2, "kind": "sin"}], kind=kind, c="1/3",
+                                 tangents=mode_tangents(m))
+        if kind == "theorem-check":
+            raw["pairs"] = [[0, 1], [2, 3]]
+        if ok:
+            assert ExperimentConfig.from_dict(raw).tangents[0][0] == [(m, 1.0, "cos")]
+        else:
+            with pytest.raises(ConfigError, match=f"mode {m} plus tangent mode {m} reaches n/2 = 128"):
+                ExperimentConfig.from_dict(raw)
+    # The five drawn tangents reach mode 3; a constant half-weight adds nothing.
+    drawn = {"kind": "derivative-crosscheck"}
+    assert ExperimentConfig.from_dict(fourier_halfweight([{"mode": 124, "amplitude": 0.2}], **drawn))
+    with pytest.raises(ConfigError, match="mode 125 plus tangent mode 3 reaches"):
+        ExperimentConfig.from_dict(fourier_halfweight([{"mode": 125, "amplitude": 0.2}], **drawn))
+    assert ExperimentConfig.from_dict(dict(raw, halfweight={"type": "constant"}))
+
+
+def test_each_kind_accepts_only_the_keys_it_reads():
+    assert sum(len(keys) for keys in experiments._KIND_KEYS.values()) == 35
+    for kind, keys in experiments._KIND_KEYS.items():
+        for key in {"l_max", "seed", "tangents", "pairs", "k_values", "points"} - keys:
+            with pytest.raises(ConfigError, match=f"unknown {kind} configuration keys \\['{key}'\\]"):
+                ExperimentConfig.from_dict({"kind": kind, key: []})
 
 
 def test_identity_suite_keeps_its_graph_loop_clear_of_the_poles():
@@ -429,6 +468,10 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys):
                 {"kind": "profile", "k_values": [80, 160]},
                 {"kind": "decay", "k_values": [40, 80]},
                 {"kind": "norm-sweep", "n": 2 ** 70},
+                {"kind": "norm-sweep", "k_values": [99]},
+                fourier_halfweight([{"mode": 100, "amplitude": 0.2, "kind": "sin"}], kind="theorem-check",
+                                   c="1/3", l_max=300, tangents=mode_tangents(100),
+                                   pairs=[[0, 1], [2, 3]]),
                 *({"kind": "norm-sweep", "c": c} for c in BAD_C_SPELLINGS)):
         code, err = run_bad(json.dumps(bad))
         assert code == 2, (bad, err)

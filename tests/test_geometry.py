@@ -37,6 +37,17 @@ def test_spectral_derivative_exact_on_trig():
     assert np.abs(spectral_derivative(f) - df).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [96, 384, 768])
+def test_spectral_derivative_is_exact_for_every_mode_off_powers_of_two(n):
+    # fftfreq(n) * n lands one ulp below some integers when n is not a power
+    # of two; truncated, cos(7 phi) on 96 nodes differentiated as mode 6.
+    phi = grid_nodes(n)
+    m = np.arange(1, n // 2)
+    got = spectral_derivative(np.cos(np.outer(phi, m)))
+    assert np.array_equal(fourier.mode_numbers(n), np.rint(np.fft.fftfreq(n) * n))
+    assert np.all(np.abs(got + m * np.sin(np.outer(phi, m))).max(axis=0) <= 1e-12 * m)
+
+
 def test_trig_interpolator_matches_off_grid():
     n = 64
     phi = grid_nodes(n)

@@ -3,8 +3,8 @@ no module loads hashlib, numpy.random, argparse or fractions, the projection
 module imports no fit or verdict module, the transport module uses no
 trigonometric interpolant and no foot Newton iteration, every name a
 module exports exists, every name the benchmark tracer summarizes exists in
-the package, README's table of config keys lists exactly the keys a config
-may set, README names every constant a module exports and every name `bpu`
+the package, README's table of config keys lists exactly the keys each kind
+accepts, README names every constant a module exports and every name `bpu`
 exports, and long-double dtypes appear only where a value is rounded once."""
 
 from __future__ import annotations
@@ -156,29 +156,40 @@ def test_benchmark_traced_names_exist():
     assert not missing, f"names the tracer summarizes but the package lacks: {', '.join(missing)}"
 
 
-_KEY_TABLE_HEADER = "| key | default | read by |"
+_KEY_TABLE_HEADER = "| key | default | accepted by |"
 
 
-def readme_config_keys(text: str) -> list[str]:
-    """The keys in the first cell of each row of README's config-key table."""
+def readme_key_rows(text: str) -> list[tuple[str, set[str]]]:
+    """Each row of README's config-key table: the key in its first cell and
+    the kinds its last cell names ("every kind" names them all)."""
     lines = text.splitlines()
     start = lines.index(_KEY_TABLE_HEADER) + 2
     rows = []
     for line in lines[start:]:
         if not line.startswith("|"):
             break
-        rows.append(re.fullmatch(r"\| `(\w+)` \|.*", line).group(1))
+        key, cell = re.fullmatch(r"\| `(\w+)` \|.*\| (.*) \|", line).groups()
+        rows.append((key, set(experiments.EXPERIMENT_KINDS) if cell == "every kind" else
+                     {kind for kind in experiments.EXPERIMENT_KINDS if re.search(rf"\b{kind}\b", cell)}))
     return rows
 
 
 def test_readme_key_table_lists_exactly_the_config_keys():
+    # The table is the rule: each key is accepted by exactly the kinds its row
+    # names, and a config setting a key its kind does not read exits 2.
+    accepted = {}
+    for kind, keys in experiments._KIND_KEYS.items():
+        for key in keys:
+            accepted.setdefault(key, set()).add(kind)
     text = README.read_text()
-    keys = readme_config_keys(text)
-    assert len(keys) == len(set(keys)) == 10
-    assert set(keys) == experiments._CONFIG_KEYS
-    # The check sees a row dropped from the table.
+    rows = readme_key_rows(text)
+    assert len(rows) == len(dict(rows)) == 10
+    assert dict(rows) == accepted
+    # The check sees a row dropped from the table, and a row naming one kind fewer.
     dropped = "\n".join(line for line in text.splitlines() if not line.startswith("| `seed` |"))
-    assert set(readme_config_keys(dropped)) == experiments._CONFIG_KEYS - {"seed"}
+    assert set(dict(readme_key_rows(dropped))) == set(accepted) - {"seed"}
+    edited = text.replace("| derivative-crosscheck, profile, decay |", "| derivative-crosscheck, decay |")
+    assert edited != text and dict(readme_key_rows(edited)) != accepted
 
 
 def test_readme_names_every_exported_bpu_constant():

@@ -30,7 +30,6 @@ from bpu_lab.leaf import (
     omega_weinstein,
     project_constraints,
     psi_pushforward,
-    tube_margin,
 )
 
 from conftest import wavy_loop
@@ -321,21 +320,52 @@ def test_flow_rejects_large_steps(equator_setup):
         flow_state(horizontal_lift(loop), hw, w, [5.0])
 
 
-def test_flow_stops_at_the_focal_point_inside_the_tube_margin():
-    # The normal geodesics of a loop this curved focalize as near as 0.077,
-    # inside the tube margin of 0.104.  Under sin(6 phi) the first nodes reach
-    # their focal points at t = 0.011442, where the length D(theta) of the
-    # moved node circles vanishes.
+def test_flow_stops_where_the_moved_loop_is_unresolved_or_a_node_focalizes():
+    # The normal geodesics of a loop this curved focalize as near as 0.077.
+    # Under sin(6 phi) the first nodes reach their focal points at
+    # t = 0.011442, where the length D(theta) of the moved node circles
+    # vanishes.  Before that the moved loop's spectral tail passes the bound
+    # every lifted loop meets: 4e-10 at t = 1e-3, 1.1e-7 at 5e-3, 2.8e-6 at
+    # 8e-3 and 2.0e-4 at 0.011.
     loop = graph_loop(0.5 + 0.05 * np.cos(6 * PHI))
     hw = HalfWeight.constant(loop)
     w = project_constraints(loop, np.sin(6 * PHI), np.zeros(N), hw)
     lift = horizontal_lift(loop)
-    t = 0.0115
-    assert t * np.abs(hamiltonian_normal_components(loop, w.f)).max() < 0.5 * tube_margin(loop)
-    (near, _), = flow_state(lift, hw, w, [0.011])
-    assert (near.base.speed / loop.speed).min() < 0.25
+    (near, _), = flow_state(lift, hw, w, [5e-3])
+    assert 1e-8 < near.base.periodicity_residual() <= geometry.PERIODICITY_TOL
+    for t in (8e-3, 0.011):
+        with pytest.raises(TubeStepError, match=f"flow time {t} .* unresolved on {N} nodes"):
+            flow_state(lift, hw, w, [5e-3, t])
     with pytest.raises(TubeStepError, match="focal point of its normal geodesic"):
-        flow_state(lift, hw, w, [0.011, t])
+        flow_state(lift, hw, w, [0.011, 0.0115])
+
+
+@pytest.mark.parametrize("c", [0.5, 1 / 3])
+def test_latitude_flow_stays_exact_far_past_the_pole_distance_quarter(c):
+    # Out to half the distance to the nearer pole over max |a| (twice the
+    # reach a quarter of that distance allowed), the moved latitude stays
+    # resolved, Legendrian and of the same holonomy order.
+    loop = latitude_loop(c, N)
+    hw = HalfWeight.constant(loop)
+    w = project_constraints(loop, np.cos(2 * PHI), np.zeros(N), hw)
+    lift = horizontal_lift(loop)
+    pole = np.arccos(np.sqrt(max(c, 1 - c))) / geometry.SQRT_PI
+    t = 0.5 * pole / np.abs(hamiltonian_normal_components(loop, w.f)).max()
+    for new_lift, _ in flow_state(lift, hw, w, [t, -t]):
+        assert np.abs(new_lift.base.points - loop.points).max() > 0.1
+        assert new_lift.base.periodicity_residual() <= 1e-12
+        assert new_lift.legendrian_residual() <= 1e-11
+        assert holonomy(new_lift.base).order == lift.winding
+
+
+@pytest.mark.parametrize("c, r", [(1 / 3, 3), (3 / 7, 7)])
+def test_moved_lift_is_legendrian_on_every_node_count(c, r):
+    # r * N = 768 and 1792 nodes: with truncated mode numbers the moved
+    # c = 1/3 lift read 1.2e-4, though node by node it is Legendrian to 7e-14.
+    lift, hw, w = _latitude_state(c)
+    new_lift, _ = flow_state(lift, hw, w, [1e-3])[0]
+    assert new_lift.points.shape == (r * N, 2)
+    assert new_lift.legendrian_residual() <= 1e-11
 
 
 def _latitude_state(c):
